@@ -1,6 +1,7 @@
 #include "simjoin/candidate_generator.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "common/macros.h"
@@ -116,6 +117,9 @@ Result<CandidateSet> GenerateCandidates(
   Rng noise_rng(options.noise_seed);
   const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
 
+  CJ_ASSIGN_OR_RETURN(const PreparedRecords prepared,
+                      scorer.Prepare(records));
+
   if (side_of == nullptr) {
     std::vector<MeasureDoc> docs(records.size());
     for (size_t i = 0; i < records.size(); ++i) {
@@ -126,13 +130,14 @@ Result<CandidateSet> GenerateCandidates(
                                         options.token_join_threshold));
     candidates.reserve(joined.size());
     for (const ScoredPair& pair : joined) {
-      const Record& ra = records[static_cast<size_t>(pair.left)];
-      const Record& rb = records[static_cast<size_t>(pair.right)];
-      CJ_ASSIGN_OR_RETURN(const double similarity, scorer.Score(ra, rb));
+      const auto left = static_cast<size_t>(pair.left);
+      const auto right = static_cast<size_t>(pair.right);
+      CJ_ASSIGN_OR_RETURN(const double similarity,
+                          prepared.Score(left, right));
       const double likelihood = NoisyLikelihood(
           similarity, options.likelihood_noise_stddev, noise_rng);
       if (likelihood >= options.min_likelihood) {
-        candidates.push_back({ra.id, rb.id, likelihood});
+        candidates.push_back({records[left].id, records[right].id, likelihood});
       }
     }
     return candidates;
@@ -159,13 +164,13 @@ Result<CandidateSet> GenerateCandidates(
                            options.token_join_threshold));
   candidates.reserve(joined.size());
   for (const ScoredPair& pair : joined) {
-    const Record& ra = records[left_index[static_cast<size_t>(pair.left)]];
-    const Record& rb = records[right_index[static_cast<size_t>(pair.right)]];
-    CJ_ASSIGN_OR_RETURN(const double similarity, scorer.Score(ra, rb));
+    const size_t left = left_index[static_cast<size_t>(pair.left)];
+    const size_t right = right_index[static_cast<size_t>(pair.right)];
+    CJ_ASSIGN_OR_RETURN(const double similarity, prepared.Score(left, right));
     const double likelihood = NoisyLikelihood(
         similarity, options.likelihood_noise_stddev, noise_rng);
     if (likelihood >= options.min_likelihood) {
-      candidates.push_back({ra.id, rb.id, likelihood});
+      candidates.push_back({records[left].id, records[right].id, likelihood});
     }
   }
   return candidates;
@@ -190,6 +195,14 @@ Result<CandidateSet> GenerateCandidatesStreaming(
       /*collect_entities=*/entity_of_out != nullptr, dictionary,
       &self_joiner, &bipartite_joiner, ingest));
   if (entity_of_out != nullptr) *entity_of_out = std::move(ingest.entity_of);
+
+  // Score features are computed once per retained record; the record text
+  // itself is not needed past this point.
+  std::optional<PreparedRecords> prepared;
+  if (scorer != nullptr) {
+    CJ_ASSIGN_OR_RETURN(prepared, scorer->Prepare(ingest.retained));
+    ingest.retained = RecordSet();
+  }
 
   // Join across the worker pool.
   std::vector<ScoredPair> joined;
@@ -216,14 +229,14 @@ Result<CandidateSet> GenerateCandidatesStreaming(
   Rng noise_rng(options.noise_seed);
   for (const ScoredPair& pair : joined) {
     double similarity = pair.score;
-    if (scorer != nullptr) {
+    if (prepared.has_value()) {
       const auto left = static_cast<size_t>(pair.left);
       const auto right = static_cast<size_t>(pair.right);
-      const Record& ra = ingest.retained[ingest.left_pos[left]];
-      const Record& rb =
-          ingest.retained[bipartite ? ingest.right_pos[right]
-                                    : ingest.left_pos[right]];
-      CJ_ASSIGN_OR_RETURN(similarity, scorer->Score(ra, rb));
+      CJ_ASSIGN_OR_RETURN(
+          similarity,
+          prepared->Score(ingest.left_pos[left],
+                          bipartite ? ingest.right_pos[right]
+                                    : ingest.left_pos[right]));
     }
     EmitCandidate(pair, bipartite, ingest.left_ids, ingest.right_ids,
                   similarity, options, noise_rng, candidates);

@@ -49,8 +49,9 @@ struct CandidateGeneratorOptions {
 /// Every record's fields are concatenated and turned into a measure
 /// document (`options.measure`: word tokens for Jaccard/cosine, q-grams of
 /// the normalized text for edit distance); a prefix-filter similarity join
-/// prunes the cross product; survivors are scored by `scorer` (call
-/// `scorer.FitTfIdf` first if it uses TF-IDF).
+/// prunes the cross product; survivors are scored by `scorer` over records
+/// prepared once up front (call `scorer.FitTfIdf` first if it uses TF-IDF;
+/// a malformed spec fails here, before the join).
 ///
 /// `side_of` selects the join shape: nullptr runs a self-join over
 /// `records`; otherwise `side_of[i]` in {0, 1} assigns each record to one
@@ -72,9 +73,10 @@ Result<CandidateSet> GenerateCandidates(
 /// `scorer` may be null: likelihoods are then the join's similarity
 /// scores (under `options.measure`) and **no record text is retained** —
 /// memory stays at the measure docs plus the candidate set, which is what
-/// makes million-record campaigns fit. With a scorer (fit it over the same corpus first) the
-/// streamed records are retained for scoring and the result is
-/// byte-identical to `GenerateCandidates` over the materialized dataset.
+/// makes million-record campaigns fit. With a scorer (fit it over the same
+/// corpus first) the streamed records are prepared for scoring once
+/// (`RecordScorer::Prepare`) and the result is byte-identical to
+/// `GenerateCandidates` over the materialized dataset.
 ///
 /// `entity_of_out`, when non-null, receives each streamed record's ground
 /// truth entity (indexed by record position) for building oracles without

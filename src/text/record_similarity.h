@@ -2,6 +2,7 @@
 #define CROWDJOIN_TEXT_RECORD_SIMILARITY_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -24,8 +25,44 @@ enum class FieldMeasure : uint8_t {
 struct FieldSimilaritySpec {
   int field_index = 0;
   FieldMeasure measure = FieldMeasure::kJaccardWords;
-  double weight = 1.0;
-  int q = 3;  ///< gram size for kQGramJaccard
+  double weight = 1.0;  ///< finite and >= 0
+  int q = 3;            ///< gram size for kQGramJaccard; >= 1
+};
+
+/// \brief Records prepared for scoring by `RecordScorer::Prepare`.
+///
+/// Everything a field measure needs from one record is computed once here:
+/// token and q-gram sets as sorted int ids (interned per spec), normalized
+/// text for the edit measures, parsed numbers, and tf-idf weights. Scoring
+/// a pair is then only id merges and DP on cached strings.
+class PreparedRecords {
+ public:
+  /// Similarity of prepared records `i` and `j` (positions in the prepared
+  /// list) in [0, 1]. Bit-identical to `RecordScorer::Score` on the same
+  /// two records, including its errors; OutOfRange for a position past the
+  /// prepared list.
+  Result<double> Score(size_t i, size_t j) const;
+
+ private:
+  friend class RecordScorer;
+
+  enum class FieldState : uint8_t { kPresent, kRawEmpty, kMissing };
+
+  // One spec's features, indexed by record position. Only the members its
+  // measure uses are filled.
+  struct Column {
+    std::vector<FieldState> state;
+    std::vector<uint32_t> set_offsets;  // token sets, CSR over `set_ids`
+    std::vector<int32_t> set_ids;
+    std::vector<std::string> text;
+    std::vector<double> number;
+    std::vector<TfIdfVector> tfidf;
+    bool tfidf_fit = false;
+  };
+
+  std::vector<FieldSimilaritySpec> specs_;
+  std::vector<Column> columns_;  // indexed like specs_
+  size_t num_records_ = 0;
 };
 
 /// \brief Weighted multi-field record similarity — the "machine-based
@@ -44,7 +81,13 @@ class RecordScorer {
   /// Must be called before Score() if any spec uses kTfIdfCosine.
   void FitTfIdf(const RecordSet& records);
 
-  /// Similarity of two records in [0, 1].
+  /// Computes every per-record feature of `records` once, for scoring many
+  /// pairs by position. InvalidArgument for a spec with q < 1 (q-gram
+  /// measure) or a negative or non-finite weight. A record lacking a spec's
+  /// field is only an error when a pair containing it is scored.
+  Result<PreparedRecords> Prepare(const RecordSet& records) const;
+
+  /// Similarity of two records in [0, 1]: prepares both and scores them.
   Result<double> Score(const Record& a, const Record& b) const;
 
   const std::vector<FieldSimilaritySpec>& specs() const { return specs_; }

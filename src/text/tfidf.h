@@ -1,11 +1,29 @@
 #ifndef CROWDJOIN_TEXT_TFIDF_H_
 #define CROWDJOIN_TEXT_TFIDF_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace crowdjoin {
+
+/// Token -> dense id; every vector compared with another must be weighed
+/// through the same map.
+using TokenIdMap = std::unordered_map<std::string, int32_t>;
+
+/// \brief One token list as tf-idf weights, ready for repeated cosines.
+///
+/// The cosine sums over a document's distinct tokens in the iteration order
+/// of its term-frequency map, the order scores have always been summed in;
+/// `sum_order` keeps it so likelihoods stay bit-stable. An empty token list
+/// has no ids.
+struct TfIdfVector {
+  std::vector<int32_t> ids;         ///< distinct token ids, ascending
+  std::vector<double> weights;      ///< tf * idf, parallel to `ids`
+  std::vector<uint32_t> sum_order;  ///< positions into `ids`, summing order
+  double norm_sq = 0.0;             ///< sum of squared weights
+};
 
 /// \brief TF-IDF weighting model fit over a corpus of token documents.
 ///
@@ -21,8 +39,12 @@ class TfIdfModel {
   /// Unseen tokens get the maximum idf.
   double Idf(const std::string& token) const;
 
+  /// Weighs `doc` (term frequency = count within the list), interning its
+  /// tokens through `ids`.
+  TfIdfVector Weigh(const std::vector<std::string>& doc, TokenIdMap& ids) const;
+
   /// TF-IDF cosine similarity of two token lists (term frequency = count
-  /// within the list). Returns a value in [0, 1]; 1.0 for two empty lists.
+  /// within the list): `TfIdfCosine` of their weighed vectors.
   double Cosine(const std::vector<std::string>& a,
                 const std::vector<std::string>& b) const;
 
@@ -33,6 +55,10 @@ class TfIdfModel {
   std::unordered_map<std::string, int64_t> document_frequency_;
   size_t num_documents_ = 0;
 };
+
+/// Cosine of two vectors weighed through the same id map. Returns a value
+/// in [0, 1]; 1.0 for two empty token lists.
+double TfIdfCosine(const TfIdfVector& a, const TfIdfVector& b);
 
 }  // namespace crowdjoin
 

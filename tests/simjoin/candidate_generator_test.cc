@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
 #include "datagen/streaming_generator.h"
+#include "eval/workbench.h"
 
 namespace crowdjoin {
 namespace {
@@ -179,6 +182,35 @@ TEST(GenerateCandidatesStreaming, BipartiteMatchesBatchPath) {
             .value();
     ASSERT_EQ(streaming, batch) << "threads=" << threads;
   }
+}
+
+// FNV-1a over every candidate's ids and likelihood bits, in set order.
+uint64_t CandidateChecksum(const CandidateSet& candidates) {
+  uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const CandidatePair& pair : candidates) {
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(pair.a)));
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(pair.b)));
+    uint64_t bits = 0;
+    std::memcpy(&bits, &pair.likelihood, sizeof(bits));
+    mix(bits);
+  }
+  return hash;
+}
+
+// The seed-42 paper workbench every figure harness starts from: its size,
+// its t = 0.4 slice, and the exact likelihoods (captured before the scorer
+// moved onto prepared records, so any drift in scoring fails here).
+TEST(GenerateCandidates, PaperWorkbenchIsPinned) {
+  const ExperimentInput paper = MakePaperExperimentInput(42).value();
+  EXPECT_EQ(paper.candidates.size(), 143841u);
+  EXPECT_EQ(FilterByThreshold(paper.candidates, 0.4).size(), 25508u);
+  EXPECT_EQ(CandidateChecksum(paper.candidates), 10741580375701247341ull);
 }
 
 TEST(GenerateCandidatesStreaming, NullScorerUsesJoinScores) {

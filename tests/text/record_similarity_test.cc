@@ -71,6 +71,58 @@ TEST(RecordScorer, FieldIndexOutOfRangeIsError) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(RecordScorer, FieldMissingOnlyFailsPairsThatScoreIt) {
+  RecordScorer scorer({{1, FieldMeasure::kJaccardWords, 1.0}});
+  const PreparedRecords prepared =
+      scorer
+          .Prepare({MakeRecord(0, {"x", "y"}), MakeRecord(1, {"x"}),
+                    MakeRecord(2, {"x", "y"})})
+          .value();
+  EXPECT_DOUBLE_EQ(prepared.Score(0, 2).value(), 1.0);
+  EXPECT_EQ(prepared.Score(0, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RecordScorer, QGramSizeBelowOneIsError) {
+  RecordScorer scorer({{0, FieldMeasure::kQGramJaccard, 1.0, /*q=*/0}});
+  const Record a = MakeRecord(0, {"x"});
+  EXPECT_EQ(scorer.Prepare({a}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scorer.Score(a, a).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RecordScorer, NegativeWeightIsError) {
+  RecordScorer scorer({
+      {0, FieldMeasure::kJaccardWords, 1.0},
+      {0, FieldMeasure::kLevenshtein, -0.5},
+  });
+  const Record a = MakeRecord(0, {"x"});
+  EXPECT_EQ(scorer.Prepare({a}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(scorer.Score(a, a).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RecordScorer, NonFiniteWeightIsError) {
+  const Record a = MakeRecord(0, {"x"});
+  for (const double weight : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    RecordScorer scorer({{0, FieldMeasure::kJaccardWords, weight}});
+    EXPECT_EQ(scorer.Prepare({a}).status().code(),
+              StatusCode::kInvalidArgument)
+        << weight;
+    EXPECT_EQ(scorer.Score(a, a).status().code(),
+              StatusCode::kInvalidArgument)
+        << weight;
+  }
+}
+
+TEST(RecordScorer, ZeroWeightIsAllowed) {
+  RecordScorer scorer({{0, FieldMeasure::kJaccardWords, 0.0}});
+  const Record a = MakeRecord(0, {"x"});
+  EXPECT_DOUBLE_EQ(scorer.Score(a, a).value(), 0.0);
+}
+
 TEST(RecordScorer, NoSpecsIsError) {
   RecordScorer scorer({});
   const Record a = MakeRecord(0, {"x"});

@@ -72,6 +72,22 @@ TEST(TfIdfModel, ZeroNormGuardReturnsZeroNotNaN) {
   EXPECT_DOUBLE_EQ(score, 0.0);
 }
 
+TEST(TfIdfModel, WeighInternsDistinctTokensThroughSharedIds) {
+  const TfIdfModel model = TfIdfModel::Fit({{"a", "b"}, {"b", "c"}});
+  TokenIdMap ids;
+  const TfIdfVector x = model.Weigh({"b", "a", "b"}, ids);
+  const TfIdfVector y = model.Weigh({"c", "b"}, ids);
+  EXPECT_EQ(ids.size(), 3u);
+  ASSERT_EQ(x.ids.size(), 2u);
+  EXPECT_LT(x.ids[0], x.ids[1]);
+  EXPECT_EQ(x.sum_order.size(), 2u);
+  EXPECT_NE(x.sum_order[0], x.sum_order[1]);
+  EXPECT_DOUBLE_EQ(x.norm_sq,
+                   x.weights[0] * x.weights[0] + x.weights[1] * x.weights[1]);
+  EXPECT_TRUE(model.Weigh({}, ids).ids.empty());
+  EXPECT_EQ(TfIdfCosine(x, y), model.Cosine({"b", "a", "b"}, {"c", "b"}));
+}
+
 TEST(TfIdfModel, DuplicateTokensCountOncePerDocumentForIdf) {
   const TfIdfModel model =
       TfIdfModel::Fit({{"dup", "dup", "dup"}, {"other"}});
