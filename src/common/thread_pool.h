@@ -17,9 +17,10 @@ namespace crowdjoin {
 
 /// \brief Fixed-size worker pool executing submitted tasks FIFO.
 ///
-/// The pool underlies every parallel component in the library (today the
-/// round-based parallel labeler; the roadmap's sharded simjoin and
-/// streaming datagen are expected to reuse it). Design points:
+/// The pool underlies every parallel component in the library: the
+/// round-based parallel labeler, the sharded simjoin, and streaming datagen,
+/// which generates record blocks ahead of the reader on one process-wide
+/// pool. Design points:
 ///
 ///  * `num_threads == 0` is a valid degenerate pool: tasks run inline on
 ///    the submitting thread, so callers never need a separate code path.

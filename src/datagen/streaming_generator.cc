@@ -1,12 +1,19 @@
 #include "datagen/streaming_generator.h"
 
+#include <algorithm>
+#include <atomic>
+#include <deque>
 #include <functional>
+#include <future>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "datagen/cluster_distribution.h"
 #include "datagen/perturb.h"
 #include "datagen/wordlists.h"
@@ -23,107 +30,232 @@ uint64_t BlockSeed(uint64_t base_seed, int32_t block) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared block iterator: the round-robin block state machine both streaming
-// sources used to duplicate. Owns the per-block RNG seeding, the
-// cluster-size plan, and the (entity, record-in-cluster) walk; the dataset
-// Impls only supply the cluster sampler and build entities/records. RNG
-// consumption order is exactly the historical one, so 1x streams stay
-// byte-identical to the batch generators.
+// Block-ahead generation. Every block is a pure function of its seed, so the
+// blocks of a stream are generated independently on the shared generator
+// pool and handed out in block order; record ids and entity ids are
+// block-local until the reader adds the running offsets. The stream is
+// therefore byte-identical for every worker count, and a one-block stream
+// runs the same block function inline.
 // ---------------------------------------------------------------------------
 
-class BlockCursor {
- public:
-  /// Samples one block's cluster-size plan from the block-seeded `rng`.
-  using Sampler = std::function<Result<std::vector<int32_t>>(Rng&)>;
+/// One generated block in flat form: the fields of every record back to
+/// back in `bytes`, with `field_ends[r * num_fields + f]` the end offset of
+/// field f of record r.
+struct BlockBuffer {
+  std::string bytes;
+  std::vector<size_t> field_ends;
+  std::vector<int32_t> entity;  // block-local entity of each record
+  std::vector<uint8_t> side;
+  int32_t num_entities = 0;
+  Status status;
 
-  BlockCursor(uint64_t base_seed, int32_t scale_factor, Sampler sampler)
+  size_t num_records() const { return entity.size(); }
+
+  void Clear() {
+    bytes.clear();
+    field_ends.clear();
+    entity.clear();
+    side.clear();
+    num_entities = 0;
+    status = Status::OK();
+  }
+
+  void Append(const std::vector<std::string>& fields, int32_t record_entity,
+              uint8_t record_side) {
+    for (const std::string& field : fields) {
+      bytes += field;
+      field_ends.push_back(bytes.size());
+    }
+    entity.push_back(record_entity);
+    side.push_back(record_side);
+  }
+};
+
+/// Generates the block with seed `seed` into the cleared `out`, or stops
+/// early once `cancel` is set (the partial block is then discarded). A
+/// sampling error goes to `out->status`.
+using BlockFn = std::function<void(uint64_t seed,
+                                   const std::atomic<bool>& cancel,
+                                   BlockBuffer* out)>;
+
+/// The process-wide pool every multi-block stream generates on, created on
+/// first use and kept for the life of the process. One persistent set of
+/// workers also means one set of glibc per-thread malloc arenas: a pool per
+/// source raised peak RSS by about a third.
+ThreadPool& GeneratorPool() {
+  static ThreadPool pool(ThreadPool::HardwareThreads());
+  return pool;
+}
+
+/// The reader side of a block-seeded stream: keeps a bounded window of
+/// blocks in flight on the generator pool (or generates inline), and turns
+/// each block's flat buffer into records, adding the running record-id and
+/// entity-id offsets. Buffers are allocated here, on the reader's thread,
+/// and recycled from block to block.
+class BlockStream {
+ public:
+  BlockStream(uint64_t base_seed, int32_t scale_factor,
+              int32_t records_per_block, size_t num_fields, BlockFn generate)
       : base_seed_(base_seed),
         scale_factor_(scale_factor),
-        sampler_(std::move(sampler)),
-        rng_(base_seed) {
-    Restart();
+        records_per_block_(records_per_block),
+        num_fields_(num_fields),
+        generate_(std::move(generate)) {
+    const int workers = ThreadPool::HardwareThreads();
+    if (scale_factor_ > 1 && workers > 1) {
+      pool_ = &GeneratorPool();
+      // A block per worker plus two queued, so a worker that finishes
+      // early finds the next block waiting; twice the worker count was no
+      // faster on 4 cores and held more buffers.
+      window_size_ = static_cast<size_t>(workers + 2);
+    }
+    Reset();
   }
 
-  /// Rewinds to the first record of block 0.
-  void Restart() {
+  ~BlockStream() { Stop(); }
+
+  BlockStream(const BlockStream&) = delete;
+  BlockStream& operator=(const BlockStream&) = delete;
+
+  /// Rewinds to the first record of block 0; blocks still in flight are
+  /// cancelled and waited for. Generation restarts on the next `Next`.
+  void Reset() {
+    Stop();
     status_ = Status::OK();
-    next_id_ = 0;
-    entity_id_offset_ = 0;
+    done_ = false;
+    next_block_ = 0;
+    record_ = 0;
+    id_offset_ = 0;
+    entity_offset_ = 0;
     if (scale_factor_ < 1) {
-      status_ = Status::InvalidArgument("scale_factor must be >= 1");
-      block_ = scale_factor_;  // exhausted
-      return;
-    }
-    StartBlock(0);
-  }
-
-  /// Positions the cursor on the next record slot, crossing block
-  /// boundaries as needed. Returns false at end of stream (or on a
-  /// sampling error, carried in `status()`).
-  bool NextSlot() {
-    while (block_ < scale_factor_ && entity_index_ >= cluster_sizes_.size()) {
-      entity_id_offset_ += static_cast<int32_t>(cluster_sizes_.size());
-      StartBlock(block_ + 1);
-    }
-    return block_ < scale_factor_;
-  }
-
-  /// Consumes the current slot (call after building its record).
-  void Advance() {
-    ++next_id_;
-    if (++record_in_cluster_ >= cluster_sizes_[entity_index_]) {
-      record_in_cluster_ = 0;
-      ++entity_index_;
+      Fail(Status::InvalidArgument("scale_factor must be >= 1"));
+    } else if (static_cast<int64_t>(scale_factor_) * records_per_block_ - 1 >
+               std::numeric_limits<ObjectId>::max()) {
+      Fail(Status::InvalidArgument(
+          "scale_factor x total_records overflows the record ids"));
     }
   }
 
-  // Slot accessors, valid after NextSlot() returned true.
-  /// True when the slot starts a new cluster (its canonical record).
-  bool new_entity() const { return record_in_cluster_ == 0; }
-  int32_t record_in_cluster() const { return record_in_cluster_; }
-  int32_t cluster_size() const { return cluster_sizes_[entity_index_]; }
-  /// Global entity id of the slot's cluster.
-  int32_t entity() const {
-    return entity_id_offset_ + static_cast<int32_t>(entity_index_);
+  bool Next(StreamedRecord* out) {
+    while (!done_) {
+      Refill();
+      if (window_.empty()) {
+        done_ = true;  // every block delivered
+        break;
+      }
+      Slot& slot = *window_.front();
+      if (slot.done.valid()) slot.done.get();  // rethrows a task's exception
+      const BlockBuffer& block = slot.buffer;
+      if (!block.status.ok()) {
+        Fail(block.status);
+        break;
+      }
+      if (record_ < block.num_records()) {
+        Emit(block, out);
+        return true;
+      }
+      id_offset_ += static_cast<ObjectId>(block.num_records());
+      entity_offset_ += block.num_entities;
+      record_ = 0;
+      free_.push_back(std::move(window_.front()));
+      window_.pop_front();
+    }
+    return false;
   }
-  /// Global record id of the slot.
-  ObjectId next_id() const { return next_id_; }
 
   const Status& status() const { return status_; }
-  /// The block-seeded RNG; entity/record construction draws from it. The
-  /// address is stable, so a Corruptor may hold a pointer to it.
-  Rng& rng() { return rng_; }
 
  private:
-  // Seeds the RNG for block `b` and samples its cluster-size plan. On
-  // sampling failure the stream ends and `status_` carries the error.
-  void StartBlock(int32_t b) {
-    block_ = b;
-    entity_index_ = 0;
-    record_in_cluster_ = 0;
-    if (block_ >= scale_factor_) return;  // end of stream
-    rng_ = Rng(BlockSeed(base_seed_, block_));
-    Result<std::vector<int32_t>> sizes = sampler_(rng_);
-    if (!sizes.ok()) {
-      status_ = sizes.status();
-      block_ = scale_factor_;  // exhausted
-      return;
+  // Presizes a new buffer's bytes (both datasets average ~26 bytes per
+  // field), so the reader's thread allocates it rather than a worker.
+  static constexpr size_t kFieldBytesHint = 32;
+
+  struct Slot {
+    BlockBuffer buffer;
+    std::future<void> done;  // invalid when generated inline
+  };
+
+  // Ends the stream with `status`, dropping whatever is still in flight.
+  void Fail(Status status) {
+    Stop();
+    status_ = std::move(status);
+    done_ = true;
+  }
+
+  // Cancels the blocks in flight, waits for them, and recycles their slots.
+  void Stop() {
+    cancel_.store(true, std::memory_order_relaxed);
+    for (std::unique_ptr<Slot>& slot : window_) {
+      if (slot->done.valid()) slot->done.wait();
+      free_.push_back(std::move(slot));
     }
-    cluster_sizes_ = std::move(sizes).value();
+    window_.clear();
+    cancel_.store(false, std::memory_order_relaxed);
+  }
+
+  // Starts blocks until the window is full or every block has started.
+  void Refill() {
+    while (window_.size() < window_size_ && next_block_ < scale_factor_) {
+      std::unique_ptr<Slot> slot;
+      if (free_.empty()) {
+        slot = std::make_unique<Slot>();
+        const auto records =
+            static_cast<size_t>(std::max(records_per_block_, 0));
+        slot->buffer.bytes.reserve(records * num_fields_ * kFieldBytesHint);
+        slot->buffer.field_ends.reserve(records * num_fields_);
+        slot->buffer.entity.reserve(records);
+        slot->buffer.side.reserve(records);
+      } else {
+        slot = std::move(free_.back());
+        free_.pop_back();
+        slot->buffer.Clear();
+      }
+      const uint64_t seed = BlockSeed(base_seed_, next_block_++);
+      BlockBuffer* buffer = &slot->buffer;
+      if (pool_ == nullptr) {
+        generate_(seed, cancel_, buffer);
+      } else {
+        // The slot outlives the task: Stop() waits before any slot is
+        // reused or freed.
+        slot->done = pool_->Submit(
+            [this, seed, buffer] { generate_(seed, cancel_, buffer); });
+      }
+      window_.push_back(std::move(slot));
+    }
+  }
+
+  void Emit(const BlockBuffer& block, StreamedRecord* out) {
+    out->record.id = id_offset_ + static_cast<ObjectId>(record_);
+    out->record.fields.resize(num_fields_);
+    const size_t first = record_ * num_fields_;
+    size_t begin = first == 0 ? 0 : block.field_ends[first - 1];
+    for (size_t f = 0; f < num_fields_; ++f) {
+      const size_t end = block.field_ends[first + f];
+      out->record.fields[f].assign(block.bytes, begin, end - begin);
+      begin = end;
+    }
+    out->entity = entity_offset_ + block.entity[record_];
+    out->side = block.side[record_];
+    ++record_;
   }
 
   const uint64_t base_seed_;
   const int32_t scale_factor_;
-  const Sampler sampler_;
-  Status status_;
-  Rng rng_;
+  const int32_t records_per_block_;
+  const size_t num_fields_;
+  const BlockFn generate_;
+  ThreadPool* pool_ = nullptr;  // null: generate inline, one block at a time
+  size_t window_size_ = 1;
+  std::atomic<bool> cancel_{false};
 
-  std::vector<int32_t> cluster_sizes_;  // current block's plan
-  int32_t block_ = 0;
-  size_t entity_index_ = 0;  // within the current block
-  int32_t record_in_cluster_ = 0;
-  int32_t entity_id_offset_ = 0;  // global id of the block's first entity
-  ObjectId next_id_ = 0;
+  Status status_;
+  bool done_ = false;
+  int32_t next_block_ = 0;  // next block to start
+  std::deque<std::unique_ptr<Slot>> window_;  // front: the block being read
+  std::vector<std::unique_ptr<Slot>> free_;
+  size_t record_ = 0;  // next record of the front block
+  ObjectId id_offset_ = 0;
+  int32_t entity_offset_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -201,12 +333,12 @@ PaperEntity MakePaperEntity(Rng& rng, const ZipfSampler& title_sampler) {
   return entity;
 }
 
-Record MakePaperRecord(const PaperEntity& entity, ObjectId id, bool canonical,
-                       const PaperDatasetConfig& config, Corruptor& corruptor,
-                       Rng& rng) {
-  Record record;
-  record.id = id;
-  record.fields.resize(5);
+// Fills the five fields of one record of `entity`; a missing field is left
+// empty.
+void MakePaperRecord(const PaperEntity& entity, bool canonical,
+                     const PaperDatasetConfig& config, Corruptor& corruptor,
+                     Rng& rng, std::vector<std::string>& fields) {
+  for (std::string& field : fields) field.clear();
 
   // Author field.
   std::vector<std::string> authors = entity.authors;
@@ -221,19 +353,18 @@ Record MakePaperRecord(const PaperEntity& entity, ObjectId id, bool canonical,
       }
     }
   }
-  record.fields[kAuthor] = Join(authors, " and ");
+  fields[kAuthor] = Join(authors, " and ");
 
   // Title field.
-  record.fields[kTitle] =
+  fields[kTitle] =
       canonical ? entity.title : corruptor.CorruptText(entity.title);
 
   // Venue field: full name or abbreviation.
   const auto& venue = wordlists::Venues()[entity.venue_index];
   const bool abbreviate = !canonical && rng.Bernoulli(config.venue_abbrev_prob);
-  record.fields[kVenue] =
-      std::string(abbreviate ? venue.second : venue.first);
+  fields[kVenue] = std::string(abbreviate ? venue.second : venue.first);
   if (!canonical && rng.Bernoulli(0.15)) {
-    record.fields[kVenue] = corruptor.CorruptText(record.fields[kVenue]);
+    fields[kVenue] = corruptor.CorruptText(fields[kVenue]);
   }
 
   // Date field.
@@ -242,20 +373,18 @@ Record MakePaperRecord(const PaperEntity& entity, ObjectId id, bool canonical,
     if (!canonical && rng.Bernoulli(config.year_off_by_one_prob)) {
       year += rng.Bernoulli(0.5) ? 1 : -1;
     }
-    record.fields[kDate] = StrFormat("%d", year);
+    fields[kDate] = StrFormat("%d", year);
   }
 
   // Pages field.
   if (canonical || !rng.Bernoulli(config.pages_missing_prob)) {
     if (!canonical && rng.Bernoulli(0.3)) {
-      record.fields[kPages] =
+      fields[kPages] =
           StrFormat("pages %d %d", entity.first_page, entity.last_page);
     } else {
-      record.fields[kPages] =
-          StrFormat("%d-%d", entity.first_page, entity.last_page);
+      fields[kPages] = StrFormat("%d-%d", entity.first_page, entity.last_page);
     }
   }
-  return record;
 }
 
 // ---------------------------------------------------------------------------
@@ -310,13 +439,13 @@ ProductEntity MakeProductEntity(Rng& rng) {
   return entity;
 }
 
-Record MakeProductRecord(const ProductEntity& entity, ObjectId id,
-                         uint8_t side, bool canonical,
-                         const ProductDatasetConfig& config,
-                         Corruptor& corruptor, Rng& rng) {
-  Record record;
-  record.id = id;
-  record.fields.resize(2);
+// Fills the two fields of one record of `entity` as listed on `side`; a
+// missing price is left empty.
+void MakeProductRecord(const ProductEntity& entity, uint8_t side,
+                       bool canonical, const ProductDatasetConfig& config,
+                       Corruptor& corruptor, Rng& rng,
+                       std::vector<std::string>& fields) {
+  for (std::string& field : fields) field.clear();
 
   std::string model = entity.model;
   bool include_model = true;
@@ -350,15 +479,73 @@ Record MakeProductRecord(const ProductEntity& entity, ObjectId id,
   }
   std::string name = Join(words, " ");
   if (!canonical) name = corruptor.CorruptText(name);
-  record.fields[kName] = name;
+  fields[kName] = std::move(name);
 
   if (!rng.Bernoulli(config.price_missing_prob)) {
     const double price =
         canonical ? entity.price
                   : corruptor.JitterNumber(entity.price, config.price_jitter);
-    record.fields[kPrice] = StrFormat("%.2f", price);
+    fields[kPrice] = StrFormat("%.2f", price);
   }
-  return record;
+}
+
+// ---------------------------------------------------------------------------
+// Block functions: one whole block from its seed, drawing every value from
+// one block-seeded RNG in the historical order (cluster-size plan first,
+// then entity by entity), so 1x streams stay byte-identical to the batch
+// generators.
+// ---------------------------------------------------------------------------
+
+void GeneratePaperBlock(const PaperDatasetConfig& config,
+                        const ZipfSampler& title_sampler, uint64_t seed,
+                        const std::atomic<bool>& cancel, BlockBuffer* out) {
+  Rng rng(seed);
+  Result<std::vector<int32_t>> sizes =
+      SamplePowerLawClusterSizes(config.clusters, rng);
+  if (!sizes.ok()) {
+    out->status = sizes.status();
+    return;
+  }
+  Corruptor corruptor(config.corruption, &rng);
+  std::vector<std::string> fields(5);
+  out->num_entities = static_cast<int32_t>(sizes->size());
+  for (int32_t e = 0; e < out->num_entities; ++e) {
+    if (cancel.load(std::memory_order_relaxed)) return;
+    const PaperEntity entity = MakePaperEntity(rng, title_sampler);
+    for (int32_t r = 0; r < (*sizes)[e]; ++r) {
+      MakePaperRecord(entity, /*canonical=*/r == 0, config, corruptor, rng,
+                      fields);
+      out->Append(fields, e, /*record_side=*/0);
+    }
+  }
+}
+
+void GenerateProductBlock(const ProductDatasetConfig& config, uint64_t seed,
+                          const std::atomic<bool>& cancel, BlockBuffer* out) {
+  Rng rng(seed);
+  Result<std::vector<int32_t>> sizes =
+      SampleSmallClusterSizes(config.clusters, rng);
+  if (!sizes.ok()) {
+    out->status = sizes.status();
+    return;
+  }
+  Corruptor corruptor(config.corruption, &rng);
+  std::vector<std::string> fields(2);
+  out->num_entities = static_cast<int32_t>(sizes->size());
+  for (int32_t e = 0; e < out->num_entities; ++e) {
+    if (cancel.load(std::memory_order_relaxed)) return;
+    const int32_t size = (*sizes)[e];
+    const ProductEntity entity = MakeProductEntity(rng);
+    for (int32_t r = 0; r < size; ++r) {
+      // Singleton clusters land on a random side; larger clusters alternate
+      // so every multi-record entity spans both catalogs.
+      uint8_t side = static_cast<uint8_t>(r % 2);
+      if (size == 1) side = rng.Bernoulli(0.5) ? 1 : 0;
+      MakeProductRecord(entity, side, /*canonical=*/r == 0, config, corruptor,
+                        rng, fields);
+      out->Append(fields, e, side);
+    }
+  }
 }
 
 }  // namespace
@@ -369,13 +556,14 @@ Record MakeProductRecord(const ProductEntity& entity, ObjectId id,
 
 struct StreamingPaperSource::Impl {
   Impl(const PaperDatasetConfig& config, int32_t scale_factor)
-      : config(config),
-        cursor(config.seed, scale_factor,
-               [this](Rng& rng) {
-                 return SamplePowerLawClusterSizes(this->config.clusters, rng);
-               }),
-        corruptor(config.corruption, &cursor.rng()),
-        title_sampler(wordlists::TitleWords().size(), 1.05) {
+      : stream(config.seed, scale_factor, config.clusters.total_records,
+               /*num_fields=*/5,
+               [config, title_sampler = ZipfSampler(
+                            wordlists::TitleWords().size(), 1.05)](
+                   uint64_t seed, const std::atomic<bool>& cancel,
+                   BlockBuffer* out) {
+                 GeneratePaperBlock(config, title_sampler, seed, cancel, out);
+               }) {
     meta.name = "paper";
     meta.schema.field_names = {"author", "title", "venue", "date", "pages"};
     meta.bipartite = false;
@@ -383,26 +571,8 @@ struct StreamingPaperSource::Impl {
         static_cast<int64_t>(scale_factor) * config.clusters.total_records;
   }
 
-  bool Next(StreamedRecord* out) {
-    if (!cursor.NextSlot()) return false;
-    const bool canonical = cursor.new_entity();
-    if (canonical) {
-      current_entity = MakePaperEntity(cursor.rng(), title_sampler);
-    }
-    out->record = MakePaperRecord(current_entity, cursor.next_id(), canonical,
-                                  config, corruptor, cursor.rng());
-    out->entity = cursor.entity();
-    out->side = 0;
-    cursor.Advance();
-    return true;
-  }
-
-  const PaperDatasetConfig config;
   StreamMeta meta;
-  BlockCursor cursor;
-  Corruptor corruptor;  // reads the cursor's rng through a stable pointer
-  const ZipfSampler title_sampler;
-  PaperEntity current_entity;
+  BlockStream stream;
 };
 
 StreamingPaperSource::StreamingPaperSource(const PaperDatasetConfig& config,
@@ -414,12 +584,12 @@ StreamingPaperSource::~StreamingPaperSource() = default;
 const StreamMeta& StreamingPaperSource::meta() const { return impl_->meta; }
 
 bool StreamingPaperSource::Next(StreamedRecord* out) {
-  return impl_->Next(out);
+  return impl_->stream.Next(out);
 }
 
-void StreamingPaperSource::Reset() { impl_->cursor.Restart(); }
+void StreamingPaperSource::Reset() { impl_->stream.Reset(); }
 
-Status StreamingPaperSource::status() const { return impl_->cursor.status(); }
+Status StreamingPaperSource::status() const { return impl_->stream.status(); }
 
 // ---------------------------------------------------------------------------
 // StreamingProductSource
@@ -427,12 +597,12 @@ Status StreamingPaperSource::status() const { return impl_->cursor.status(); }
 
 struct StreamingProductSource::Impl {
   Impl(const ProductDatasetConfig& config, int32_t scale_factor)
-      : config(config),
-        cursor(config.seed, scale_factor,
-               [this](Rng& rng) {
-                 return SampleSmallClusterSizes(this->config.clusters, rng);
-               }),
-        corruptor(config.corruption, &cursor.rng()) {
+      : stream(config.seed, scale_factor, config.clusters.total_records,
+               /*num_fields=*/2,
+               [config](uint64_t seed, const std::atomic<bool>& cancel,
+                        BlockBuffer* out) {
+                 GenerateProductBlock(config, seed, cancel, out);
+               }) {
     meta.name = "product";
     meta.schema.field_names = {"name", "price"};
     meta.bipartite = true;
@@ -440,34 +610,8 @@ struct StreamingProductSource::Impl {
         static_cast<int64_t>(scale_factor) * config.clusters.total_records;
   }
 
-  bool Next(StreamedRecord* out) {
-    if (!cursor.NextSlot()) return false;
-    const int32_t r = cursor.record_in_cluster();
-    if (r == 0) {
-      current_entity = MakeProductEntity(cursor.rng());
-    }
-    // Singleton clusters land on a random side; larger clusters alternate
-    // so every multi-record entity spans both catalogs.
-    uint8_t side = 0;
-    if (cursor.cluster_size() == 1) {
-      side = cursor.rng().Bernoulli(0.5) ? 1 : 0;
-    } else {
-      side = static_cast<uint8_t>(r % 2);
-    }
-    out->record = MakeProductRecord(current_entity, cursor.next_id(), side,
-                                    /*canonical=*/r == 0, config, corruptor,
-                                    cursor.rng());
-    out->entity = cursor.entity();
-    out->side = side;
-    cursor.Advance();
-    return true;
-  }
-
-  const ProductDatasetConfig config;
   StreamMeta meta;
-  BlockCursor cursor;
-  Corruptor corruptor;
-  ProductEntity current_entity;
+  BlockStream stream;
 };
 
 StreamingProductSource::StreamingProductSource(
@@ -479,13 +623,13 @@ StreamingProductSource::~StreamingProductSource() = default;
 const StreamMeta& StreamingProductSource::meta() const { return impl_->meta; }
 
 bool StreamingProductSource::Next(StreamedRecord* out) {
-  return impl_->Next(out);
+  return impl_->stream.Next(out);
 }
 
-void StreamingProductSource::Reset() { impl_->cursor.Restart(); }
+void StreamingProductSource::Reset() { impl_->stream.Reset(); }
 
 Status StreamingProductSource::status() const {
-  return impl_->cursor.status();
+  return impl_->stream.status();
 }
 
 }  // namespace crowdjoin

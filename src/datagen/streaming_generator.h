@@ -28,8 +28,16 @@ uint64_t BlockSeed(uint64_t base_seed, int32_t block);
 /// `scale_factor == 1` yields exactly `GeneratePaperDataset(config)`,
 /// record for record; `scale_factor == 1000` yields ~1M records.
 ///
-/// Memory: O(clusters per block) for the size plan plus the one entity
-/// currently being expanded — the whole dataset is never materialized.
+/// Blocks are generated ahead of the reader, a bounded window of them at a
+/// time, on one process-wide pool of `ThreadPool::HardwareThreads()`
+/// workers; `Next` hands their records out in block order. Each block is a
+/// pure function of its seed, so the stream is byte-identical for every
+/// worker count. A one-block stream generates inline on the caller's thread.
+/// Errors (a bad scale factor, record ids past `ObjectId`, a cluster
+/// config the sampler rejects) end the stream with `status()` set.
+///
+/// Memory: O(window × block), the window being the worker count plus two
+/// flat block buffers; the whole dataset is never materialized.
 class StreamingPaperSource : public RecordSource {
  public:
   explicit StreamingPaperSource(const PaperDatasetConfig& config,
