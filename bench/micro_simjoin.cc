@@ -1,6 +1,7 @@
 // Microbenchmark + ablation: prefix-filter similarity join vs brute-force
 // all-pairs verification — the machine step's cost profile across
-// thresholds (higher thresholds prune better).
+// thresholds (higher thresholds prune better) — plus the whole machine step
+// on the paper workbench.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,9 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "datagen/paper_dataset.h"
+#include "eval/workbench.h"
+#include "simjoin/candidate_generator.h"
 #include "simjoin/sharded_join.h"
 #include "simjoin/similarity_join.h"
 #include "simjoin/token_dictionary.h"
@@ -96,6 +100,28 @@ BENCHMARK(BM_ShardedSelfJoin)
     ->Args({4000, 5, 8})
     ->Args({4000, 8, 0})
     ->Args({4000, 8, 4});
+
+// The machine step every figure harness starts from: `GenerateCandidates`
+// on the seed-42 paper workbench (997 records, `WorkbenchGeneratorOptions`),
+// joined and scored on the shared pool. Datagen and the scorer's tf-idf fit
+// happen once, outside the loop.
+void BM_PaperWorkbenchCandidates(benchmark::State& state) {
+  constexpr uint64_t kSeed = 42;
+  PaperDatasetConfig config;
+  config.seed = kSeed;
+  const Dataset dataset = GeneratePaperDataset(config).value();
+  RecordScorer scorer = MakePaperScorer();
+  scorer.FitTfIdf(dataset.records);
+  const CandidateGeneratorOptions options = WorkbenchGeneratorOptions(kSeed);
+  for (auto _ : state) {
+    auto candidates =
+        GenerateCandidates(dataset.records, nullptr, scorer, options);
+    benchmark::DoNotOptimize(candidates);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(dataset.records.size()));
+}
+BENCHMARK(BM_PaperWorkbenchCandidates)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace crowdjoin

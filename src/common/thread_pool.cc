@@ -77,6 +77,11 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   return future;
 }
 
+ThreadPool& SharedPool() {
+  static ThreadPool pool(ThreadPool::HardwareThreads());
+  return pool;
+}
+
 int ThreadPool::HardwareThreads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);

@@ -78,17 +78,8 @@ using BlockFn = std::function<void(uint64_t seed,
                                    const std::atomic<bool>& cancel,
                                    BlockBuffer* out)>;
 
-/// The process-wide pool every multi-block stream generates on, created on
-/// first use and kept for the life of the process. One persistent set of
-/// workers also means one set of glibc per-thread malloc arenas: a pool per
-/// source raised peak RSS by about a third.
-ThreadPool& GeneratorPool() {
-  static ThreadPool pool(ThreadPool::HardwareThreads());
-  return pool;
-}
-
 /// The reader side of a block-seeded stream: keeps a bounded window of
-/// blocks in flight on the generator pool (or generates inline), and turns
+/// blocks in flight on the shared pool (or generates inline), and turns
 /// each block's flat buffer into records, adding the running record-id and
 /// entity-id offsets. Buffers are allocated here, on the reader's thread,
 /// and recycled from block to block.
@@ -103,7 +94,7 @@ class BlockStream {
         generate_(std::move(generate)) {
     const int workers = ThreadPool::HardwareThreads();
     if (scale_factor_ > 1 && workers > 1) {
-      pool_ = &GeneratorPool();
+      pool_ = &SharedPool();
       // A block per worker plus two queued, so a worker that finishes
       // early finds the next block waiting; twice the worker count was no
       // faster on 4 cores and held more buffers.

@@ -29,8 +29,8 @@ uint64_t BlockSeed(uint64_t base_seed, int32_t block);
 /// record for record; `scale_factor == 1000` yields ~1M records.
 ///
 /// Blocks are generated ahead of the reader, a bounded window of them at a
-/// time, on one process-wide pool of `ThreadPool::HardwareThreads()`
-/// workers; `Next` hands their records out in block order. Each block is a
+/// time, on the process-wide `SharedPool()` (`ThreadPool::HardwareThreads()`
+/// workers); `Next` hands their records out in block order. Each block is a
 /// pure function of its seed, so the stream is byte-identical for every
 /// worker count. A one-block stream generates inline on the caller's thread.
 /// Errors (a bad scale factor, record ids past `ObjectId`, a cluster

@@ -3,9 +3,17 @@
 #include "common/macros.h"
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
-#include "simjoin/candidate_generator.h"
 
 namespace crowdjoin {
+
+CandidateGeneratorOptions WorkbenchGeneratorOptions(uint64_t seed) {
+  CandidateGeneratorOptions options;
+  options.token_join_threshold = 0.08;
+  options.min_likelihood = 0.10;
+  options.likelihood_noise_stddev = 0.12;
+  options.noise_seed = seed ^ 0x9E3779B9u;
+  return options;
+}
 
 Result<ExperimentInput> MakePaperExperimentInput(uint64_t seed) {
   PaperDatasetConfig config;
@@ -14,15 +22,10 @@ Result<ExperimentInput> MakePaperExperimentInput(uint64_t seed) {
 
   RecordScorer scorer = MakePaperScorer();
   scorer.FitTfIdf(dataset.records);
-  CandidateGeneratorOptions options;
-  options.token_join_threshold = 0.08;
-  options.min_likelihood = 0.10;
-  options.likelihood_noise_stddev = 0.12;
-  options.noise_seed = seed ^ 0x9E3779B9u;
   CJ_ASSIGN_OR_RETURN(
       CandidateSet candidates,
       GenerateCandidates(dataset.records, /*side_of=*/nullptr, scorer,
-                         options));
+                         WorkbenchGeneratorOptions(seed)));
   return ExperimentInput{std::move(dataset), std::move(candidates)};
 }
 
@@ -33,14 +36,10 @@ Result<ExperimentInput> MakeProductExperimentInput(uint64_t seed) {
 
   RecordScorer scorer = MakeProductScorer();
   scorer.FitTfIdf(dataset.records);
-  CandidateGeneratorOptions options;
-  options.token_join_threshold = 0.08;
-  options.min_likelihood = 0.10;
-  options.likelihood_noise_stddev = 0.12;
-  options.noise_seed = seed ^ 0x9E3779B9u;
-  CJ_ASSIGN_OR_RETURN(
-      CandidateSet candidates,
-      GenerateCandidates(dataset.records, &dataset.side_of, scorer, options));
+  CJ_ASSIGN_OR_RETURN(CandidateSet candidates,
+                      GenerateCandidates(dataset.records, &dataset.side_of,
+                                         scorer,
+                                         WorkbenchGeneratorOptions(seed)));
   return ExperimentInput{std::move(dataset), std::move(candidates)};
 }
 

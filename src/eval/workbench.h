@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "core/candidate.h"
 #include "datagen/dataset.h"
+#include "simjoin/candidate_generator.h"
 
 namespace crowdjoin {
 
@@ -20,6 +21,11 @@ struct ExperimentInput {
   Dataset dataset;
   CandidateSet candidates;
 };
+
+/// The machine-step settings both workbenches generate candidates with: a
+/// loose 0.08 join prune, the 0.1 likelihood cut, and 0.12 likelihood noise
+/// seeded from `seed`.
+CandidateGeneratorOptions WorkbenchGeneratorOptions(uint64_t seed);
 
 /// Generates the Paper (Cora-like) dataset and its candidate set.
 Result<ExperimentInput> MakePaperExperimentInput(uint64_t seed);

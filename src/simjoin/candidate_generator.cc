@@ -6,7 +6,8 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
-#include "simjoin/similarity_join.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "simjoin/similarity_measure.h"
 #include "simjoin/token_dictionary.h"
 
@@ -30,30 +31,58 @@ std::string RecordText(const Record& record) {
   return all;
 }
 
-// One record stream tokenized and routed into a sharded joiner — the
-// ingest half shared by the materializing machine step and the
+// Records routed into a sharded joiner, self or bipartite (only the joiner
+// of the input's shape is touched; the other pointer may be null), with
+// each side-local join index mapped back to its record — the ingest half
+// shared by the materializing machine step, its streaming form and the
 // round-by-round feed, so side routing and id/entity bookkeeping exist
-// exactly once. Only the scorer path retains record text.
-struct IngestedStream {
-  RecordSet retained;               // stream order; empty without a scorer
+// exactly once.
+struct JoinIngest {
+  ShardedSelfJoiner* self_joiner = nullptr;
+  ShardedBipartiteJoiner* bipartite_joiner = nullptr;
+  bool bipartite = false;
+  bool keep_positions = false;      // fill left_pos/right_pos (scorer path)
   std::vector<ObjectId> left_ids;   // record id by left/self local position
   std::vector<ObjectId> right_ids;  // record id by right local position
-  std::vector<size_t> left_pos;     // stream position per side-local index,
-  std::vector<size_t> right_pos;    // for scoring against `retained`
+  std::vector<size_t> left_pos;     // record position per side-local index,
+  std::vector<size_t> right_pos;    // for scoring prepared records
   std::vector<int32_t> entity_of;   // ground truth per stream position
+
+  // Adds the document of the record at position `pos` to its side.
+  void Add(const MeasureDoc& doc, uint8_t side, ObjectId id, size_t pos) {
+    if (!bipartite || side == 0) {
+      if (bipartite) {
+        bipartite_joiner->AddLeft(doc);
+      } else {
+        self_joiner->Add(doc);
+      }
+      left_ids.push_back(id);
+      if (keep_positions) left_pos.push_back(pos);
+    } else {
+      bipartite_joiner->AddRight(doc);
+      right_ids.push_back(id);
+      if (keep_positions) right_pos.push_back(pos);
+    }
+  }
 };
 
-// Only the joiner matching the source's shape is touched; the other
-// pointer may be null. `collect_entities` gates the ground-truth vector
-// (skipped when the caller has no use for it — the memory-lean path).
+// A catalog side is 0 (left) or 1 (right); anything else is a caller error,
+// never silently the right side.
+Status ValidateSide(size_t pos, uint8_t side) {
+  if (side <= 1) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "record %zu has side %d; a side is 0 or 1", pos, static_cast<int>(side)));
+}
+
+// Tokenizes `source` into `out`. `retained`, when non-null, receives the
+// records in stream order (the scorer path); `collect_entities` gates the
+// ground-truth vector (skipped when the caller has no use for it — the
+// memory-lean path).
 Status IngestStreamIntoJoiner(RecordSource& source,
                               const SimilarityMeasure& measure,
-                              bool retain_records, bool collect_entities,
-                              TokenDictionary& dictionary,
-                              ShardedSelfJoiner* self_joiner,
-                              ShardedBipartiteJoiner* bipartite_joiner,
-                              IngestedStream& out) {
-  const bool bipartite = source.meta().bipartite;
+                              bool collect_entities,
+                              TokenDictionary& dictionary, RecordSet* retained,
+                              JoinIngest& out) {
   source.Reset();
   dictionary.Reserve(static_cast<size_t>(source.meta().total_records));
   if (collect_entities) {
@@ -62,29 +91,19 @@ Status IngestStreamIntoJoiner(RecordSource& source,
   StreamedRecord streamed;
   size_t stream_pos = 0;
   while (source.Next(&streamed)) {
-    const MeasureDoc doc =
-        measure.MakeDoc(RecordText(streamed.record), dictionary);
-    if (!bipartite || streamed.side == 0) {
-      if (bipartite) {
-        bipartite_joiner->AddLeft(doc);
-      } else {
-        self_joiner->Add(doc);
-      }
-      out.left_ids.push_back(streamed.record.id);
-      if (retain_records) out.left_pos.push_back(stream_pos);
-    } else {
-      bipartite_joiner->AddRight(doc);
-      out.right_ids.push_back(streamed.record.id);
-      if (retain_records) out.right_pos.push_back(stream_pos);
+    if (out.bipartite) {
+      CJ_RETURN_IF_ERROR(ValidateSide(stream_pos, streamed.side));
     }
+    out.Add(measure.MakeDoc(RecordText(streamed.record), dictionary),
+            streamed.side, streamed.record.id, stream_pos);
     if (collect_entities) out.entity_of.push_back(streamed.entity);
-    if (retain_records) out.retained.push_back(std::move(streamed.record));
+    if (retained != nullptr) retained->push_back(std::move(streamed.record));
     ++stream_pos;
   }
   return source.status();
 }
 
-// The emission half shared by both paths: maps one verified join pair
+// The emission half shared by every path: maps one verified join pair
 // back to record ids, blends the (possibly re-scored) similarity into a
 // likelihood, applies the cut.
 void EmitCandidate(const ScoredPair& pair, bool bipartite,
@@ -103,77 +122,124 @@ void EmitCandidate(const ScoredPair& pair, bool bipartite,
   }
 }
 
+// Joins everything ingested on `pool` into sorted runs; the join
+// cursor (and its prefix indexes) is gone when this returns.
+Result<internal::SortedRuns> JoinIngested(const JoinIngest& ingest,
+                                          const TokenDictionary& dictionary,
+                                          const SimilarityMeasure& measure,
+                                          double threshold, ThreadPool* pool) {
+  Result<ShardedJoinCursor> cursor =
+      ingest.bipartite ? ingest.bipartite_joiner->MakeCursor(
+                             dictionary, measure, threshold, pool)
+                       : ingest.self_joiner->MakeCursor(dictionary, measure,
+                                                        threshold, pool);
+  CJ_RETURN_IF_ERROR(cursor.status());
+  return cursor.value().NextBatchRuns(
+      std::max<int64_t>(cursor.value().num_tasks(), 1), pool);
+}
+
+// Replaces every joined pair's join score by its record similarity, run by
+// run across `pool`. A run stops at its first failing pair, and of those
+// the one first in join order is returned: the error a sequential pass in
+// join order stops at, whichever run fails first in time.
+Status ScoreRuns(const PreparedRecords& prepared, const JoinIngest& ingest,
+                 internal::SortedRuns& runs, ThreadPool* pool) {
+  struct RunError {
+    Status status;
+    size_t at = 0;  // the failing pair's index in its run
+  };
+  const std::vector<RunError> errors = ParallelMap(
+      pool, static_cast<int64_t>(runs.size()), [&](int64_t k) -> RunError {
+        std::vector<ScoredPair>& run = runs[static_cast<size_t>(k)];
+        for (size_t i = 0; i < run.size(); ++i) {
+          const auto left = static_cast<size_t>(run[i].left);
+          const auto right = static_cast<size_t>(run[i].right);
+          const Result<double> similarity = prepared.Score(
+              ingest.left_pos[left], ingest.bipartite ? ingest.right_pos[right]
+                                                      : ingest.left_pos[right]);
+          if (!similarity.ok()) return {similarity.status(), i};
+          run[i].score = similarity.value();
+        }
+        return {};
+      });
+  const ScoredPair* first_failing = nullptr;
+  Status status;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    if (errors[k].status.ok()) continue;
+    const ScoredPair& failing = runs[k][errors[k].at];
+    if (first_failing == nullptr || PairOrderLess(failing, *first_failing)) {
+      first_failing = &failing;
+      status = errors[k].status;
+    }
+  }
+  return status;
+}
+
+// Join -> score -> emit, shared by both materializing paths: joins what was
+// ingested on `pool`, scores the survivors on the same pool when `prepared`
+// is set (the join scores stand otherwise), then draws the noise and cuts
+// sequentially in join order, so every likelihood is independent of the
+// pool. The sorted runs are read in join order by a k-way merge instead
+// of being merged into a copy: a merged copy beside the runs, whose memory
+// the pool's threads then keep, raised peak RSS by about 15%.
+Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
+                                   const TokenDictionary& dictionary,
+                                   const SimilarityMeasure& measure,
+                                   const PreparedRecords* prepared,
+                                   const CandidateGeneratorOptions& options,
+                                   ThreadPool* pool) {
+  CJ_ASSIGN_OR_RETURN(internal::SortedRuns runs,
+                      JoinIngested(ingest, dictionary, measure,
+                                   options.token_join_threshold, pool));
+  if (prepared != nullptr) {
+    CJ_RETURN_IF_ERROR(ScoreRuns(*prepared, ingest, runs, pool));
+  }
+  size_t num_joined = 0;
+  for (const std::vector<ScoredPair>& run : runs) num_joined += run.size();
+  CandidateSet candidates;
+  candidates.reserve(num_joined);
+  Rng noise_rng(options.noise_seed);
+  internal::ForEachInPairOrder(runs, [&](const ScoredPair& pair) {
+    EmitCandidate(pair, ingest.bipartite, ingest.left_ids, ingest.right_ids,
+                  pair.score, options, noise_rng, candidates);
+  });
+  return candidates;
+}
+
 }  // namespace
 
 Result<CandidateSet> GenerateCandidates(
     const RecordSet& records, const std::vector<uint8_t>* side_of,
     const RecordScorer& scorer, const CandidateGeneratorOptions& options) {
-  if (side_of != nullptr && side_of->size() != records.size()) {
-    return Status::InvalidArgument("side_of size does not match records");
+  if (side_of != nullptr) {
+    if (side_of->size() != records.size()) {
+      return Status::InvalidArgument("side_of size does not match records");
+    }
+    for (size_t i = 0; i < side_of->size(); ++i) {
+      CJ_RETURN_IF_ERROR(ValidateSide(i, (*side_of)[i]));
+    }
   }
-
-  TokenDictionary dictionary;
-  CandidateSet candidates;
-  Rng noise_rng(options.noise_seed);
-  const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
-
   CJ_ASSIGN_OR_RETURN(const PreparedRecords prepared,
                       scorer.Prepare(records));
 
-  if (side_of == nullptr) {
-    std::vector<MeasureDoc> docs(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      docs[i] = measure.MakeDoc(RecordText(records[i]), dictionary);
-    }
-    CJ_ASSIGN_OR_RETURN(const std::vector<ScoredPair> joined,
-                        MeasureSelfJoin(docs, dictionary, measure,
-                                        options.token_join_threshold));
-    candidates.reserve(joined.size());
-    for (const ScoredPair& pair : joined) {
-      const auto left = static_cast<size_t>(pair.left);
-      const auto right = static_cast<size_t>(pair.right);
-      CJ_ASSIGN_OR_RETURN(const double similarity,
-                          prepared.Score(left, right));
-      const double likelihood = NoisyLikelihood(
-          similarity, options.likelihood_noise_stddev, noise_rng);
-      if (likelihood >= options.min_likelihood) {
-        candidates.push_back({records[left].id, records[right].id, likelihood});
-      }
-    }
-    return candidates;
-  }
-
-  // Bipartite: split record indexes by side, join, map back.
-  std::vector<MeasureDoc> left_docs;
-  std::vector<MeasureDoc> right_docs;
-  std::vector<size_t> left_index;
-  std::vector<size_t> right_index;
+  const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
+  TokenDictionary dictionary;
+  dictionary.Reserve(records.size());
+  // The default shard count: 8, 16 and 32 shards timed alike here.
+  ShardedSelfJoiner self_joiner;
+  ShardedBipartiteJoiner bipartite_joiner;
+  JoinIngest ingest;
+  ingest.self_joiner = &self_joiner;
+  ingest.bipartite_joiner = &bipartite_joiner;
+  ingest.bipartite = side_of != nullptr;
+  ingest.keep_positions = true;
   for (size_t i = 0; i < records.size(); ++i) {
-    MeasureDoc doc = measure.MakeDoc(RecordText(records[i]), dictionary);
-    if ((*side_of)[i] == 0) {
-      left_docs.push_back(std::move(doc));
-      left_index.push_back(i);
-    } else {
-      right_docs.push_back(std::move(doc));
-      right_index.push_back(i);
-    }
+    ingest.Add(measure.MakeDoc(RecordText(records[i]), dictionary),
+               side_of == nullptr ? 0 : (*side_of)[i], records[i].id, i);
   }
-  CJ_ASSIGN_OR_RETURN(
-      const std::vector<ScoredPair> joined,
-      MeasureBipartiteJoin(left_docs, right_docs, dictionary, measure,
-                           options.token_join_threshold));
-  candidates.reserve(joined.size());
-  for (const ScoredPair& pair : joined) {
-    const size_t left = left_index[static_cast<size_t>(pair.left)];
-    const size_t right = right_index[static_cast<size_t>(pair.right)];
-    CJ_ASSIGN_OR_RETURN(const double similarity, prepared.Score(left, right));
-    const double likelihood = NoisyLikelihood(
-        similarity, options.likelihood_noise_stddev, noise_rng);
-    if (likelihood >= options.min_likelihood) {
-      candidates.push_back({records[left].id, records[right].id, likelihood});
-    }
-  }
-  return candidates;
+  ThreadPool* pool =
+      ThreadPool::HardwareThreads() > 1 ? &SharedPool() : nullptr;
+  return JoinScoreEmit(ingest, dictionary, measure, &prepared, options, pool);
 }
 
 Result<CandidateSet> GenerateCandidatesStreaming(
@@ -181,67 +247,36 @@ Result<CandidateSet> GenerateCandidatesStreaming(
     const CandidateGeneratorOptions& options,
     const ShardedJoinOptions& sharding,
     std::vector<int32_t>* entity_of_out) {
-  const bool bipartite = source.meta().bipartite;
   TokenDictionary dictionary;
   ShardedSelfJoiner self_joiner(sharding.num_shards);
   ShardedBipartiteJoiner bipartite_joiner(sharding.num_shards);
   const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
 
-  // Ingest via the shared helper; records are retained only when a scorer
-  // needs the text back for the likelihood blend.
-  IngestedStream ingest;
+  // Records are retained only when a scorer needs the text back for the
+  // likelihood blend.
+  JoinIngest ingest;
+  ingest.self_joiner = &self_joiner;
+  ingest.bipartite_joiner = &bipartite_joiner;
+  ingest.bipartite = source.meta().bipartite;
+  ingest.keep_positions = scorer != nullptr;
+  RecordSet retained;
   CJ_RETURN_IF_ERROR(IngestStreamIntoJoiner(
-      source, measure, /*retain_records=*/scorer != nullptr,
-      /*collect_entities=*/entity_of_out != nullptr, dictionary,
-      &self_joiner, &bipartite_joiner, ingest));
+      source, measure, /*collect_entities=*/entity_of_out != nullptr,
+      dictionary, scorer != nullptr ? &retained : nullptr, ingest));
   if (entity_of_out != nullptr) *entity_of_out = std::move(ingest.entity_of);
 
   // Score features are computed once per retained record; the record text
   // itself is not needed past this point.
   std::optional<PreparedRecords> prepared;
   if (scorer != nullptr) {
-    CJ_ASSIGN_OR_RETURN(prepared, scorer->Prepare(ingest.retained));
-    ingest.retained = RecordSet();
+    CJ_ASSIGN_OR_RETURN(prepared, scorer->Prepare(retained));
+    retained = RecordSet();
   }
 
-  // Join across the worker pool.
-  std::vector<ScoredPair> joined;
-  {
-    ThreadPool pool(sharding.num_threads);
-    ThreadPool* pool_ptr = pool.num_threads() > 0 ? &pool : nullptr;
-    if (!bipartite) {
-      CJ_ASSIGN_OR_RETURN(
-          joined, self_joiner.Finish(dictionary, measure,
-                                     options.token_join_threshold, pool_ptr));
-    } else {
-      CJ_ASSIGN_OR_RETURN(
-          joined, bipartite_joiner.Finish(dictionary, measure,
-                                          options.token_join_threshold,
-                                          pool_ptr));
-    }
-  }
-
-  // Score survivors in the join's deterministic (left, right) order, so the
-  // noise stream — and therefore the candidate set — is identical to the
-  // batch path's.
-  CandidateSet candidates;
-  candidates.reserve(joined.size());
-  Rng noise_rng(options.noise_seed);
-  for (const ScoredPair& pair : joined) {
-    double similarity = pair.score;
-    if (prepared.has_value()) {
-      const auto left = static_cast<size_t>(pair.left);
-      const auto right = static_cast<size_t>(pair.right);
-      CJ_ASSIGN_OR_RETURN(
-          similarity,
-          prepared->Score(ingest.left_pos[left],
-                          bipartite ? ingest.right_pos[right]
-                                    : ingest.left_pos[right]));
-    }
-    EmitCandidate(pair, bipartite, ingest.left_ids, ingest.right_ids,
-                  similarity, options, noise_rng, candidates);
-  }
-  return candidates;
+  ThreadPool pool(sharding.num_threads);
+  return JoinScoreEmit(ingest, dictionary, measure,
+                       prepared.has_value() ? &*prepared : nullptr, options,
+                       pool.num_threads() > 0 ? &pool : nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -284,11 +319,13 @@ Result<std::unique_ptr<StreamingCandidateFeed>> StreamingCandidateFeed::Open(
   // the helper never touches the other side.)
   const SimilarityMeasure& measure =
       SimilarityMeasure::Get(options.candidates.measure);
-  IngestedStream ingest;
+  JoinIngest ingest;
+  ingest.self_joiner = feed->self_joiner_.get();
+  ingest.bipartite_joiner = feed->bipartite_joiner_.get();
+  ingest.bipartite = bipartite;
   CJ_RETURN_IF_ERROR(IngestStreamIntoJoiner(
-      source, measure, /*retain_records=*/false, /*collect_entities=*/true,
-      feed->dictionary_, feed->self_joiner_.get(),
-      feed->bipartite_joiner_.get(), ingest));
+      source, measure, /*collect_entities=*/true, feed->dictionary_,
+      /*retained=*/nullptr, ingest));
   feed->left_ids_ = std::move(ingest.left_ids);
   feed->right_ids_ = std::move(ingest.right_ids);
   feed->entity_of_ = std::move(ingest.entity_of);

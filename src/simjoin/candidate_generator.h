@@ -56,7 +56,26 @@ struct CandidateGeneratorOptions {
 /// `side_of` selects the join shape: nullptr runs a self-join over
 /// `records`; otherwise `side_of[i]` in {0, 1} assigns each record to one
 /// collection and only cross-side pairs are produced (the Product dataset's
-/// 1081 x 1092 setting). Candidate pairs reference `Record::id`.
+/// 1081 x 1092 setting); any other side value is an InvalidArgument.
+/// Candidate pairs reference `Record::id`.
+///
+/// Pool: the join (`ShardedSelfJoiner` / `ShardedBipartiteJoiner`) and the
+/// scoring of its survivors run on the process-wide `SharedPool()` (inline
+/// on a 1-core host); there is no thread option. Per that pool's rule, do
+/// not call this from a task running on the shared pool.
+///
+/// Determinism: the result is bit-identical to the sequential machine step
+/// (`MeasureSelfJoin` / `MeasureBipartiteJoin`, then each pair scored in
+/// join order) for every pool size: the join's pairs and their (left,
+/// right) order do not depend on the pool, each pair's score is a function
+/// of the pair alone, and the likelihood noise is drawn and the
+/// `min_likelihood` cut applied on the calling thread, in join order.
+///
+/// Errors: argument errors (`side_of`) come first, then the scorer's
+/// `Prepare`, then the join's threshold check; a pair that fails to score
+/// (e.g. a record missing a scored field) fails the call with the error of
+/// the first failing pair in join order, whichever failure the pool meets
+/// first.
 Result<CandidateSet> GenerateCandidates(
     const RecordSet& records, const std::vector<uint8_t>* side_of,
     const RecordScorer& scorer, const CandidateGeneratorOptions& options);
@@ -75,8 +94,10 @@ Result<CandidateSet> GenerateCandidates(
 /// memory stays at the measure docs plus the candidate set, which is what
 /// makes million-record campaigns fit. With a scorer (fit it over the same
 /// corpus first) the streamed records are prepared for scoring once
-/// (`RecordScorer::Prepare`) and the result is byte-identical to
-/// `GenerateCandidates` over the materialized dataset.
+/// (`RecordScorer::Prepare`), scored on the same workers as the join, and
+/// the result — candidates and errors alike — is byte-identical to
+/// `GenerateCandidates` over the materialized dataset. A bipartite stream
+/// record whose side is not 0 or 1 is an InvalidArgument.
 ///
 /// `entity_of_out`, when non-null, receives each streamed record's ground
 /// truth entity (indexed by record position) for building oracles without

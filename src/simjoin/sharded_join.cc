@@ -40,23 +40,100 @@ int ResolveShardCount(int requested) {
   return requested > 0 ? requested : kDefaultNumShards;
 }
 
-std::vector<ScoredPair> MergeTaskOutputs(
-    std::vector<std::vector<ScoredPair>> per_task) {
-  size_t total = 0;
-  for (const auto& part : per_task) total += part.size();
-  std::vector<ScoredPair> out;
-  out.reserve(total);
-  for (auto& part : per_task) {
-    out.insert(out.end(), part.begin(), part.end());
+// Below this many pairs per range a merge is not worth a pool task.
+constexpr size_t kMinPairsPerRange = 4096;
+
+// Position in a sorted run of its first pair whose left id is >= `left`.
+size_t FirstAtOrAfter(const std::vector<ScoredPair>& run, int64_t left) {
+  return static_cast<size_t>(
+      std::lower_bound(
+          run.begin(), run.end(), left,
+          [](const ScoredPair& pair, int64_t id) { return pair.left < id; }) -
+      run.begin());
+}
+
+// Pairs across `runs` whose left id is below `left`.
+size_t CountLeftBelow(const internal::SortedRuns& runs, int64_t left) {
+  size_t count = 0;
+  for (const std::vector<ScoredPair>& run : runs) {
+    count += FirstAtOrAfter(run, left);
   }
-  // (left, right) keys are unique across tasks, so this sort makes the
-  // merged output independent of shard/thread scheduling — and identical
-  // to the sequential joins' sorted output.
-  SortByPairOrder(out);
-  return out;
+  return count;
+}
+
+// The smallest left id in [lo, hi] with at least `target` pairs below it;
+// `hi` must have all of them below it.
+int64_t LeftIdWithRankBelow(const internal::SortedRuns& runs, size_t target,
+                            int64_t lo, int64_t hi) {
+  while (lo < hi) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    if (CountLeftBelow(runs, mid) >= target) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
 }
 
 }  // namespace
+
+namespace internal {
+
+std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool) {
+  runs.erase(std::remove_if(runs.begin(), runs.end(),
+                            [](const std::vector<ScoredPair>& run) {
+                              return run.empty();
+                            }),
+             runs.end());
+  if (runs.empty()) return {};
+  if (runs.size() == 1) return std::move(runs.front());
+
+  size_t total = 0;
+  int64_t min_left = std::numeric_limits<int64_t>::max();
+  int64_t max_left = std::numeric_limits<int64_t>::min();
+  for (const std::vector<ScoredPair>& run : runs) {
+    total += run.size();
+    min_left = std::min<int64_t>(min_left, run.front().left);
+    max_left = std::max<int64_t>(max_left, run.back().left);
+  }
+  const int workers = pool == nullptr ? 0 : pool->num_threads();
+  const size_t max_ranges = workers > 1 ? static_cast<size_t>(workers) * 4 : 1;
+  const auto num_ranges = static_cast<int64_t>(
+      std::clamp<size_t>(total / kMinPairsPerRange, 1, max_ranges));
+
+  // Range r takes the left ids from its cut to the next one; cuts split
+  // the pairs into about equal counts. cuts[r][k] is where range r starts
+  // in run k, and the output is ranges in order, so keys stay sorted.
+  const std::vector<std::vector<size_t>> cuts =
+      ParallelMap(pool, num_ranges + 1, [&](int64_t r) {
+        const int64_t first_left = LeftIdWithRankBelow(
+            runs, total * static_cast<size_t>(r) /
+                      static_cast<size_t>(num_ranges),
+            min_left, max_left + 1);
+        std::vector<size_t> starts(runs.size());
+        for (size_t k = 0; k < runs.size(); ++k) {
+          starts[k] = FirstAtOrAfter(runs[k], first_left);
+        }
+        return starts;
+      });
+  std::vector<size_t> offsets(static_cast<size_t>(num_ranges));
+  for (size_t r = 0; r < offsets.size(); ++r) {
+    for (const size_t start : cuts[r]) offsets[r] += start;
+  }
+
+  std::vector<ScoredPair> out(total);
+  ParallelMap(pool, num_ranges, [&](int64_t r) {
+    const auto range = static_cast<size_t>(r);
+    ScoredPair* next = out.data() + offsets[range];
+    ForEachInPairOrder(runs, cuts[range], cuts[range + 1],
+                       [&next](const ScoredPair& pair) { *next++ = pair; });
+    return 0;
+  });
+  return out;
+}
+
+}  // namespace internal
 
 // ---------------------------------------------------------------------------
 // Ingestion
@@ -287,37 +364,53 @@ int64_t ShardedJoinCursor::num_tasks() const {
 
 int64_t ShardedJoinCursor::tasks_done() const { return impl_->next_task; }
 
-Result<std::vector<ScoredPair>> ShardedJoinCursor::NextBatch(
+Result<internal::SortedRuns> ShardedJoinCursor::NextBatchRuns(
     int64_t max_tasks, ThreadPool* pool) {
   if (max_tasks < 1) {
     return Status::InvalidArgument("max_tasks must be >= 1");
   }
   Impl& impl = *impl_;
   const int64_t begin = impl.next_task;
-  const int64_t end =
-      std::min(num_tasks(), begin + max_tasks);
+  const int64_t end = std::min(num_tasks(), begin + max_tasks);
   impl.next_task = end;
-  std::vector<std::vector<ScoredPair>> per_task =
-      ParallelMap(pool, end - begin, [&](int64_t i) {
-        const auto [a, b] = impl.tasks[static_cast<size_t>(begin + i)];
-        const auto& probe_prepared =
-            impl.bipartite ? impl.probe_prepared : impl.target_prepared;
-        obs::Span span("simjoin.probe_task", "simjoin");
-        JoinMetrics::Get().probe_tasks_total->Inc();
-        std::vector<ScoredPair> out;
-        internal::DispatchMeasure(
-            *impl.measure, &impl.cosine_weights, [&](auto policy) {
-              ShardedSelfJoiner::ProbeTaskT(
-                  policy, impl.target_joiner->shards_[static_cast<size_t>(a)],
-                  impl.target_prepared[static_cast<size_t>(a)],
-                  impl.probe_joiner->shards_[static_cast<size_t>(b)],
-                  probe_prepared[static_cast<size_t>(b)],
-                  /*same_shard=*/!impl.bipartite && a == b,
-                  /*bipartite_emit=*/impl.bipartite, impl.threshold, out);
-            });
-        return out;
-      });
-  return MergeTaskOutputs(std::move(per_task));
+  // The tasks of one pool chunk append to one output, sorted once, so a
+  // batch yields a few long runs rather than one short run per task.
+  const int64_t batch_tasks = end - begin;
+  const int workers = pool == nullptr ? 0 : pool->num_threads();
+  const int64_t num_runs =
+      std::min<int64_t>(batch_tasks, workers > 1 ? workers * 4 : 1);
+  return ParallelMap(pool, num_runs, [&](int64_t r) {
+    std::vector<ScoredPair> out;
+    const int64_t run_end = begin + batch_tasks * (r + 1) / num_runs;
+    for (int64_t t = begin + batch_tasks * r / num_runs; t < run_end; ++t) {
+      const auto [a, b] = impl.tasks[static_cast<size_t>(t)];
+      const auto& probe_prepared =
+          impl.bipartite ? impl.probe_prepared : impl.target_prepared;
+      obs::Span span("simjoin.probe_task", "simjoin");
+      JoinMetrics::Get().probe_tasks_total->Inc();
+      internal::DispatchMeasure(
+          *impl.measure, &impl.cosine_weights, [&](auto policy) {
+            ShardedSelfJoiner::ProbeTaskT(
+                policy, impl.target_joiner->shards_[static_cast<size_t>(a)],
+                impl.target_prepared[static_cast<size_t>(a)],
+                impl.probe_joiner->shards_[static_cast<size_t>(b)],
+                probe_prepared[static_cast<size_t>(b)],
+                /*same_shard=*/!impl.bipartite && a == b,
+                /*bipartite_emit=*/impl.bipartite, impl.threshold, out);
+          });
+    }
+    SortByPairOrder(out);
+    // An exact-size copy: the run outlives the task on the caller's side,
+    // and growth slack left in a worker's malloc arena stays resident.
+    return std::vector<ScoredPair>(out.begin(), out.end());
+  });
+}
+
+Result<std::vector<ScoredPair>> ShardedJoinCursor::NextBatch(
+    int64_t max_tasks, ThreadPool* pool) {
+  CJ_ASSIGN_OR_RETURN(internal::SortedRuns runs,
+                      NextBatchRuns(max_tasks, pool));
+  return internal::MergeSortedRuns(std::move(runs), pool);
 }
 
 // ---------------------------------------------------------------------------

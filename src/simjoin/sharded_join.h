@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -34,8 +35,9 @@ struct ShardedJoinOptions {
 /// amortized per document, flat arena storage per shard) as records stream
 /// in; `Finish` then builds each shard's rarity-ordered prefix index in
 /// parallel on the given `ThreadPool`, fans the shard-vs-shard probe tasks
-/// across the pool, and merges the per-task outputs into one
-/// (left, right)-sorted result.
+/// across the pool (each pool chunk of tasks sorting its own output), and
+/// merges the sorted outputs on the pool into one (left, right)-sorted
+/// result.
 ///
 /// The join runs under any `SimilarityMeasure`; the measure-less overloads
 /// are the token-set Jaccard path. Measure documents (`Add(MeasureDoc)`)
@@ -210,6 +212,16 @@ class ShardedJoinCursor {
   Result<std::vector<ScoredPair>> NextBatch(int64_t max_tasks,
                                             ThreadPool* pool);
 
+  /// `NextBatch` without its merge: the batch's pairs as a few runs, one
+  /// per pool chunk of consecutive tasks (one run without a pool), each
+  /// sorted by `PairOrderLess`, no key in two runs; so
+  /// `internal::MergeSortedRuns` of the result is exactly `NextBatch`. For
+  /// callers that read the pairs once, in order
+  /// (`internal::ForEachInPairOrder`), without a merged copy beside the
+  /// runs.
+  Result<std::vector<std::vector<ScoredPair>>> NextBatchRuns(
+      int64_t max_tasks, ThreadPool* pool);
+
  private:
   friend class ShardedSelfJoiner;
   friend class ShardedBipartiteJoiner;
@@ -218,6 +230,87 @@ class ShardedJoinCursor {
   explicit ShardedJoinCursor(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
+
+namespace internal {
+
+/// Join outputs in runs, each sorted by `PairOrderLess`, no (left, right)
+/// key in two runs.
+using SortedRuns = std::vector<std::vector<ScoredPair>>;
+
+/// Calls `fn(pair)` for the pairs of every slice runs[k][begin[k], end[k])
+/// in (left, right) order: a k-way merge over a min-heap of run cursors,
+/// each keyed by its next pair's (left, right) packed into one integer
+/// (join indexes are non-negative, so the packing keeps their order).
+template <typename Fn>
+void ForEachInPairOrder(const SortedRuns& runs,
+                        const std::vector<size_t>& begin,
+                        const std::vector<size_t>& end, Fn&& fn) {
+  struct Cursor {
+    uint64_t key;
+    const ScoredPair* next;
+    const ScoredPair* end;
+  };
+  const auto key_of = [](const ScoredPair& pair) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(pair.left)) << 32) |
+           static_cast<uint32_t>(pair.right);
+  };
+  std::vector<Cursor> heap;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    if (begin[k] < end[k]) {
+      const ScoredPair* next = runs[k].data() + begin[k];
+      heap.push_back({key_of(*next), next, runs[k].data() + end[k]});
+    }
+  }
+  const auto sift_down = [&heap](size_t at) {
+    const Cursor moving = heap[at];
+    for (;;) {
+      size_t child = 2 * at + 1;
+      if (child >= heap.size()) break;
+      if (child + 1 < heap.size() && heap[child + 1].key < heap[child].key) {
+        ++child;
+      }
+      if (moving.key <= heap[child].key) break;
+      heap[at] = heap[child];
+      at = child;
+    }
+    heap[at] = moving;
+  };
+  for (size_t at = heap.size() / 2; at-- > 0;) sift_down(at);
+  while (!heap.empty()) {
+    Cursor& top = heap.front();
+    fn(*top.next);
+    if (++top.next == top.end) {
+      top = heap.back();
+      heap.pop_back();
+      if (heap.empty()) break;
+    } else {
+      top.key = key_of(*top.next);
+    }
+    sift_down(0);
+  }
+}
+
+/// Every pair of `runs`, in (left, right) order.
+template <typename Fn>
+void ForEachInPairOrder(const SortedRuns& runs, Fn&& fn) {
+  std::vector<size_t> end(runs.size());
+  for (size_t k = 0; k < runs.size(); ++k) end[k] = runs[k].size();
+  ForEachInPairOrder(runs, std::vector<size_t>(runs.size(), 0), end,
+                     std::forward<Fn>(fn));
+}
+
+/// \brief The tail of every sharded join: merges sorted runs into one
+/// (left, right)-sorted vector.
+///
+/// The result is exactly the runs concatenated and `SortByPairOrder`ed,
+/// for every pool. The left-id space is cut into ranges holding about
+/// equal pair counts, and each range is k-way merged from its slice of
+/// every run into its own part of one presized output, fanned across
+/// `pool` (nullptr, or a pool of <= 1 worker, merges on the caller). A lone
+/// non-empty run is returned as is, without a copy.
+std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool);
+
+}  // namespace internal
 
 /// Convenience wrapper: sharded Jaccard self-join over an in-memory
 /// corpus. Owns a pool of `options.num_threads` workers for the duration

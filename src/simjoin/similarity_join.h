@@ -24,13 +24,14 @@ struct ScoredPair {
 
 /// The canonical (left, right) output order every join emits — sequential
 /// and sharded alike share this single definition, which is what the
-/// sharded join's byte-identical-output contract sorts by.
+/// sharded join's byte-identical-output contract sorts and merges by.
+inline bool PairOrderLess(const ScoredPair& a, const ScoredPair& b) {
+  if (a.left != b.left) return a.left < b.left;
+  return a.right < b.right;
+}
+
 inline void SortByPairOrder(std::vector<ScoredPair>& pairs) {
-  std::sort(pairs.begin(), pairs.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              if (a.left != b.left) return a.left < b.left;
-              return a.right < b.right;
-            });
+  std::sort(pairs.begin(), pairs.end(), PairOrderLess);
 }
 
 /// \brief Set-similarity self-join: all pairs (i < j) of documents with

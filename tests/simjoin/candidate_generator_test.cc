@@ -71,6 +71,41 @@ TEST(GenerateCandidates, SideVectorSizeMismatchIsError) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(GenerateCandidates, SideOutsideZeroOrOneIsError) {
+  const RecordSet records = {
+      MakeRecord(0, {"sony bravia lcd tv"}),
+      MakeRecord(1, {"sony bravia lcd television"}),
+      MakeRecord(2, {"sony bravia lcd tv set"}),
+  };
+  CandidateGeneratorOptions options;
+  options.token_join_threshold = 0.2;
+  for (const uint8_t bad : {uint8_t{2}, uint8_t{255}}) {
+    const std::vector<uint8_t> sides = {0, bad, 1};
+    const Status status =
+        GenerateCandidates(records, &sides, NameScorer(), options).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("record 1"), std::string::npos)
+        << status;
+  }
+}
+
+TEST(GenerateCandidatesStreaming, SideOutsideZeroOrOneIsError) {
+  Dataset dataset;
+  dataset.bipartite = true;
+  dataset.AddRecord(MakeRecord(0, {"sony bravia lcd tv"}), 0);
+  dataset.AddRecord(MakeRecord(1, {"sony bravia lcd tv set"}), 0);
+  dataset.side_of = {0, 3};
+  DatasetRecordSource source(&dataset);
+  const RecordScorer scorer = NameScorer();
+  CandidateGeneratorOptions options;
+  options.token_join_threshold = 0.2;
+  EXPECT_EQ(GenerateCandidatesStreaming(source, &scorer, options,
+                                        ShardedJoinOptions())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(GenerateCandidates, MinLikelihoodFilters) {
   const RecordSet records = {
       MakeRecord(0, {"alpha beta gamma delta"}),
@@ -211,6 +246,15 @@ TEST(GenerateCandidates, PaperWorkbenchIsPinned) {
   EXPECT_EQ(paper.candidates.size(), 143841u);
   EXPECT_EQ(FilterByThreshold(paper.candidates, 0.4).size(), 25508u);
   EXPECT_EQ(CandidateChecksum(paper.candidates), 10741580375701247341ull);
+}
+
+// The seed-42 product workbench, the bipartite machine step: captured
+// before the step moved onto the sharded join and the shared pool.
+TEST(GenerateCandidates, ProductWorkbenchIsPinned) {
+  const ExperimentInput product = MakeProductExperimentInput(42).value();
+  EXPECT_EQ(product.candidates.size(), 17922u);
+  EXPECT_EQ(FilterByThreshold(product.candidates, 0.4).size(), 2003u);
+  EXPECT_EQ(CandidateChecksum(product.candidates), 5382487352068210625ull);
 }
 
 TEST(GenerateCandidatesStreaming, NullScorerUsesJoinScores) {

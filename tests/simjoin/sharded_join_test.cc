@@ -188,5 +188,207 @@ TEST(ShardedSelfJoin, InvalidThresholdsAreRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// ---------------------------------------------------------------------------
+// The merge tail: sorted runs -> one (left, right)-sorted vector
+// ---------------------------------------------------------------------------
+
+// Pool sizes the merge must be exact at: inline (null), then 1, 2, 4
+// workers.
+constexpr int kPoolSizes[] = {0, 1, 2, 4};
+
+std::vector<ScoredPair> ConcatenateAndSort(const internal::SortedRuns& runs) {
+  std::vector<ScoredPair> all;
+  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+  SortByPairOrder(all);
+  return all;
+}
+
+// `num_pairs` distinct (left, right) keys over `num_left` left ids, dealt to
+// `num_runs` runs by `run_of(left, right)`, each run sorted. Scores are
+// distinct, so a misplaced pair cannot compare equal.
+template <typename RunOf>
+internal::SortedRuns MakeRuns(uint64_t seed, size_t num_runs,
+                              size_t num_pairs, int32_t num_left,
+                              RunOf run_of) {
+  Rng rng(seed);
+  std::vector<std::pair<int32_t, int32_t>> keys;
+  for (int32_t left = 0; left < num_left; ++left) {
+    for (int32_t right = left + 1; right < num_left + 64; ++right) {
+      keys.push_back({left, right});
+    }
+  }
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.Index(i)]);
+  }
+  keys.resize(std::min(keys.size(), num_pairs));
+  internal::SortedRuns runs(num_runs);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto [left, right] = keys[i];
+    runs[run_of(left, right) % num_runs].push_back(
+        {left, right, static_cast<double>(i)});
+  }
+  for (auto& run : runs) SortByPairOrder(run);
+  return runs;
+}
+
+void ExpectMergeExact(const internal::SortedRuns& runs,
+                      const std::string& label) {
+  const std::vector<ScoredPair> expected = ConcatenateAndSort(runs);
+  for (int threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
+    EXPECT_EQ(internal::MergeSortedRuns(runs, pool_ptr), expected)
+        << label << " threads=" << threads;
+  }
+  std::vector<ScoredPair> visited;
+  internal::ForEachInPairOrder(
+      runs, [&visited](const ScoredPair& pair) { visited.push_back(pair); });
+  EXPECT_EQ(visited, expected) << label << " (ForEachInPairOrder)";
+}
+
+TEST(MergeSortedRuns, EqualsConcatenationPlusSort) {
+  // Enough pairs that the 4-worker pool cuts several left-id ranges.
+  ExpectMergeExact(MakeRuns(1, 7, 60000, 900,
+                            [](int32_t left, int32_t right) {
+                              return static_cast<size_t>(left * 31 + right);
+                            }),
+                   "seven runs");
+  ExpectMergeExact(MakeRuns(2, 64, 30000, 500,
+                            [](int32_t left, int32_t right) {
+                              return static_cast<size_t>(left ^ right);
+                            }),
+                   "64 runs");
+}
+
+TEST(MergeSortedRuns, AllPairsInOneRunAmongEmptyRuns) {
+  internal::SortedRuns runs = MakeRuns(
+      3, 9, 20000, 400, [](int32_t, int32_t) { return size_t{4}; });
+  ExpectMergeExact(runs, "one of nine");
+  // A lone run comes back as is.
+  runs.erase(runs.begin(), runs.begin() + 4);
+  runs.resize(1);
+  ExpectMergeExact(runs, "only run");
+}
+
+TEST(MergeSortedRuns, EmptyInputs) {
+  ExpectMergeExact({}, "no runs");
+  ExpectMergeExact(internal::SortedRuns(5), "five empty runs");
+}
+
+TEST(MergeSortedRuns, OneLeftIdHoldsMostPairs) {
+  // Range cuts fall on left ids, so a dominant left id puts most of the
+  // output in one range and leaves others empty.
+  internal::SortedRuns runs(6);
+  for (int32_t right = 1; right < 30000; ++right) {
+    runs[static_cast<size_t>(right) % 6].push_back({0, right, 1.0 * right});
+  }
+  for (int32_t left = 1; left < 40; ++left) {
+    runs[static_cast<size_t>(left) % 6].push_back({left, 30000 + left, 0.5});
+  }
+  for (auto& run : runs) SortByPairOrder(run);
+  ExpectMergeExact(runs, "skewed");
+}
+
+// Joins whose pairs all come from one probe task: every doc whose id is a
+// multiple of `shards` (all in shard 0) shares tokens; every other doc is
+// unique. Every other task is empty.
+Corpus MakeOneTaskCorpus(size_t num_docs, int shards) {
+  Corpus corpus;
+  for (size_t d = 0; d < num_docs; ++d) {
+    std::vector<std::string> tokens;
+    if (d % static_cast<size_t>(shards) == 0) {
+      tokens = {"shared", "common", StrFormat("w%zu", d % 3)};
+    } else {
+      tokens = {StrFormat("solo%zu", d), StrFormat("only%zu", d)};
+    }
+    corpus.docs.push_back(corpus.dictionary.AddDocument(tokens));
+  }
+  return corpus;
+}
+
+TEST(ShardedJoinMerge, AllPairsFromOneTaskAtEveryPoolSize) {
+  constexpr int kShards = 4;
+  const Corpus corpus = MakeOneTaskCorpus(200, kShards);
+  const auto sequential =
+      PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, 0.5).value();
+  ASSERT_GT(sequential.size(), 100u);
+  ShardedSelfJoiner joiner(kShards);
+  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (int threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
+    EXPECT_EQ(joiner.Finish(corpus.dictionary, 0.5, pool_ptr).value(),
+              sequential)
+        << "threads=" << threads;
+    ShardedJoinCursor cursor =
+        joiner.MakeCursor(corpus.dictionary, 0.5, pool_ptr).value();
+    const internal::SortedRuns runs =
+        cursor.NextBatchRuns(cursor.num_tasks(), pool_ptr).value();
+    size_t nonempty = 0;
+    for (const auto& run : runs) nonempty += run.empty() ? 0 : 1;
+    EXPECT_EQ(nonempty, 1u) << "threads=" << threads;
+    EXPECT_EQ(ConcatenateAndSort(runs), sequential) << "threads=" << threads;
+  }
+}
+
+TEST(ShardedJoinMerge, OneAndSixtyFourShardsAtEveryPoolSize) {
+  const Corpus corpus = MakeRandomCorpus(/*seed=*/903, /*num_docs=*/400,
+                                         /*vocabulary=*/90, 2, 12);
+  const std::vector<std::vector<int32_t>> left(corpus.docs.begin(),
+                                               corpus.docs.begin() + 150);
+  const std::vector<std::vector<int32_t>> right(corpus.docs.begin() + 150,
+                                                corpus.docs.end());
+  const auto self_expected =
+      PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, 0.4).value();
+  const auto bipartite_expected =
+      PrefixFilterBipartiteJoin(left, right, corpus.dictionary, 0.4).value();
+  for (int shards : {1, 64}) {
+    for (int threads : kPoolSizes) {
+      ShardedJoinOptions options;
+      options.num_shards = shards;
+      options.num_threads = threads;
+      EXPECT_EQ(
+          ShardedSelfJoin(corpus.docs, corpus.dictionary, 0.4, options)
+              .value(),
+          self_expected)
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(ShardedBipartiteJoin(left, right, corpus.dictionary, 0.4,
+                                     options)
+                    .value(),
+                bipartite_expected)
+          << "shards=" << shards << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ShardedJoinMerge, OneTaskPerBatchMatchesItsRuns) {
+  const Corpus corpus = MakeRandomCorpus(/*seed=*/904, /*num_docs=*/300,
+                                         /*vocabulary=*/80, 2, 10);
+  const auto sequential =
+      PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, 0.4).value();
+  ShardedSelfJoiner joiner(/*num_shards=*/6);
+  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (int threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
+    ShardedJoinCursor batches =
+        joiner.MakeCursor(corpus.dictionary, 0.4, pool_ptr).value();
+    ShardedJoinCursor runs =
+        joiner.MakeCursor(corpus.dictionary, 0.4, pool_ptr).value();
+    std::vector<ScoredPair> all;
+    while (!batches.done()) {
+      const std::vector<ScoredPair> batch =
+          batches.NextBatch(1, pool_ptr).value();
+      EXPECT_EQ(batch, ConcatenateAndSort(runs.NextBatchRuns(1, pool_ptr)
+                                              .value()))
+          << "threads=" << threads << " task=" << batches.tasks_done();
+      all.insert(all.end(), batch.begin(), batch.end());
+    }
+    EXPECT_TRUE(runs.done());
+    SortByPairOrder(all);
+    EXPECT_EQ(all, sequential) << "threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace crowdjoin
