@@ -59,12 +59,21 @@ Instance MakeInstance(int64_t num_pairs) {
   return instance;
 }
 
-// The pre-session SequentialLabeler::Run body, verbatim (including the
-// result bookkeeping it always paid for): the baseline the session's
-// sequential schedule is measured against.
-LabelingResult DirectSequential(const Instance& instance,
-                                LabelOracle& oracle) {
-  LabelingResult result;
+// The result struct the pre-session engines filled: one outcome per
+// candidate position, every pair labeled.
+struct DirectResult {
+  std::vector<PairOutcome> outcomes;
+  int64_t num_crowdsourced = 0;
+  int64_t num_deduced = 0;
+  int64_t num_conflicts = 0;
+  std::vector<int64_t> crowdsourced_per_iteration;
+};
+
+// The pre-session sequential engine body, verbatim (including the result
+// bookkeeping it always paid for): the baseline the session's sequential
+// schedule is measured against.
+DirectResult DirectSequential(const Instance& instance, LabelOracle& oracle) {
+  DirectResult result;
   result.outcomes.resize(instance.pairs.size());
   ClusterGraph graph(NumObjectsSpanned(instance.pairs));
   for (int32_t pos : instance.order) {
@@ -87,13 +96,13 @@ LabelingResult DirectSequential(const Instance& instance,
   return result;
 }
 
-// The pre-session ParallelLabeler round engine, verbatim (inline oracle
+// The pre-session round-parallel engine, verbatim (inline oracle
 // resolution, single-threaded — the dispatch comparison must not be
 // drowned in pool traffic).
-LabelingResult DirectRoundParallel(const Instance& instance,
-                                   LabelOracle& oracle) {
+DirectResult DirectRoundParallel(const Instance& instance,
+                                 LabelOracle& oracle) {
   const CandidateSet& pairs = instance.pairs;
-  LabelingResult result;
+  DirectResult result;
   result.outcomes.resize(pairs.size());
   std::vector<std::optional<Label>> labels(pairs.size());
   size_t num_labeled = 0;

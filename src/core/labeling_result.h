@@ -23,34 +23,8 @@ struct PairOutcome {
   friend bool operator==(const PairOutcome&, const PairOutcome&) = default;
 };
 
-/// \brief Output of a labeling run over a candidate set.
-///
-/// `outcomes[i]` describes the pair at *position i of the candidate set*
-/// (not of the labeling order).
-struct LabelingResult {
-  std::vector<PairOutcome> outcomes;
-  int64_t num_crowdsourced = 0;
-  int64_t num_deduced = 0;
-  /// Contradictory labels encountered while building the ClusterGraph
-  /// (only possible with noisy oracles).
-  int64_t num_conflicts = 0;
-  /// Pairs crowdsourced per round of the parallel labeler; the sequential
-  /// labeler reports one entry per crowdsourced pair (all 1s), matching the
-  /// Non-Parallel series of Figures 13–14.
-  std::vector<int64_t> crowdsourced_per_iteration;
-
-  /// Field-wise equality — the equivalence the parallel labeler's
-  /// thread-count-independence contract (and its tests) is stated in.
-  friend bool operator==(const LabelingResult&,
-                         const LabelingResult&) = default;
-};
-
-/// \brief Unified output of a `LabelingSession` run — the one result type
-/// every schedule/stop/deduction policy combination produces. Supersedes
-/// `LabelingResult`, `BudgetLabeler::RunResult`, and
-/// `OneToOneLabeler::RunResult`, whose fields all embed here; the legacy
-/// engines are thin wrappers that re-shape a report into their historical
-/// structs.
+/// \brief Output of a `LabelingSession` run — the one result type every
+/// schedule/stop/deduction policy combination produces.
 struct LabelingReport {
   /// Outcome per candidate position; `nullopt` for pairs a budget-capped
   /// run could not reach (always engaged when `num_unlabeled == 0`).
@@ -76,10 +50,6 @@ struct LabelingReport {
   /// Crowd answers that matched an already-matched object (one-to-one rule
   /// bookkeeping); 0 unless the rule is installed.
   int64_t num_exclusivity_violations = 0;
-
-  /// Legacy view: the `LabelingResult` shape. Aborts if any pair is
-  /// unlabeled (budget-capped runs have no LabelingResult equivalent).
-  LabelingResult ToLabelingResult() const;
 
   friend bool operator==(const LabelingReport&,
                          const LabelingReport&) = default;

@@ -119,25 +119,40 @@ Status CheckBatchSafe(const LabelOracle& oracle, int num_threads) {
   return Status::OK();
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// LabelingReport
-// ---------------------------------------------------------------------------
-
-LabelingResult LabelingReport::ToLabelingResult() const {
-  LabelingResult result;
-  result.outcomes.reserve(outcomes.size());
-  for (const std::optional<PairOutcome>& outcome : outcomes) {
-    CJ_CHECK(outcome.has_value());  // budget-capped runs have no LabelingResult
-    result.outcomes.push_back(*outcome);
-  }
-  result.num_crowdsourced = num_crowdsourced;
-  result.num_deduced = num_deduced;
-  result.num_conflicts = num_conflicts;
-  result.crowdsourced_per_iteration = crowdsourced_per_iteration;
-  return result;
+// An empty report sized for one materialized run over `n` candidates.
+LabelingReport EmptyReport(size_t n) {
+  LabelingReport report;
+  report.outcomes.resize(n);
+  report.num_candidates = static_cast<int64_t>(n);
+  report.num_stream_rounds = 1;
+  return report;
 }
+
+// The oracle-backed batch source: resolves batch positions into `pairs`
+// through `oracle`, fanned over `pool` (inline, in batch order, when null).
+// The whole retry loop runs inside the fan-out task: every decision in it
+// is a pure hash of the pair, so the outcome is the same whichever worker
+// runs it.
+BatchLabelFn OracleBatchSource(const CandidateSet& pairs, LabelOracle& oracle,
+                               ThreadPool* pool,
+                               const LabelingSessionOptions& options) {
+  return [&pairs, &oracle, pool,
+          &options](const std::vector<int32_t>& batch)
+             -> Result<std::vector<Label>> {
+    return ParallelMap(
+        pool, static_cast<int64_t>(batch.size()), [&](int64_t i) {
+          const CandidatePair& pair =
+              pairs[static_cast<size_t>(batch[static_cast<size_t>(i)])];
+          const auto ask = [&] { return oracle.GetLabel(pair.a, pair.b); };
+          return options.attempt_fault
+                     ? AskWithRetry(pair.a, pair.b, options.retry,
+                                    options.attempt_fault, ask)
+                     : ask();
+        });
+  };
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Candidate streams
@@ -200,8 +215,8 @@ std::optional<Label> OneToOneDeductionRule::Deduce(ObjectId a, ObjectId b) {
 void OneToOneDeductionRule::Observe(ObjectId a, ObjectId b, Label label,
                                     LabelSource source) {
   // Only crowd answers claim a partner; deduced matches (which can only
-  // come from transitivity) were never trusted by the legacy labeler and
-  // keeping that behavior preserves byte-identical outcomes.
+  // come from transitivity) are ignored, as in the frozen one-to-one
+  // reference, which keeps the outcomes byte-identical to it.
   if (source != LabelSource::kCrowdsourced || label != Label::kMatching) {
     return;
   }
@@ -386,11 +401,8 @@ Status RunRoundsImpl(const CandidateSet& pairs,
 std::vector<int32_t> ParallelCrowdsourcedPairs(
     const CandidateSet& pairs, const std::vector<int32_t>& order,
     const std::vector<std::optional<Label>>& labels_by_pos,
-    const std::vector<bool>* exclude_from_output, ConflictPolicy policy,
-    const ClusterGraph* base_graph) {
-  ClusterGraph graph = base_graph != nullptr
-                           ? *base_graph
-                           : ClusterGraph(NumObjectsSpanned(pairs), policy);
+    const std::vector<bool>* exclude_from_output, ConflictPolicy policy) {
+  ClusterGraph graph(NumObjectsSpanned(pairs), policy);
   return ScanPublish(graph, pairs, order, labels_by_pos, exclude_from_output);
 }
 
@@ -492,120 +504,46 @@ Result<LabelingReport> LabelingSession::Run(const CandidateSet& pairs,
   BeginRun(NumObjectsSpanned(pairs));
   switch (options_.schedule) {
     case SchedulePolicy::kSequential: {
-      LabelingReport report;
-      report.outcomes.resize(pairs.size());
-      report.num_candidates = static_cast<int64_t>(pairs.size());
-      report.num_stream_rounds = 1;
-      // Fast path for the dominant cell (transitive-only chain, unbounded
-      // stop): the per-pair loop runs on the cluster graph directly, with
-      // no virtual rule dispatch — this is what keeps the session within
-      // the direct engines' cost (bench/micro_session). Byte-identical to
-      // the generic loop below; the equivalence suite pins both.
-      // (A fault model routes through the generic loop: LabelOnePair owns
-      // the retry logic.)
-      TransitiveDeductionRule* transitive =
-          rules_.size() == 1 && !options_.stop.bounded() &&
-                  !options_.attempt_fault
-              ? dynamic_cast<TransitiveDeductionRule*>(rules_[0].get())
-              : nullptr;
-      if (transitive != nullptr) {
-        ClusterGraph& graph = transitive->mutable_graph();
-        for (int32_t pos : order) {
-          const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
-          const Deduction deduction = graph.Deduce(pair.a, pair.b);
-          auto& outcome = report.outcomes[static_cast<size_t>(pos)];
-          if (deduction == Deduction::kUndeduced) {
-            const Label label = oracle.GetLabel(pair.a, pair.b);
-            outcome = PairOutcome{label, LabelSource::kCrowdsourced};
-            ++report.num_crowdsourced;
-            report.crowdsourced_per_iteration.push_back(1);
-            // An undeduced pair cannot conflict: matching merges two
-            // distinct clusters, non-matching adds an edge between them.
-            graph.Add(pair.a, pair.b, label);
-          } else {
-            outcome =
-                PairOutcome{DeductionToLabel(deduction), LabelSource::kDeduced};
-            ++report.num_deduced;
-          }
-        }
-      } else {
-        for (int32_t pos : order) {
-          LabelOnePair(pairs[static_cast<size_t>(pos)],
-                       static_cast<size_t>(pos), oracle, report);
-        }
+      LabelingReport report = EmptyReport(pairs.size());
+      for (int32_t pos : order) {
+        LabelOnePair(pairs[static_cast<size_t>(pos)],
+                     static_cast<size_t>(pos), oracle, report);
       }
       for (const auto& rule : rules_) rule->FillReport(&report);
       return report;
     }
-    case SchedulePolicy::kRoundParallel:
-      return RunRoundsWithOracle(pairs, order, oracle);
+    case SchedulePolicy::kRoundParallel: {
+      CJ_ASSIGN_OR_RETURN(const ConflictPolicy policy,
+                          RequireTransitiveOnlyChain());
+      CJ_RETURN_IF_ERROR(CheckBatchSafe(oracle, options_.num_threads));
+      // One pool shared by every round of this run. Created only when real
+      // parallelism was requested: the single-threaded path calls the
+      // oracle inline in batch order, which keeps order-dependent oracles
+      // (e.g. NoisyOracle's sequential RNG stream) exactly as deterministic
+      // as the pre-threading implementation.
+      std::optional<ThreadPool> pool;
+      if (options_.num_threads > 1) pool.emplace(options_.num_threads);
+      return RunRounds(
+          pairs, order,
+          OracleBatchSource(pairs, oracle,
+                            pool.has_value() ? &*pool : nullptr, options_),
+          policy);
+    }
     case SchedulePolicy::kInstantDecision:
       return RunInstantFifo(pairs, order, oracle);
   }
   return Status::InvalidArgument("unknown schedule policy");
 }
 
-Status LabelingSession::RunRoundsOver(const CandidateSet& pairs,
-                                      const std::vector<int32_t>& order,
-                                      const BatchLabelFn& label_batch,
-                                      ConflictPolicy policy,
-                                      const ClusterGraphSnapshot* base,
-                                      size_t report_offset,
-                                      LabelingReport& report) {
-  if (base != nullptr) {
-    // Streaming round seeded by the persistent graph: each scan reads the
-    // epoch snapshot through a fresh O(1) overlay instead of copying the
-    // whole graph, so per-round cost tracks round size, not total objects.
-    return RunRoundsImpl(
-        pairs, order, label_batch, /*fresh_graphs=*/false,
-        [&] { return OverlayClusterGraph(base, policy); }, remaining_budget_,
-        report_offset, report);
-  }
+Result<LabelingReport> LabelingSession::RunRounds(
+    const CandidateSet& pairs, const std::vector<int32_t>& order,
+    const BatchLabelFn& label_batch, ConflictPolicy policy) {
+  LabelingReport report = EmptyReport(pairs.size());
   const int32_t num_objects = NumObjectsSpanned(pairs);
-  return RunRoundsImpl(
+  CJ_RETURN_IF_ERROR(RunRoundsImpl(
       pairs, order, label_batch, /*fresh_graphs=*/true,
       [&] { return ClusterGraph(num_objects, policy); }, remaining_budget_,
-      report_offset, report);
-}
-
-Result<LabelingReport> LabelingSession::RunRoundsWithOracle(
-    const CandidateSet& pairs, const std::vector<int32_t>& order,
-    LabelOracle& oracle) {
-  CJ_ASSIGN_OR_RETURN(const ConflictPolicy policy,
-                      RequireTransitiveOnlyChain());
-  CJ_RETURN_IF_ERROR(CheckBatchSafe(oracle, options_.num_threads));
-  // One pool shared by every round of this run. Created only when real
-  // parallelism was requested: the single-threaded path calls the oracle
-  // inline in batch order, which keeps order-dependent oracles (e.g.
-  // NoisyOracle's sequential RNG stream) exactly as deterministic as the
-  // pre-threading implementation.
-  std::optional<ThreadPool> pool;
-  if (options_.num_threads > 1) pool.emplace(options_.num_threads);
-
-  LabelingReport report;
-  report.outcomes.resize(pairs.size());
-  report.num_candidates = static_cast<int64_t>(pairs.size());
-  report.num_stream_rounds = 1;
-  const BatchLabelFn batch_fn =
-      [&](const std::vector<int32_t>& batch) -> Result<std::vector<Label>> {
-    return ParallelMap(
-        pool.has_value() ? &*pool : nullptr,
-        static_cast<int64_t>(batch.size()), [&](int64_t i) {
-          const CandidatePair& pair =
-              pairs[static_cast<size_t>(batch[static_cast<size_t>(i)])];
-          const auto ask = [&] { return oracle.GetLabel(pair.a, pair.b); };
-          // The whole retry loop runs inside the fan-out task: every
-          // decision in it is a pure hash of the pair, so the outcome is
-          // the same whichever worker runs it.
-          return options_.attempt_fault
-                     ? AskWithRetry(pair.a, pair.b, options_.retry,
-                                    options_.attempt_fault, ask)
-                     : ask();
-        });
-  };
-  CJ_RETURN_IF_ERROR(RunRoundsOver(pairs, order, batch_fn, policy,
-                                   /*base=*/nullptr,
-                                   /*report_offset=*/0, report));
+      /*report_offset=*/0, report));
   return report;
 }
 
@@ -620,14 +558,7 @@ Result<LabelingReport> LabelingSession::RunWithBatchSource(
   BeginRun(NumObjectsSpanned(pairs));
   CJ_ASSIGN_OR_RETURN(const ConflictPolicy policy,
                       RequireTransitiveOnlyChain());
-  LabelingReport report;
-  report.outcomes.resize(pairs.size());
-  report.num_candidates = static_cast<int64_t>(pairs.size());
-  report.num_stream_rounds = 1;
-  CJ_RETURN_IF_ERROR(RunRoundsOver(pairs, order, label_batch, policy,
-                                   /*base=*/nullptr,
-                                   /*report_offset=*/0, report));
-  return report;
+  return RunRounds(pairs, order, label_batch, policy);
 }
 
 Result<LabelingReport> LabelingSession::RunStream(
@@ -822,25 +753,15 @@ Result<LabelingReport> LabelingSession::RunStream(
     // a fresh OverlayClusterGraph, making per-scan setup O(1) and scan
     // work proportional to the round, while the snapshot isolates them
     // from the fold-back mutations below.
-    const BatchLabelFn batch_fn =
-        [&](const std::vector<int32_t>& batch) -> Result<std::vector<Label>> {
-      return ParallelMap(
-          pool.has_value() ? &*pool : nullptr,
-          static_cast<int64_t>(batch.size()), [&](int64_t i) {
-            const CandidatePair& pair =
-                round[static_cast<size_t>(batch[static_cast<size_t>(i)])];
-            const auto ask = [&] { return oracle.GetLabel(pair.a, pair.b); };
-            return options_.attempt_fault
-                       ? AskWithRetry(pair.a, pair.b, options_.retry,
-                                      options_.attempt_fault, ask)
-                       : ask();
-          });
-    };
     const ClusterGraphSnapshot snapshot =
         transitive->mutable_graph().Snapshot();
-    CJ_RETURN_IF_ERROR(
-        RunRoundsOver(round, order, batch_fn, policy, &snapshot, offset,
-                      report));
+    CJ_RETURN_IF_ERROR(RunRoundsImpl(
+        round, order,
+        OracleBatchSource(round, oracle, pool.has_value() ? &*pool : nullptr,
+                          options_),
+        /*fresh_graphs=*/false,
+        [&] { return OverlayClusterGraph(&snapshot, policy); },
+        remaining_budget_, offset, report));
     for (int32_t pos : order) {
       const std::optional<PairOutcome>& outcome =
           report.outcomes[offset + static_cast<size_t>(pos)];
@@ -885,6 +806,9 @@ std::vector<int32_t> LabelingSession::InstantScan() {
 
 Result<std::vector<int32_t>> LabelingSession::Start(
     const CandidateSet* pairs, std::vector<int32_t> order) {
+  if (pairs == nullptr) {
+    return Status::InvalidArgument("Start() needs a candidate set, got null");
+  }
   if (options_.schedule != SchedulePolicy::kInstantDecision) {
     return Status::InvalidArgument(
         "Start() requires the instant-decision schedule");
@@ -944,10 +868,7 @@ Result<LabelingReport> LabelingSession::Finish() {
         StrFormat("%lld published pairs are still unlabeled",
                   static_cast<long long>(num_available_)));
   }
-  LabelingReport report;
-  report.outcomes.resize(pairs_->size());
-  report.num_candidates = static_cast<int64_t>(pairs_->size());
-  report.num_stream_rounds = 1;
+  LabelingReport report = EmptyReport(pairs_->size());
   report.num_crowdsourced = num_crowdsourced_;
 
   ClusterGraph graph(NumObjectsSpanned(*pairs_), instant_policy_);

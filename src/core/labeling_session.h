@@ -73,9 +73,10 @@ class MaterializedCandidateStream : public CandidateStream {
 /// could not decide the pair, so the label is new information to them,
 /// while the deducing rule already implies it. Crowdsourced labels are fed
 /// to every rule. With the chain [transitive, one-to-one] this reproduces
-/// the legacy `OneToOneLabeler` byte for byte: a one-to-one deduction lands
-/// in the cluster graph (so transitivity can build on it), while a
-/// transitive deduction leaves the one-to-one matched-flags untouched.
+/// the frozen one-to-one reference of the session equivalence suite byte
+/// for byte: a one-to-one deduction lands in the cluster graph (so
+/// transitivity can build on it), while a transitive deduction leaves the
+/// one-to-one matched-flags untouched.
 class DeductionRule {
  public:
   virtual ~DeductionRule() = default;
@@ -123,7 +124,8 @@ class TransitiveDeductionRule : public DeductionRule {
 
   ConflictPolicy policy() const { return policy_; }
   const ClusterGraph& graph() const { return graph_; }
-  /// Direct graph access for the session's devirtualized fast path.
+  /// Direct graph access for the streaming drive (snapshots, checkpoint
+  /// replay).
   ClusterGraph& mutable_graph() { return graph_; }
 
  private:
@@ -136,9 +138,9 @@ class TransitiveDeductionRule : public DeductionRule {
 /// match (a, b) implies every other pair touching a or b is non-matching.
 ///
 /// Chain it *after* the transitive rule so transitivity takes precedence
-/// (the legacy `OneToOneLabeler` semantics). Only crowd answers set the
-/// matched flags; `num_exclusivity_violations` counts crowd matches that
-/// contradict the assumption.
+/// (the semantics the frozen one-to-one reference pins). Only crowd answers
+/// set the matched flags; `num_exclusivity_violations` counts crowd matches
+/// that contradict the assumption.
 class OneToOneDeductionRule : public DeductionRule {
  public:
   std::string_view name() const override { return "one-to-one"; }
@@ -243,16 +245,15 @@ using BatchLabelFn =
 ///   round-parallel   transitive only      any         materialized/stream
 ///   instant          transitive only      unbounded   materialized
 ///
-/// The five legacy engines are thin wrappers over specific cells:
-/// `SequentialLabeler` (sequential/unbounded), `ParallelLabeler`
-/// (round-parallel/unbounded), `BudgetLabeler` (sequential/budget),
-/// `OneToOneLabeler` (sequential/unbounded + one-to-one rule), and
-/// `InstantDecisionEngine` (instant/unbounded). Outputs are byte-identical
-/// to those engines, pinned by the session equivalence suite.
+/// The paper's algorithms are cells of this matrix: sequential/unbounded
+/// (Section 3.2), round-parallel/unbounded (Algorithm 2), instant/unbounded
+/// (Section 5.2), sequential/budget (the Whang et al. [27] setting), and
+/// sequential/unbounded with the one-to-one rule (Section 8). Each cell is
+/// byte-identical to a frozen port of the original engine, pinned by the
+/// session equivalence suite.
 ///
 /// Determinism: with a batch-safe oracle (see `LabelOracle`) the report is
-/// identical for every `num_threads`, exactly as the legacy parallel
-/// labeler guaranteed.
+/// identical for every `num_threads`.
 class LabelingSession {
  public:
   explicit LabelingSession(LabelingSessionOptions options = {});
@@ -315,7 +316,7 @@ class LabelingSession {
   //      deduced label and obtain the report. Finish is idempotent.
 
   /// Computes and marks published the initial must-crowdsource set.
-  /// `pairs` must outlive the session.
+  /// `pairs` must be non-null and outlive the session.
   Result<std::vector<int32_t>> Start(const CandidateSet* pairs,
                                      std::vector<int32_t> order);
 
@@ -348,19 +349,13 @@ class LabelingSession {
   // the outcome at `report.outcomes[report_pos]`.
   void LabelOnePair(const CandidatePair& pair, size_t report_pos,
                     LabelOracle& oracle, LabelingReport& report);
-  // Round-parallel engine over one candidate window. `base` seeds every
-  // scan with prior knowledge as an epoch snapshot read through an
-  // O(round) overlay (null = fresh graphs, the legacy materialized
-  // behavior); `report_offset` maps window positions into the report.
-  Status RunRoundsOver(const CandidateSet& pairs,
-                       const std::vector<int32_t>& order,
-                       const BatchLabelFn& label_batch, ConflictPolicy policy,
-                       const ClusterGraphSnapshot* base, size_t report_offset,
-                       LabelingReport& report);
-  // Oracle-backed batch source fanning calls across `pool`.
-  Result<LabelingReport> RunRoundsWithOracle(const CandidateSet& pairs,
-                                             const std::vector<int32_t>& order,
-                                             LabelOracle& oracle);
+  // Round-parallel engine over a materialized candidate set, fresh graphs
+  // per scan, labels from `label_batch`; `policy` is the transitive
+  // chain's conflict policy.
+  Result<LabelingReport> RunRounds(const CandidateSet& pairs,
+                                   const std::vector<int32_t>& order,
+                                   const BatchLabelFn& label_batch,
+                                   ConflictPolicy policy);
   // Instant-decision FIFO self-drive (Run with kInstantDecision).
   Result<LabelingReport> RunInstantFifo(const CandidateSet& pairs,
                                         const std::vector<int32_t>& order,
@@ -389,8 +384,7 @@ class LabelingSession {
 // ---------------------------------------------------------------------------
 
 /// Validates that `order` is a permutation of `[0, n)`. Every session run
-/// validates exactly once, at the session boundary; the legacy engines
-/// inherit the check through their wrappers.
+/// validates exactly once, at the session boundary.
 Status ValidateOrder(const std::vector<int32_t>& order, size_t n);
 
 /// \brief Identifies the pairs that can be crowdsourced in parallel
@@ -405,15 +399,12 @@ Status ValidateOrder(const std::vector<int32_t>& order, size_t n);
 /// `labels_by_pos[i]` is the label of candidate position `i` if known.
 /// Positions in `exclude_from_output` (e.g. already-published pairs, for
 /// the instant-decision optimization) are still treated as must-crowdsource
-/// pairs in the scan but are omitted from the returned set. A non-null
-/// `base_graph` seeds the scan with labels from outside `pairs` (earlier
-/// streaming rounds); it is copied, not mutated.
+/// pairs in the scan but are omitted from the returned set.
 std::vector<int32_t> ParallelCrowdsourcedPairs(
     const CandidateSet& pairs, const std::vector<int32_t>& order,
     const std::vector<std::optional<Label>>& labels_by_pos,
     const std::vector<bool>* exclude_from_output = nullptr,
-    ConflictPolicy policy = ConflictPolicy::kKeepFirst,
-    const ClusterGraph* base_graph = nullptr);
+    ConflictPolicy policy = ConflictPolicy::kKeepFirst);
 
 }  // namespace crowdjoin
 

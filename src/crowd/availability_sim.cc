@@ -1,7 +1,7 @@
 #include "crowd/availability_sim.h"
 
-#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/macros.h"
 #include "core/labeling_session.h"
@@ -57,80 +57,70 @@ Result<std::vector<AvailabilityPoint>> SimulateAvailability(
     return faults->PairAttemptFails(pair.a, pair.b, attempt);
   };
 
-  if (publication_policy == PublicationPolicy::kRoundParallel) {
-    std::vector<std::optional<Label>> labels(pairs.size());
-    size_t num_labeled = 0;
-    while (num_labeled < pairs.size()) {
-      std::vector<int32_t> batch = ParallelCrowdsourcedPairs(
-          pairs, order, labels, /*exclude_from_output=*/nullptr);
-      if (batch.empty()) break;  // everything left is deducible
-      std::vector<int32_t> available = batch;
-      while (!available.empty()) {
-        const int32_t pos =
-            TakeNext(available, pairs, completion_order, rng);
-        if (pickup_abandoned(pos)) {
-          // The worker walked away: the pair is re-published immediately
-          // and stays available for the next pickup.
-          available.push_back(pos);
-          ++num_abandoned;
-          series.push_back({num_crowdsourced,
-                            static_cast<int64_t>(available.size()),
-                            num_abandoned});
-          continue;
-        }
-        const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
-        labels[static_cast<size_t>(pos)] = oracle.GetLabel(pair.a, pair.b);
-        ++num_crowdsourced;
-        series.push_back({num_crowdsourced,
-                          static_cast<int64_t>(available.size()),
-                          num_abandoned});
-      }
-      // Deduce what became deducible before the next round (Algorithm 2).
-      ClusterGraph graph(NumObjectsSpanned(pairs));
-      num_labeled = 0;
-      for (int32_t pos : order) {
-        const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
-        auto& label = labels[static_cast<size_t>(pos)];
-        if (label.has_value()) {
-          graph.Add(pair.a, pair.b, *label);
-          ++num_labeled;
-          continue;
-        }
-        const Deduction deduction = graph.Deduce(pair.a, pair.b);
-        if (deduction != Deduction::kUndeduced) {
-          label = DeductionToLabel(deduction);
-          ++num_labeled;
-        }
-      }
-    }
-    return series;
-  }
-
-  // Instant decision: the session re-plans after every completion.
-  LabelingSessionOptions session_options;
-  session_options.schedule = SchedulePolicy::kInstantDecision;
-  LabelingSession session(session_options);
-  CJ_ASSIGN_OR_RETURN(std::vector<int32_t> available,
-                      session.Start(&pairs, order));
-  while (!available.empty()) {
+  // Records the series point after a completion or an abandonment.
+  const auto record = [&](const std::vector<int32_t>& available) {
+    series.push_back({num_crowdsourced,
+                      static_cast<int64_t>(available.size()),
+                      num_abandoned});
+  };
+  // A worker picks up the next pair from `available`. An abandoned pickup
+  // re-publishes the pair at once (recording a point) and yields nothing;
+  // otherwise the pair leaves `available` with its crowd label.
+  const auto pick_up = [&](std::vector<int32_t>& available)
+      -> std::optional<std::pair<int32_t, Label>> {
     const int32_t pos = TakeNext(available, pairs, completion_order, rng);
     if (pickup_abandoned(pos)) {
       available.push_back(pos);
       ++num_abandoned;
-      series.push_back({num_crowdsourced,
-                        static_cast<int64_t>(available.size()),
-                        num_abandoned});
-      continue;
+      record(available);
+      return std::nullopt;
     }
     const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
-    const Label label = oracle.GetLabel(pair.a, pair.b);
     ++num_crowdsourced;
+    return std::pair{pos, oracle.GetLabel(pair.a, pair.b)};
+  };
+
+  LabelingSessionOptions session_options;
+  session_options.schedule =
+      publication_policy == PublicationPolicy::kRoundParallel
+          ? SchedulePolicy::kRoundParallel
+          : SchedulePolicy::kInstantDecision;
+  LabelingSession session(session_options);
+  if (publication_policy == PublicationPolicy::kRoundParallel) {
+    // Algorithm 2 on the session's round engine: workers drain each
+    // published round completely before the next round is planned.
+    std::vector<Label> answers(pairs.size());
+    const auto drain_round = [&](const std::vector<int32_t>& batch)
+        -> Result<std::vector<Label>> {
+      std::vector<int32_t> available = batch;
+      while (!available.empty()) {
+        if (const auto done = pick_up(available)) {
+          answers[static_cast<size_t>(done->first)] = done->second;
+          record(available);
+        }
+      }
+      std::vector<Label> labels;
+      labels.reserve(batch.size());
+      for (int32_t pos : batch) {
+        labels.push_back(answers[static_cast<size_t>(pos)]);
+      }
+      return labels;
+    };
+    CJ_RETURN_IF_ERROR(
+        session.RunWithBatchSource(pairs, order, drain_round).status());
+    return series;
+  }
+
+  // Instant decision: the session re-plans after every completion.
+  CJ_ASSIGN_OR_RETURN(std::vector<int32_t> available,
+                      session.Start(&pairs, order));
+  while (!available.empty()) {
+    const auto done = pick_up(available);
+    if (!done) continue;
     CJ_ASSIGN_OR_RETURN(const std::vector<int32_t> fresh,
-                        session.OnPairLabeled(pos, label));
+                        session.OnPairLabeled(done->first, done->second));
     available.insert(available.end(), fresh.begin(), fresh.end());
-    series.push_back({num_crowdsourced,
-                      static_cast<int64_t>(available.size()),
-                      num_abandoned});
+    record(available);
   }
   return series;
 }

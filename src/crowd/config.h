@@ -38,10 +38,11 @@ struct CrowdConfig {
   bool use_qualification_test = false;
   int qualification_questions = 3;
 
-  /// Worker threads the round-based parallel labeler uses to fan out the
-  /// oracle calls of one published batch (see ParallelLabeler). <= 1 keeps
-  /// labeling single-threaded. By contract the LabelingResult is identical
-  /// for every value; only wall clock changes.
+  /// Worker threads the session's round-parallel schedule uses to fan out
+  /// the oracle calls of one published batch (see
+  /// `LabelingSessionOptions::num_threads`). <= 1 keeps labeling
+  /// single-threaded. By contract the LabelingReport is identical for every
+  /// value; only wall clock changes.
   int num_threads = 1;
 
   uint64_t seed = 7;

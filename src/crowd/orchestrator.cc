@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -199,25 +200,67 @@ Result<std::vector<CompletedPair>> HitDriver::WaitNextBatch() {
   return std::vector<CompletedPair>{};
 }
 
-// Copies a fully-labeled report's labels into the campaign stats.
-void FillAmtStats(const LabelingReport& report, CrowdPlatform& platform,
-                  const HitDriver& driver, AmtRunStats& stats) {
-  stats.final_labels.reserve(report.outcomes.size());
-  for (const std::optional<PairOutcome>& outcome : report.outcomes) {
-    CJ_CHECK(outcome.has_value());
-    stats.final_labels.push_back(outcome->label);
-  }
+// The platform's and the HIT pump's share of the campaign stats.
+AmtRunStats PlatformStats(const CrowdPlatform& platform,
+                          const HitDriver& driver) {
+  AmtRunStats stats;
   stats.num_hits = platform.num_hits_published();
   stats.num_assignments = platform.num_assignments_completed();
   stats.total_hours = platform.now_hours();
   stats.total_cost_cents = platform.total_cost_cents();
-  stats.num_crowdsourced_pairs = report.num_crowdsourced;
-  stats.num_deduced_pairs = report.num_deduced;
   stats.num_publish_retries = driver.num_publish_retries();
   stats.num_hits_reposted = driver.num_hits_reposted();
   stats.num_reask_hits = driver.num_reask_hits();
   stats.num_assignments_abandoned = platform.num_assignments_abandoned();
   stats.num_hits_expired = platform.num_hits_expired();
+  return stats;
+}
+
+// Campaign stats of a fully-labeled session report.
+AmtRunStats ReportStats(const LabelingReport& report,
+                        const CrowdPlatform& platform,
+                        const HitDriver& driver) {
+  AmtRunStats stats = PlatformStats(platform, driver);
+  stats.final_labels.reserve(report.outcomes.size());
+  for (const std::optional<PairOutcome>& outcome : report.outcomes) {
+    CJ_CHECK(outcome.has_value());
+    stats.final_labels.push_back(outcome->label);
+  }
+  stats.num_crowdsourced_pairs = report.num_crowdsourced;
+  stats.num_deduced_pairs = report.num_deduced;
+  return stats;
+}
+
+// Session options of the oracle-driven round-parallel campaigns: the
+// oracle fan-out over `config.num_threads`, and with a fault plan the
+// per-pair transient fault model under `config.retry` (its jitter seed
+// defaulting to the crowd seed). Faulted attempts burn backoff and retry
+// accounting but never an oracle call, so a transient-only plan
+// reproduces the fault-free labels exactly.
+LabelingSessionOptions RoundParallelOptions(const CrowdConfig& config) {
+  LabelingSessionOptions options;
+  options.schedule = SchedulePolicy::kRoundParallel;
+  options.num_threads = config.num_threads;
+  if (config.faults.enabled()) {
+    options.attempt_fault = FaultInjector(config.faults).AsAttemptFaultFn();
+    options.retry = config.retry;
+    if (options.retry.seed == 0) options.retry.seed = config.seed;
+  }
+  return options;
+}
+
+// The batch-safe oracle `config` asks for: exact ground truth when both
+// error rates are zero, otherwise a `HashNoisyOracle` seeded with
+// `config.seed`. `truth` must outlive the oracle.
+std::unique_ptr<LabelOracle> MakeCampaignOracle(
+    const CrowdConfig& config, const GroundTruthOracle& truth) {
+  if (config.false_negative_rate == 0.0 &&
+      config.false_positive_rate == 0.0) {
+    return std::make_unique<GroundTruthOracle>(truth);
+  }
+  return std::make_unique<HashNoisyOracle>(
+      &truth, config.false_negative_rate, config.false_positive_rate,
+      config.seed);
 }
 
 }  // namespace
@@ -236,26 +279,17 @@ Result<AmtRunStats> RunNonTransitiveAmt(const CandidateSet& pairs,
         driver.Publish(TakeHitTasks(pairs, queue, config.pairs_per_hit)));
   }
 
-  AmtRunStats stats;
-  stats.final_labels.assign(pairs.size(), Label::kNonMatching);
+  std::vector<Label> final_labels(pairs.size(), Label::kNonMatching);
   while (driver.HasInFlight()) {
     CJ_ASSIGN_OR_RETURN(const std::vector<CompletedPair> batch,
                         driver.WaitNextBatch());
     for (const CompletedPair& pair : batch) {
-      stats.final_labels[static_cast<size_t>(pair.position)] = pair.label;
+      final_labels[static_cast<size_t>(pair.position)] = pair.label;
     }
   }
-  stats.num_hits = platform.num_hits_published();
-  stats.num_assignments = platform.num_assignments_completed();
-  stats.total_hours = platform.now_hours();
-  stats.total_cost_cents = platform.total_cost_cents();
+  AmtRunStats stats = PlatformStats(platform, driver);
+  stats.final_labels = std::move(final_labels);
   stats.num_crowdsourced_pairs = static_cast<int64_t>(pairs.size());
-  stats.num_deduced_pairs = 0;
-  stats.num_publish_retries = driver.num_publish_retries();
-  stats.num_hits_reposted = driver.num_hits_reposted();
-  stats.num_reask_hits = driver.num_reask_hits();
-  stats.num_assignments_abandoned = platform.num_assignments_abandoned();
-  stats.num_hits_expired = platform.num_hits_expired();
   return stats;
 }
 
@@ -294,9 +328,7 @@ Result<AmtRunStats> RunTransitiveAmt(const CandidateSet& pairs,
   }
 
   CJ_ASSIGN_OR_RETURN(const LabelingReport labeling, session.Finish());
-  AmtRunStats stats;
-  FillAmtStats(labeling, platform, driver, stats);
-  return stats;
+  return ReportStats(labeling, platform, driver);
 }
 
 Result<AmtRunStats> RunParallelAmt(const CandidateSet& pairs,
@@ -349,34 +381,15 @@ Result<AmtRunStats> RunParallelAmt(const CandidateSet& pairs,
             return labels;
           }));
 
-  AmtRunStats stats;
-  FillAmtStats(labeling, platform, driver, stats);
-  return stats;
+  return ReportStats(labeling, platform, driver);
 }
 
 Result<LabelingReport> RunLocalParallelLabeling(
     const CandidateSet& pairs, const std::vector<int32_t>& order,
     const CrowdConfig& config, const GroundTruthOracle& truth) {
-  LabelingSessionOptions session_options;
-  session_options.schedule = SchedulePolicy::kRoundParallel;
-  session_options.num_threads = config.num_threads;
-  if (config.faults.enabled()) {
-    const FaultInjector injector(config.faults);
-    session_options.attempt_fault = injector.AsAttemptFaultFn();
-    session_options.retry = config.retry;
-    if (session_options.retry.seed == 0) {
-      session_options.retry.seed = config.seed;
-    }
-  }
-  LabelingSession session(session_options);
-  if (config.false_negative_rate == 0.0 &&
-      config.false_positive_rate == 0.0) {
-    GroundTruthOracle oracle = truth;
-    return session.Run(pairs, order, oracle);
-  }
-  HashNoisyOracle oracle(&truth, config.false_negative_rate,
-                         config.false_positive_rate, config.seed);
-  return session.Run(pairs, order, oracle);
+  LabelingSession session(RoundParallelOptions(config));
+  const std::unique_ptr<LabelOracle> oracle = MakeCampaignOracle(config, truth);
+  return session.Run(pairs, order, *oracle);
 }
 
 Result<StreamingCampaignStats> RunStreamingCampaign(
@@ -404,37 +417,14 @@ Result<StreamingCampaignStats> RunStreamingCampaign(
 
     const GroundTruthOracle truth(stats.entity_of);
     Rng order_rng(config.crowd.seed);
-    LabelingSessionOptions session_options;
-    session_options.schedule = SchedulePolicy::kRoundParallel;
-    session_options.num_threads = config.crowd.num_threads;
-    if (config.crowd.faults.enabled()) {
-      // The per-pair transient fault model: faulted attempts burn backoff
-      // (and retry accounting) but never an oracle call, so a transient-
-      // only plan reproduces the fault-free labels exactly.
-      const FaultInjector injector(config.crowd.faults);
-      session_options.attempt_fault = injector.AsAttemptFaultFn();
-      session_options.retry = config.crowd.retry;
-      if (session_options.retry.seed == 0) {
-        session_options.retry.seed = config.crowd.seed;
-      }
-    }
     const SessionCheckpointOptions* checkpoint =
         config.checkpoint.path.empty() ? nullptr : &config.checkpoint;
-    LabelingSession session(session_options);
-    if (config.crowd.false_negative_rate == 0.0 &&
-        config.crowd.false_positive_rate == 0.0) {
-      GroundTruthOracle oracle = truth;
-      CJ_ASSIGN_OR_RETURN(stats.labeling,
-                          session.RunStream(*feed, config.order, oracle,
-                                            &truth, &order_rng, checkpoint));
-    } else {
-      HashNoisyOracle oracle(&truth, config.crowd.false_negative_rate,
-                             config.crowd.false_positive_rate,
-                             config.crowd.seed);
-      CJ_ASSIGN_OR_RETURN(stats.labeling,
-                          session.RunStream(*feed, config.order, oracle,
-                                            &truth, &order_rng, checkpoint));
-    }
+    LabelingSession session(RoundParallelOptions(config.crowd));
+    const std::unique_ptr<LabelOracle> oracle =
+        MakeCampaignOracle(config.crowd, truth);
+    CJ_ASSIGN_OR_RETURN(stats.labeling,
+                        session.RunStream(*feed, config.order, *oracle, &truth,
+                                          &order_rng, checkpoint));
     stats.num_candidates = feed->num_candidates();
     return stats;
   }
@@ -497,9 +487,7 @@ Result<AmtRunStats> RunNonParallelAmt(const CandidateSet& pairs,
     }
   }
 
-  AmtRunStats stats;
-  FillAmtStats(labeling, platform, driver, stats);
-  return stats;
+  return ReportStats(labeling, platform, driver);
 }
 
 }  // namespace crowdjoin

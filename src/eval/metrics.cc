@@ -49,13 +49,4 @@ std::vector<Label> ExtractFinalLabels(const LabelingReport& report) {
   return labels;
 }
 
-std::vector<Label> ExtractFinalLabels(const LabelingResult& result) {
-  std::vector<Label> labels;
-  labels.reserve(result.outcomes.size());
-  for (const PairOutcome& outcome : result.outcomes) {
-    labels.push_back(outcome.label);
-  }
-  return labels;
-}
-
 }  // namespace crowdjoin

@@ -37,11 +37,8 @@ QualityMetrics ComputeQuality(const CandidateSet& pairs,
 
 /// Final label per candidate position from a session report. Pairs a
 /// budget-capped run left unlabeled fall back to non-matching — the usual
-/// convention for budget sweeps (see `BudgetLabeler`).
+/// convention for budget sweeps (see `StopPolicy::Budget`).
 std::vector<Label> ExtractFinalLabels(const LabelingReport& report);
-
-/// Same, for the legacy result shape (every pair labeled by construction).
-std::vector<Label> ExtractFinalLabels(const LabelingResult& result);
 
 }  // namespace crowdjoin
 

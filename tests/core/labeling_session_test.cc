@@ -1,14 +1,13 @@
 // Unit tests for the unified LabelingSession: the policy matrix (schedule ×
 // stop × rules × input), the streaming drive, and the report invariants.
-// Byte-level equivalence against the five legacy engines lives in
-// session_equivalence_test.cc.
+// Byte-level equivalence against frozen ports of the original engines
+// lives in session_equivalence_test.cc.
 
 #include "core/labeling_session.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <numeric>
 
 #include "core/labeling_order.h"
 #include "tests/core/test_fixtures.h"
@@ -18,14 +17,9 @@ namespace {
 
 using testing_fixtures::Figure3Pairs;
 using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
 using testing_fixtures::ThreadSafeCountingOracle;
-
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 LabelingSession MakeSession(SchedulePolicy schedule, int num_threads = 1,
                             StopPolicy stop = StopPolicy::Unbounded()) {
@@ -80,6 +74,15 @@ TEST(LabelingSession, StartRequiresInstantSchedule) {
       StatusCode::kInvalidArgument);
 }
 
+TEST(LabelingSession, StartRejectsNullPairs) {
+  LabelingSession session = MakeSession(SchedulePolicy::kInstantDecision);
+  EXPECT_EQ(session.Start(nullptr, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  // The rejected call leaves the session unstarted and usable.
+  const CandidateSet pairs = Figure3Pairs();
+  EXPECT_EQ(session.Start(&pairs, IdentityOrder(pairs.size()))->size(), 5u);
+}
+
 TEST(LabelingSession, StreamRejectsInstantSchedule) {
   const CandidateSet pairs = Figure3Pairs();
   MaterializedCandidateStream stream(&pairs);
@@ -94,16 +97,24 @@ TEST(LabelingSession, StreamRejectsInstantSchedule) {
 TEST(LabelingSession, ValidatesOrderAtTheBoundary) {
   const CandidateSet pairs = Figure3Pairs();
   GroundTruthOracle oracle = Figure3Truth();
+  // A repeated entry, a short order, an entry past the end, a negative one.
+  const std::vector<std::vector<int32_t>> bad_orders = {
+      {0, 0, 1, 2, 3, 4, 5, 6},
+      {0, 1, 2, 3, 4, 5, 6},
+      {0, 1, 2, 3, 4, 5, 6, 8},
+      {0, 1, 2, 3, 4, 5, 6, -1}};
   for (SchedulePolicy schedule :
        {SchedulePolicy::kSequential, SchedulePolicy::kRoundParallel,
         SchedulePolicy::kInstantDecision}) {
-    LabelingSession session = MakeSession(schedule);
-    EXPECT_EQ(session.Run(pairs, {0, 0, 1, 2, 3, 4, 5, 6}, oracle)
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << SchedulePolicyToString(schedule);
+    for (const std::vector<int32_t>& order : bad_orders) {
+      LabelingSession session = MakeSession(schedule);
+      EXPECT_EQ(session.Run(pairs, order, oracle).status().code(),
+                StatusCode::kInvalidArgument)
+          << SchedulePolicyToString(schedule) << " order size "
+          << order.size();
+    }
   }
+  EXPECT_EQ(oracle.num_queries(), 0);
 }
 
 // --- Figure 3 through every schedule --------------------------------------

@@ -1,6 +1,6 @@
-// Property-style equivalence harness for the parallel labeler's threading
-// contract: for ANY number of worker threads, ParallelLabeler::Run must
-// produce a LabelingResult identical to the single-threaded run — same
+// Property-style equivalence harness for the round-parallel schedule's
+// threading contract: for ANY number of worker threads, LabelingSession::Run
+// must produce a LabelingReport identical to the single-threaded run — same
 // outcomes, same per-iteration batch sizes, same crowdsourced / deduced /
 // conflict counts. Exercised over randomized candidate sets, labeling
 // orders, oracle error rates, and both conflict policies.
@@ -10,12 +10,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/labeling_order.h"
-#include "core/parallel_labeler.h"
+#include "core/labeling_session.h"
 #include "tests/core/test_fixtures.h"
 
 namespace crowdjoin {
@@ -23,35 +22,36 @@ namespace {
 
 using testing_fixtures::Figure3Pairs;
 using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
 using testing_fixtures::MockOracle;
+using testing_fixtures::RunSession;
 using testing_fixtures::ThreadSafeCountingOracle;
 
 constexpr int kThreadCounts[] = {2, 4, 8};
 
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
+LabelingSessionOptions Rounds(
+    int num_threads, ConflictPolicy policy = ConflictPolicy::kKeepFirst) {
+  return testing_fixtures::ScheduleOptions(SchedulePolicy::kRoundParallel,
+                                           num_threads, policy);
 }
 
-// Runs the labeler at 1, 2, 4, and 8 threads, each time on a fresh copy of
-// `oracle` (so call-counting state does not leak between runs), and checks
-// every multi-threaded result against the single-threaded baseline.
+// Runs the round-parallel schedule at 1, 2, 4, and 8 threads, each time on
+// a fresh copy of `oracle` (so call-counting state does not leak between
+// runs), and checks every multi-threaded result against the
+// single-threaded baseline.
 template <typename Oracle>
 void ExpectThreadCountInvariant(const CandidateSet& pairs,
                                 const std::vector<int32_t>& order,
                                 const Oracle& oracle, ConflictPolicy policy,
                                 const char* context) {
   Oracle baseline_oracle = oracle;
-  const LabelingResult baseline =
-      ParallelLabeler(policy, /*num_threads=*/1)
-          .Run(pairs, order, baseline_oracle)
-          .value();
+  const LabelingReport baseline =
+      RunSession(Rounds(1, policy), pairs, order, baseline_oracle).value();
   for (int threads : kThreadCounts) {
     Oracle run_oracle = oracle;
-    const LabelingResult threaded =
-        ParallelLabeler(policy, threads).Run(pairs, order, run_oracle).value();
+    const LabelingReport threaded =
+        RunSession(Rounds(threads, policy), pairs, order, run_oracle).value();
     EXPECT_TRUE(threaded == baseline)
         << context << ": num_threads=" << threads
         << " diverged from the single-threaded result";
@@ -122,18 +122,14 @@ TEST(ParallelLabelerDeterminism, ExactOracleCallCountsAtEveryThreadCount) {
   const std::vector<int32_t> order = IdentityOrder(instance.pairs.size());
 
   ThreadSafeCountingOracle baseline_oracle(instance.entity_of);
-  const LabelingResult baseline =
-      ParallelLabeler(ConflictPolicy::kKeepFirst, 1)
-          .Run(instance.pairs, order, baseline_oracle)
-          .value();
+  const LabelingReport baseline =
+      RunSession(Rounds(1), instance.pairs, order, baseline_oracle).value();
   ASSERT_EQ(baseline_oracle.total_calls(), baseline.num_crowdsourced);
 
   for (int threads : kThreadCounts) {
     ThreadSafeCountingOracle oracle(instance.entity_of);
-    const LabelingResult result =
-        ParallelLabeler(ConflictPolicy::kKeepFirst, threads)
-            .Run(instance.pairs, order, oracle)
-            .value();
+    const LabelingReport result =
+        RunSession(Rounds(threads), instance.pairs, order, oracle).value();
     EXPECT_TRUE(result == baseline) << "num_threads=" << threads;
     // Exact accounting, not just totals: no pair is ever asked twice, and
     // the asked pairs are exactly those with a crowdsourced outcome. The
@@ -147,7 +143,7 @@ TEST(ParallelLabelerDeterminism, ExactOracleCallCountsAtEveryThreadCount) {
     for (size_t i = 0; i < instance.pairs.size(); ++i) {
       const CandidatePair& pair = instance.pairs[i];
       expected_calls[{std::min(pair.a, pair.b), std::max(pair.a, pair.b)}] +=
-          result.outcomes[i].source == LabelSource::kCrowdsourced ? 1 : 0;
+          result.outcomes[i]->source == LabelSource::kCrowdsourced ? 1 : 0;
     }
     for (const auto& [key, count] : expected_calls) {
       ASSERT_EQ(oracle.calls(key.first, key.second), count)
@@ -183,9 +179,8 @@ TEST(ParallelLabelerDeterminism, InconsistentScriptedAnswers) {
 TEST(ParallelLabelerDeterminism, Figure3AtEightThreads) {
   const CandidateSet pairs = Figure3Pairs();
   GroundTruthOracle oracle = Figure3Truth();
-  const LabelingResult result =
-      ParallelLabeler(ConflictPolicy::kKeepFirst, 8)
-          .Run(pairs, IdentityOrder(pairs.size()), oracle)
+  const LabelingReport result =
+      RunSession(Rounds(8), pairs, IdentityOrder(pairs.size()), oracle)
           .value();
   EXPECT_EQ(result.crowdsourced_per_iteration, (std::vector<int64_t>{5, 1}));
   EXPECT_EQ(result.num_crowdsourced, 6);
@@ -198,20 +193,16 @@ TEST(ParallelLabelerDeterminism, Figure3AtEightThreads) {
 TEST(ParallelLabelerDeterminism, DegenerateInputs) {
   for (int threads : {1, 2, 4, 8}) {
     GroundTruthOracle empty_oracle({});
-    const LabelingResult empty =
-        ParallelLabeler(ConflictPolicy::kKeepFirst, threads)
-            .Run({}, {}, empty_oracle)
-            .value();
+    const LabelingReport empty =
+        RunSession(Rounds(threads), {}, {}, empty_oracle).value();
     EXPECT_TRUE(empty.outcomes.empty());
     EXPECT_EQ(empty.num_crowdsourced, 0);
 
     GroundTruthOracle one_oracle({0, 0});
-    const LabelingResult one =
-        ParallelLabeler(ConflictPolicy::kKeepFirst, threads)
-            .Run({{0, 1, 0.9}}, {0}, one_oracle)
-            .value();
+    const LabelingReport one =
+        RunSession(Rounds(threads), {{0, 1, 0.9}}, {0}, one_oracle).value();
     EXPECT_EQ(one.num_crowdsourced, 1);
-    EXPECT_EQ(one.outcomes[0].label, Label::kMatching);
+    EXPECT_EQ(one.outcomes[0]->label, Label::kMatching);
   }
 }
 

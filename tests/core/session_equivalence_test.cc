@@ -1,50 +1,79 @@
 // The session equivalence suite: LabelingSession must reproduce the five
-// legacy labeling engines **byte for byte** at every (schedule, deduction,
+// original labeling engines **byte for byte** at every (schedule, deduction,
 // stop) policy combination, thread count, order kind, and conflict policy.
 //
 // The references below are verbatim ports of the pre-session engine
 // implementations (SequentialLabeler, ParallelLabeler, BudgetLabeler,
 // OneToOneLabeler, InstantDecisionEngine as of the seed), kept here as the
-// frozen ground truth; the production classes are now thin wrappers over
-// the session, so comparing against *them* would be circular.
+// frozen ground truth. They return the file-local `ReferenceResult`, the
+// result shape those engines produced.
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
-#include <numeric>
 #include <optional>
 
-#include "core/budget_labeler.h"
-#include "core/instant_decision.h"
 #include "core/labeling_order.h"
 #include "core/labeling_session.h"
-#include "core/one_to_one_labeler.h"
-#include "core/parallel_labeler.h"
-#include "core/sequential_labeler.h"
 #include "tests/core/test_fixtures.h"
 
 namespace crowdjoin {
 namespace {
 
 using testing_fixtures::Figure3Pairs;
-using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
 using testing_fixtures::RandomInstance;
 
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
+// The result shape the original engines returned: one outcome per
+// candidate position, every pair labeled.
+struct ReferenceResult {
+  std::vector<PairOutcome> outcomes;
+  int64_t num_crowdsourced = 0;
+  int64_t num_deduced = 0;
+  int64_t num_conflicts = 0;
+  std::vector<int64_t> crowdsourced_per_iteration;
+};
+
+// Field-by-field comparison of a session report against a reference:
+// outcomes, crowdsourced / deduced / conflict counts, per-iteration sizes.
+::testing::AssertionResult Matches(const LabelingReport& actual,
+                                   const ReferenceResult& expected) {
+  if (actual.outcomes.size() != expected.outcomes.size()) {
+    return ::testing::AssertionFailure()
+           << actual.outcomes.size() << " outcomes, expected "
+           << expected.outcomes.size();
+  }
+  for (size_t i = 0; i < expected.outcomes.size(); ++i) {
+    if (actual.outcomes[i] != expected.outcomes[i]) {
+      return ::testing::AssertionFailure() << "outcome " << i << " differs";
+    }
+  }
+  if (actual.num_crowdsourced != expected.num_crowdsourced ||
+      actual.num_deduced != expected.num_deduced ||
+      actual.num_conflicts != expected.num_conflicts) {
+    return ::testing::AssertionFailure()
+           << "counts (crowdsourced, deduced, conflicts) = ("
+           << actual.num_crowdsourced << ", " << actual.num_deduced << ", "
+           << actual.num_conflicts << "), expected ("
+           << expected.num_crowdsourced << ", " << expected.num_deduced
+           << ", " << expected.num_conflicts << ")";
+  }
+  if (actual.crowdsourced_per_iteration !=
+      expected.crowdsourced_per_iteration) {
+    return ::testing::AssertionFailure() << "per-iteration sizes differ";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // --- Frozen reference implementations (seed code, verbatim) ---------------
 
-LabelingResult ReferenceSequential(const CandidateSet& pairs,
-                                   const std::vector<int32_t>& order,
-                                   LabelOracle& oracle,
-                                   ConflictPolicy policy) {
-  LabelingResult result;
+ReferenceResult ReferenceSequential(const CandidateSet& pairs,
+                                    const std::vector<int32_t>& order,
+                                    LabelOracle& oracle,
+                                    ConflictPolicy policy) {
+  ReferenceResult result;
   result.outcomes.resize(pairs.size());
   ClusterGraph graph(NumObjectsSpanned(pairs), policy);
   for (int32_t pos : order) {
@@ -67,11 +96,11 @@ LabelingResult ReferenceSequential(const CandidateSet& pairs,
   return result;
 }
 
-LabelingResult ReferenceRoundParallel(const CandidateSet& pairs,
-                                      const std::vector<int32_t>& order,
-                                      LabelOracle& oracle,
-                                      ConflictPolicy policy) {
-  LabelingResult result;
+ReferenceResult ReferenceRoundParallel(const CandidateSet& pairs,
+                                       const std::vector<int32_t>& order,
+                                       LabelOracle& oracle,
+                                       ConflictPolicy policy) {
+  ReferenceResult result;
   result.outcomes.resize(pairs.size());
   std::vector<std::optional<Label>> labels(pairs.size());
   size_t num_labeled = 0;
@@ -149,7 +178,7 @@ ReferenceBudgetResult ReferenceBudget(const CandidateSet& pairs,
 }
 
 struct ReferenceOneToOneResult {
-  LabelingResult labeling;
+  ReferenceResult labeling;
   int64_t num_one_to_one_deduced = 0;
   int64_t num_exclusivity_violations = 0;
 };
@@ -200,10 +229,10 @@ ReferenceOneToOneResult ReferenceOneToOne(const CandidateSet& pairs,
 
 // The legacy InstantDecisionEngine, driven synchronously FIFO (the
 // publication order RunNonParallelAmt bills for).
-LabelingResult ReferenceInstantFifo(const CandidateSet& pairs,
-                                    const std::vector<int32_t>& order,
-                                    LabelOracle& oracle,
-                                    ConflictPolicy policy) {
+ReferenceResult ReferenceInstantFifo(const CandidateSet& pairs,
+                                     const std::vector<int32_t>& order,
+                                     LabelOracle& oracle,
+                                     ConflictPolicy policy) {
   std::vector<std::optional<Label>> labels(pairs.size());
   std::vector<bool> published(pairs.size(), false);
   int64_t num_crowdsourced = 0;
@@ -230,7 +259,7 @@ LabelingResult ReferenceInstantFifo(const CandidateSet& pairs,
       pending.insert(pending.end(), fresh.begin(), fresh.end());
     }
   }
-  LabelingResult result;
+  ReferenceResult result;
   result.outcomes.resize(pairs.size());
   result.num_crowdsourced = num_crowdsourced;
   ClusterGraph graph(NumObjectsSpanned(pairs), policy);
@@ -306,18 +335,16 @@ TEST_F(SessionEquivalence, SequentialScheduleMatchesReference) {
         for (double error_rate : {0.0, 0.25}) {
           const OracleFactory oracles{&truth, error_rate, 17};
           auto ref_oracle = oracles.Make();
-          const LabelingResult expected = ReferenceSequential(
+          const ReferenceResult expected = ReferenceSequential(
               instance.pairs, order, *ref_oracle, policy);
 
           LabelingSessionOptions options;
           options.conflict_policy = policy;
           LabelingSession session(options);
           auto oracle = oracles.Make();
-          const LabelingResult actual =
-              session.Run(instance.pairs, order, *oracle)
-                  .value()
-                  .ToLabelingResult();
-          ASSERT_TRUE(actual == expected)
+          const LabelingReport actual =
+              session.Run(instance.pairs, order, *oracle).value();
+          ASSERT_TRUE(Matches(actual, expected))
               << "policy=" << static_cast<int>(policy)
               << " error_rate=" << error_rate;
           EXPECT_EQ(oracle->num_queries(), ref_oracle->num_queries());
@@ -336,7 +363,7 @@ TEST_F(SessionEquivalence, RoundParallelScheduleMatchesReference) {
         for (double error_rate : {0.0, 0.25}) {
           const OracleFactory oracles{&truth, error_rate, 19};
           auto ref_oracle = oracles.Make();
-          const LabelingResult expected = ReferenceRoundParallel(
+          const ReferenceResult expected = ReferenceRoundParallel(
               instance.pairs, order, *ref_oracle, policy);
           for (int threads : {1, 2, 4, 8}) {
             LabelingSessionOptions options;
@@ -345,11 +372,9 @@ TEST_F(SessionEquivalence, RoundParallelScheduleMatchesReference) {
             options.num_threads = threads;
             LabelingSession session(options);
             auto oracle = oracles.Make();
-            const LabelingResult actual =
-                session.Run(instance.pairs, order, *oracle)
-                    .value()
-                    .ToLabelingResult();
-            ASSERT_TRUE(actual == expected)
+            const LabelingReport actual =
+                session.Run(instance.pairs, order, *oracle).value();
+            ASSERT_TRUE(Matches(actual, expected))
                 << "threads=" << threads
                 << " policy=" << static_cast<int>(policy)
                 << " error_rate=" << error_rate;
@@ -402,12 +427,7 @@ TEST_F(SessionEquivalence, OneToOneChainMatchesReference) {
         auto oracle = oracles.Make();
         const LabelingReport actual =
             session.Run(instance.pairs, order, *oracle).value();
-        ASSERT_TRUE(actual.ToLabelingResult().outcomes ==
-                    expected.labeling.outcomes);
-        EXPECT_EQ(actual.num_crowdsourced, expected.labeling.num_crowdsourced);
-        EXPECT_EQ(actual.num_deduced, expected.labeling.num_deduced);
-        EXPECT_EQ(actual.crowdsourced_per_iteration,
-                  expected.labeling.crowdsourced_per_iteration);
+        ASSERT_TRUE(Matches(actual, expected.labeling));
         EXPECT_EQ(actual.num_one_to_one_deduced,
                   expected.num_one_to_one_deduced);
         EXPECT_EQ(actual.num_exclusivity_violations,
@@ -426,7 +446,7 @@ TEST_F(SessionEquivalence, InstantScheduleMatchesReference) {
         for (double error_rate : {0.0, 0.25}) {
           const OracleFactory oracles{&truth, error_rate, 29};
           auto ref_oracle = oracles.Make();
-          const LabelingResult expected = ReferenceInstantFifo(
+          const ReferenceResult expected = ReferenceInstantFifo(
               instance.pairs, order, *ref_oracle, policy);
 
           LabelingSessionOptions options;
@@ -434,81 +454,15 @@ TEST_F(SessionEquivalence, InstantScheduleMatchesReference) {
           options.conflict_policy = policy;
           LabelingSession session(options);
           auto oracle = oracles.Make();
-          const LabelingResult actual =
-              session.Run(instance.pairs, order, *oracle)
-                  .value()
-                  .ToLabelingResult();
-          ASSERT_TRUE(actual == expected)
+          const LabelingReport actual =
+              session.Run(instance.pairs, order, *oracle).value();
+          ASSERT_TRUE(Matches(actual, expected))
               << "policy=" << static_cast<int>(policy)
               << " error_rate=" << error_rate;
           EXPECT_EQ(oracle->num_queries(), ref_oracle->num_queries());
         }
       }
     }
-  }
-}
-
-// The wrappers themselves (what call sites actually use) against the
-// references — one pass each, closing the loop engine-by-engine.
-TEST_F(SessionEquivalence, LegacyWrappersStillMatchReferences) {
-  const RandomInstance instance = MakeRandomInstance(104, 30, 6, 120);
-  GroundTruthOracle truth(instance.entity_of);
-  const auto order = IdentityOrder(instance.pairs.size());
-
-  {
-    GroundTruthOracle o1 = truth;
-    GroundTruthOracle o2 = truth;
-    EXPECT_TRUE(
-        SequentialLabeler().Run(instance.pairs, order, o1).value() ==
-        ReferenceSequential(instance.pairs, order, o2,
-                            ConflictPolicy::kKeepFirst));
-  }
-  {
-    GroundTruthOracle o1 = truth;
-    GroundTruthOracle o2 = truth;
-    EXPECT_TRUE(
-        ParallelLabeler(ConflictPolicy::kKeepFirst, 4)
-            .Run(instance.pairs, order, o1)
-            .value() ==
-        ReferenceRoundParallel(instance.pairs, order, o2,
-                               ConflictPolicy::kKeepFirst));
-  }
-  {
-    GroundTruthOracle o1 = truth;
-    GroundTruthOracle o2 = truth;
-    const auto actual =
-        BudgetLabeler().Run(instance.pairs, order, 15, o1).value();
-    const auto expected = ReferenceBudget(instance.pairs, order, 15, o2);
-    EXPECT_EQ(actual.outcomes, expected.outcomes);
-    EXPECT_EQ(actual.num_unlabeled, expected.num_unlabeled);
-  }
-  {
-    GroundTruthOracle o1 = truth;
-    GroundTruthOracle o2 = truth;
-    const auto actual =
-        OneToOneLabeler().Run(instance.pairs, order, o1).value();
-    const auto expected = ReferenceOneToOne(instance.pairs, order, o2);
-    EXPECT_TRUE(actual.labeling.outcomes == expected.labeling.outcomes);
-    EXPECT_EQ(actual.num_one_to_one_deduced, expected.num_one_to_one_deduced);
-  }
-  {
-    GroundTruthOracle o1 = truth;
-    GroundTruthOracle o2 = truth;
-    InstantDecisionEngine engine(&instance.pairs, order);
-    std::deque<int32_t> pending;
-    const std::vector<int32_t> initial = engine.Start().value();
-    pending.insert(pending.end(), initial.begin(), initial.end());
-    while (!pending.empty()) {
-      const int32_t pos = pending.front();
-      pending.pop_front();
-      const CandidatePair& pair = instance.pairs[static_cast<size_t>(pos)];
-      const std::vector<int32_t> fresh =
-          engine.OnPairLabeled(pos, o1.GetLabel(pair.a, pair.b)).value();
-      pending.insert(pending.end(), fresh.begin(), fresh.end());
-    }
-    EXPECT_TRUE(engine.Finish().value() ==
-                ReferenceInstantFifo(instance.pairs, order, o2,
-                                     ConflictPolicy::kKeepFirst));
   }
 }
 

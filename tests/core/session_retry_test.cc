@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "core/labeling_session.h"
 #include "obs/metrics.h"
@@ -18,14 +17,9 @@ namespace {
 
 using testing_fixtures::Figure3Pairs;
 using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
 using testing_fixtures::ThreadSafeCountingOracle;
-
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 int64_t GlobalCounterValue(std::string_view name) {
   const obs::MetricsSnapshot snapshot =

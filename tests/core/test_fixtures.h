@@ -4,14 +4,43 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/candidate.h"
+#include "core/labeling_session.h"
 #include "core/oracle.h"
 
 namespace crowdjoin::testing_fixtures {
+
+/// The identity labeling order <0, 1, ..., n-1>.
+inline std::vector<int32_t> IdentityOrder(size_t n) {
+  std::vector<int32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+/// Session options for `schedule`; every other knob keeps its default.
+inline LabelingSessionOptions ScheduleOptions(
+    SchedulePolicy schedule, int num_threads = 1,
+    ConflictPolicy policy = ConflictPolicy::kKeepFirst) {
+  LabelingSessionOptions options;
+  options.schedule = schedule;
+  options.num_threads = num_threads;
+  options.conflict_policy = policy;
+  return options;
+}
+
+/// Labels `pairs` in `order` with a fresh session configured by `options`.
+inline Result<LabelingReport> RunSession(const LabelingSessionOptions& options,
+                                         const CandidateSet& pairs,
+                                         const std::vector<int32_t>& order,
+                                         LabelOracle& oracle) {
+  LabelingSession session(options);
+  return session.Run(pairs, order, oracle);
+}
 
 /// The paper's running example (Figure 3): eight candidate pairs over six
 /// objects (o1..o6 mapped to ids 0..5), in decreasing likelihood order.

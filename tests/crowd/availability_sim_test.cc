@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "tests/core/test_fixtures.h"
 
 namespace crowdjoin {
@@ -11,13 +9,8 @@ namespace {
 
 using testing_fixtures::Figure3Pairs;
 using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
-
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 TEST(AvailabilitySim, RoundParallelDrainsToZeroBetweenRounds) {
   const CandidateSet pairs = Figure3Pairs();

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "crowd/orchestrator.h"
 #include "eval/metrics.h"
 #include "tests/core/test_fixtures.h"
@@ -16,13 +14,8 @@
 namespace crowdjoin {
 namespace {
 
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
-
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 FaultPlan AbandonmentPlan(uint64_t seed) {
   FaultPlan plan;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "eval/metrics.h"
 #include "tests/core/test_fixtures.h"
 
@@ -12,13 +10,8 @@ namespace {
 
 using testing_fixtures::Figure3Pairs;
 using testing_fixtures::Figure3Truth;
+using testing_fixtures::IdentityOrder;
 using testing_fixtures::MakeRandomInstance;
-
-std::vector<int32_t> IdentityOrder(size_t n) {
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 CrowdConfig SmallConfig() {
   CrowdConfig config;

@@ -6,8 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/labeling_order.h"
-#include "core/parallel_labeler.h"
-#include "core/sequential_labeler.h"
+#include "core/labeling_session.h"
 #include "crowd/orchestrator.h"
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
@@ -18,6 +17,14 @@
 
 namespace crowdjoin {
 namespace {
+
+// A fresh round-parallel session fanning oracle calls over `num_threads`.
+LabelingSession RoundParallelSession(int num_threads = 1) {
+  LabelingSessionOptions options;
+  options.schedule = SchedulePolicy::kRoundParallel;
+  options.num_threads = num_threads;
+  return LabelingSession(options);
+}
 
 CandidateSet SmallPaperCandidates(Dataset* dataset_out) {
   PaperDatasetConfig config;
@@ -46,17 +53,16 @@ TEST(EndToEnd, PaperPipelinePerfectOracleIsLossless) {
       MakeLabelingOrder(candidates, OrderKind::kExpected, &truth, nullptr)
           .value();
   GroundTruthOracle oracle = truth;
-  const LabelingResult result =
-      ParallelLabeler().Run(candidates, order, oracle).value();
+  const LabelingReport report =
+      RoundParallelSession().Run(candidates, order, oracle).value();
 
   // Transitivity must save work on a clustered dataset...
-  EXPECT_LT(result.num_crowdsourced,
+  EXPECT_LT(report.num_crowdsourced,
             static_cast<int64_t>(candidates.size()));
-  EXPECT_GT(result.num_deduced, 0);
+  EXPECT_GT(report.num_deduced, 0);
   // ...without losing any quality under correct answers.
-  std::vector<Label> labels;
-  for (const auto& outcome : result.outcomes) labels.push_back(outcome.label);
-  const QualityMetrics quality = ComputeQuality(candidates, labels, truth);
+  const QualityMetrics quality =
+      ComputeQuality(candidates, ExtractFinalLabels(report), truth);
   EXPECT_DOUBLE_EQ(quality.f_measure, 1.0);
 }
 
@@ -72,23 +78,21 @@ TEST(EndToEnd, PaperPipelineThreadedLabelingIsIdenticalAndLossless) {
           .value();
 
   GroundTruthOracle oracle_single = truth;
-  const LabelingResult single =
-      ParallelLabeler(ConflictPolicy::kKeepFirst, /*num_threads=*/1)
-          .Run(candidates, order, oracle_single)
-          .value();
+  const LabelingReport single =
+      RoundParallelSession(1).Run(candidates, order, oracle_single).value();
   for (int num_threads : {2, 4, 8}) {
     GroundTruthOracle oracle = truth;
-    const LabelingResult threaded =
-        ParallelLabeler(ConflictPolicy::kKeepFirst, num_threads)
+    const LabelingReport threaded =
+        RoundParallelSession(num_threads)
             .Run(candidates, order, oracle)
             .value();
     ASSERT_TRUE(threaded == single) << "num_threads=" << num_threads;
     EXPECT_EQ(oracle.num_queries(), single.num_crowdsourced);
   }
 
-  std::vector<Label> labels;
-  for (const auto& outcome : single.outcomes) labels.push_back(outcome.label);
-  EXPECT_DOUBLE_EQ(ComputeQuality(candidates, labels, truth).f_measure, 1.0);
+  EXPECT_DOUBLE_EQ(
+      ComputeQuality(candidates, ExtractFinalLabels(single), truth).f_measure,
+      1.0);
 }
 
 TEST(EndToEnd, RoundBasedParallelAmtCampaign) {
@@ -137,11 +141,12 @@ TEST(EndToEnd, ProductPipelineBipartite) {
       MakeLabelingOrder(candidates, OrderKind::kExpected, &truth, nullptr)
           .value();
   GroundTruthOracle oracle = truth;
-  const LabelingResult result =
-      SequentialLabeler().Run(candidates, order, oracle).value();
-  std::vector<Label> labels;
-  for (const auto& outcome : result.outcomes) labels.push_back(outcome.label);
-  EXPECT_DOUBLE_EQ(ComputeQuality(candidates, labels, truth).f_measure, 1.0);
+  LabelingSession session;  // sequential schedule
+  const LabelingReport report =
+      session.Run(candidates, order, oracle).value();
+  EXPECT_DOUBLE_EQ(
+      ComputeQuality(candidates, ExtractFinalLabels(report), truth).f_measure,
+      1.0);
 }
 
 TEST(EndToEnd, CandidateRecallCoversMostTruePairs) {
