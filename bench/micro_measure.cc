@@ -1,10 +1,10 @@
 // Microbenchmark: the measure-generic join across the three similarity
 // measures — what does swapping Jaccard for edit distance or TF-IDF
-// cosine cost at the same corpus and threshold? Covers the sequential
-// pipeline per measure, the sharded parallel path per measure, and the
-// measures' verifiers in isolation (the filter/verify split differs per
-// measure: edit verifies with a banded DP over payloads, cosine's
-// "verify" is the exact weighted dot product).
+// cosine cost at the same corpus and threshold? Covers the sharded join
+// per measure, inline and on a pool, and the measures' verifiers in
+// isolation (the filter/verify split differs per measure: edit verifies
+// with a banded DP over payloads, cosine's "verify" is the exact weighted
+// dot product).
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +15,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "simjoin/sharded_join.h"
-#include "simjoin/similarity_join.h"
 #include "simjoin/similarity_measure.h"
 #include "simjoin/token_dictionary.h"
 #include "text/edit_distance.h"
@@ -63,38 +62,8 @@ const SimilarityMeasure& MeasureForRange(int64_t kind) {
   return SimilarityMeasure::Get(static_cast<MeasureKind>(kind));
 }
 
-// {measure kind, num_docs, threshold*10}: one sequential measure join.
-void BM_MeasureSelfJoin(benchmark::State& state) {
-  const SimilarityMeasure& measure = MeasureForRange(state.range(0));
-  const auto num_docs = static_cast<size_t>(state.range(1));
-  const double threshold = static_cast<double>(state.range(2)) / 10.0;
-  MeasureCorpus corpus = MakeCorpus(measure, num_docs, 12);
-  for (auto _ : state) {
-    auto result =
-        MeasureSelfJoin(corpus.docs, corpus.dictionary, measure, threshold);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetLabel(measure.name());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(num_docs));
-}
-// The edit rows stay at tight thresholds and the small corpus: a q-gram
-// edit join at a permissive threshold over long texts degenerates toward
-// all-pairs banded-DP verification (~5 s at {1000 docs, t=0.5} on the
-// reference box) — that cost cliff is recorded once in BASELINES.md
-// rather than re-measured on every CI run.
-BENCHMARK(BM_MeasureSelfJoin)
-    ->Args({0, 1000, 5})
-    ->Args({2, 1000, 5})
-    ->Args({0, 1000, 8})
-    ->Args({1, 1000, 8})
-    ->Args({2, 1000, 8})
-    ->Args({1, 1000, 9})
-    ->Args({0, 4000, 8})
-    ->Args({2, 4000, 8});
-
-// {measure kind, num_docs, threshold*10, threads}: sharded parallel path,
-// ingest once, re-run prepare + probe each iteration.
+// {measure kind, num_docs, threshold*10, threads}: sharded join, ingest
+// once, re-run prepare + probe each iteration; threads=0 runs inline.
 void BM_ShardedMeasureSelfJoin(benchmark::State& state) {
   const SimilarityMeasure& measure = MeasureForRange(state.range(0));
   const auto num_docs = static_cast<size_t>(state.range(1));
@@ -114,7 +83,20 @@ void BM_ShardedMeasureSelfJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(num_docs));
 }
+// The edit rows stay at tight thresholds and the small corpus: a q-gram
+// edit join at a permissive threshold over long texts degenerates toward
+// all-pairs banded-DP verification (~5 s at {1000 docs, t=0.5} on the
+// reference box) — that cost cliff is recorded once in BASELINES.md
+// rather than re-measured on every CI run.
 BENCHMARK(BM_ShardedMeasureSelfJoin)
+    ->Args({0, 1000, 5, 0})
+    ->Args({2, 1000, 5, 0})
+    ->Args({0, 1000, 8, 0})
+    ->Args({1, 1000, 8, 0})
+    ->Args({2, 1000, 8, 0})
+    ->Args({1, 1000, 9, 0})
+    ->Args({0, 4000, 8, 0})
+    ->Args({2, 4000, 8, 0})
     ->Args({0, 4000, 8, 4})
     ->Args({1, 1000, 9, 4})
     ->Args({2, 4000, 8, 4})

@@ -1,5 +1,5 @@
-// Microbenchmark + ablation: prefix-filter similarity join vs brute-force
-// all-pairs verification — the machine step's cost profile across
+// Microbenchmark + ablation: sharded prefix-filter similarity join vs
+// brute-force all-pairs verification — the machine step's cost profile across
 // thresholds (higher thresholds prune better) — plus the whole machine step
 // on the paper workbench.
 
@@ -42,25 +42,6 @@ Corpus MakeCorpus(size_t num_docs, size_t tokens_per_doc, size_t vocabulary) {
   return corpus;
 }
 
-void BM_PrefixFilterSelfJoin(benchmark::State& state) {
-  const auto num_docs = static_cast<size_t>(state.range(0));
-  const double threshold = static_cast<double>(state.range(1)) / 10.0;
-  Corpus corpus = MakeCorpus(num_docs, 12, 4096);
-  for (auto _ : state) {
-    auto result =
-        PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, threshold);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(num_docs));
-}
-BENCHMARK(BM_PrefixFilterSelfJoin)
-    ->Args({1000, 3})
-    ->Args({1000, 5})
-    ->Args({1000, 8})
-    ->Args({4000, 5})
-    ->Args({4000, 8});
-
 void BM_BruteForceSelfJoin(benchmark::State& state) {
   const auto num_docs = static_cast<size_t>(state.range(0));
   const double threshold = static_cast<double>(state.range(1)) / 10.0;
@@ -76,7 +57,8 @@ BENCHMARK(BM_BruteForceSelfJoin)->Args({1000, 5})->Args({1000, 8});
 
 // The sharded parallel join at {num_docs, threshold*10, threads}: ingest
 // happens once, each iteration re-runs the prepare + probe phases over a
-// persistent pool (byte-identical output to BM_PrefixFilterSelfJoin's).
+// persistent pool (threads=0 runs inline; byte-identical output to
+// BM_BruteForceSelfJoin's at every thread count).
 void BM_ShardedSelfJoin(benchmark::State& state) {
   const auto num_docs = static_cast<size_t>(state.range(0));
   const double threshold = static_cast<double>(state.range(1)) / 10.0;
@@ -94,6 +76,9 @@ void BM_ShardedSelfJoin(benchmark::State& state) {
                           static_cast<int64_t>(num_docs));
 }
 BENCHMARK(BM_ShardedSelfJoin)
+    ->Args({1000, 3, 0})
+    ->Args({1000, 5, 0})
+    ->Args({1000, 8, 0})
     ->Args({4000, 5, 0})
     ->Args({4000, 5, 2})
     ->Args({4000, 5, 4})

@@ -1,5 +1,6 @@
 #include "core/session_checkpoint.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "common/serialize.h"
@@ -84,6 +85,9 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
   CJ_ASSIGN_OR_RETURN(state.completed_rounds, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(state.candidates_consumed, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(const uint32_t num_objects, r.ReadU32());
+  if (num_objects > static_cast<uint32_t>(INT32_MAX)) {
+    return Status::InvalidArgument("object count exceeds int32");
+  }
   state.num_objects = static_cast<int32_t>(num_objects);
   CJ_ASSIGN_OR_RETURN(state.remaining_budget, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(state.num_candidates, r.ReadI64());
@@ -92,6 +96,9 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
   CJ_ASSIGN_OR_RETURN(state.num_unlabeled, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(state.num_stream_rounds, r.ReadI64());
   CJ_ASSIGN_OR_RETURN(const uint64_t num_batches, r.ReadU64());
+  if (num_batches > r.remaining() / 8) {
+    return Status::OutOfRange("batch count exceeds buffer");
+  }
   state.crowdsourced_per_iteration.reserve(num_batches);
   for (uint64_t i = 0; i < num_batches; ++i) {
     CJ_ASSIGN_OR_RETURN(const int64_t batch, r.ReadI64());

@@ -90,8 +90,10 @@ struct SessionCheckpointState {
 std::string EncodeSessionCheckpoint(const SessionCheckpointState& state);
 
 /// Parses a checkpoint file's bytes. Fails with `InvalidArgument` on a
-/// bad magic/version and `OutOfRange`/`FailedPrecondition` on truncation
-/// or checksum mismatch.
+/// bad magic/version or an object count above int32, `OutOfRange` on
+/// truncation or an element count the buffer cannot hold, and
+/// `FailedPrecondition` on checksum mismatch. Arbitrary bytes yield a
+/// `Status`, never a throw.
 Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data);
 
 /// Loads and decodes the checkpoint at `path`. `NotFound` when absent.

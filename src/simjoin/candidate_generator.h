@@ -65,11 +65,12 @@ struct CandidateGeneratorOptions {
 /// not call this from a task running on the shared pool.
 ///
 /// Determinism: the result is bit-identical to the sequential machine step
-/// (`MeasureSelfJoin` / `MeasureBipartiteJoin`, then each pair scored in
-/// join order) for every pool size: the join's pairs and their (left,
-/// right) order do not depend on the pool, each pair's score is a function
-/// of the pair alone, and the likelihood noise is drawn and the
-/// `min_likelihood` cut applied on the calling thread, in join order.
+/// (`BruteForceMeasureSelfJoin` / `BruteForceMeasureBipartiteJoin`, then
+/// each pair scored in join order) for every pool size: the join's pairs
+/// and their (left, right) order do not depend on the pool, each pair's
+/// score is a function of the pair alone, and the likelihood noise is
+/// drawn and the `min_likelihood` cut applied on the calling thread, in
+/// join order.
 ///
 /// Errors: argument errors (`side_of`) come first, then the scorer's
 /// `Prepare`, then the join's threshold check; a pair that fails to score

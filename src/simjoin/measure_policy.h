@@ -2,13 +2,14 @@
 #define CROWDJOIN_SIMJOIN_MEASURE_POLICY_H_
 
 // Internal: the static measure policies behind the measure-generic join
-// cores (similarity_join.cc, sharded_join.cc) and their microbenchmarks.
-// Each policy is a stateless-or-tiny struct of inline methods; the join
-// cores are templates over the policy type, so the runtime measure choice
-// is one switch per join call (`DispatchMeasure`) and the per-posting /
-// per-candidate hot paths devirtualize completely — the Jaccard
-// instantiation performs exactly the operations the pre-measure joins
-// performed, preserving byte-identical output.
+// core (sharded_join.cc), the brute-force references (similarity_join.cc)
+// and their microbenchmarks. Each policy is a stateless-or-tiny struct of
+// inline methods; the join core is a template over the policy type, so
+// the runtime measure choice is one switch per join call
+// (`DispatchMeasure`) and the per-posting / per-candidate hot paths
+// devirtualize completely — the Jaccard instantiation performs exactly
+// the operations the pre-measure joins performed, preserving
+// byte-identical output.
 
 #include <algorithm>
 #include <cmath>

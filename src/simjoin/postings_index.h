@@ -24,14 +24,11 @@ struct Posting {
 /// prefix index needs no hashing: `Build` turns per-token posting counts
 /// into a CSR offset table over one flat `Posting` array, and `Append`
 /// fills each token's pre-sized slot through a write cursor. Lookups read
-/// the *filled* range `[offsets[t], cursors[t])`, which makes the same
-/// structure serve both fully built indexes (bipartite left side, shard
-/// indexes) and the self-join's incremental index, where documents are
-/// appended as the probe sweep passes them.
+/// the *filled* range `[offsets[t], cursors[t])`.
 ///
-/// Every join path shares this table; the fill order is the caller's
-/// contract with itself — both sequential and sharded joins append in
-/// ascending document length so `GatherPositionalCandidates` can
+/// The fill order is the caller's contract with itself: the sharded join
+/// fills every shard index through `BuildLengthOrderedPostings`, in
+/// ascending document length, so `GatherPositionalCandidates` can
 /// binary-search the length window instead of length-testing every
 /// posting.
 class PostingsArena {
@@ -104,9 +101,7 @@ inline void RankEncodeRange(int32_t* first, int32_t* last,
 ///
 /// `prefix_of(d)` returns the document's rank-encoded token pointer;
 /// `lens[d]` its length; `prefix_lens[d]` how many leading tokens are
-/// indexed. (The sequential self-join doesn't use this: it sizes the
-/// arena from the same counts but fills incrementally during its
-/// ascending-size sweep, which yields the same order.)
+/// indexed.
 template <typename PrefixOf>
 inline void BuildLengthOrderedPostings(PostingsArena& index,
                                        size_t num_tokens,
@@ -171,9 +166,7 @@ struct JoinCandidate {
 /// Size window: postings lists must be sorted ascending by
 /// `size_of(doc)`; the `[min_size, max_size]` window is then located by
 /// binary search, with O(1) endpoint pre-checks so fully qualifying lists
-/// (the common case) skip the searches. Pass a huge `max_size` when only
-/// the lower bound applies (the sequential self-join indexes only
-/// smaller-or-equal documents).
+/// (the common case) skip the searches.
 ///
 /// Positional filter: `last_seen` dedupe means a candidate is visited at
 /// the *first* shared prefix token — no smaller-rank token is common,

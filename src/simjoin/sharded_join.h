@@ -45,11 +45,13 @@ struct ShardedJoinOptions {
 /// into the shard arenas.
 ///
 /// Determinism contract: the returned pairs are **byte-identical** to the
-/// sequential join (`PrefixFilterSelfJoin` / `MeasureSelfJoin`) over the
-/// same documents — same pair set, same scores, same order — for every
-/// shard count and thread count, including the inline (0-thread) pool.
-/// Each qualifying pair is produced by exactly one task and verified with
-/// the same exact kernel the sequential join uses.
+/// brute-force reference (`BruteForceSelfJoin` /
+/// `BruteForceMeasureSelfJoin`) over the same documents — same pair set,
+/// same scores, same order — for every shard count and thread count,
+/// including the inline (0-thread) pool. (Documents with an empty
+/// signature join nothing, where `BruteForceSelfJoin` pairs two of them at
+/// 1.0.) Each qualifying pair is produced by exactly one task and scored
+/// with the measure's exact kernel.
 ///
 /// A joiner may be `Finish`ed repeatedly (e.g. at several thresholds); the
 /// ingested documents are immutable once added. Not thread-safe for
@@ -60,7 +62,7 @@ class ShardedSelfJoiner {
 
   /// Ingests one document (deduplicated token ids, sorted ascending). The
   /// document's global id is its `Add` order, matching the doc indexing of
-  /// `PrefixFilterSelfJoin`. Joins over documents added this way must use
+  /// `BruteForceSelfJoin`. Joins over documents added this way must use
   /// the Jaccard measure (size = token count, no payload).
   void Add(const std::vector<int32_t>& doc);
 
@@ -73,7 +75,7 @@ class ShardedSelfJoiner {
   /// Runs the Jaccard join at `threshold` over everything added so far,
   /// fanning work across `pool` (nullptr = inline). `dictionary` must
   /// contain every token id that was added and be fully populated
-  /// (frequencies final), exactly as the sequential join requires.
+  /// (frequencies final): the prefixes follow its rarity order.
   Result<std::vector<ScoredPair>> Finish(const TokenDictionary& dictionary,
                                          double threshold,
                                          ThreadPool* pool) const;
@@ -144,14 +146,14 @@ class ShardedSelfJoiner {
 
 /// \brief Bipartite (cross-catalog) variant: left and right documents are
 /// ingested separately; every left-shard x right-shard pairing becomes one
-/// probe task. Output is byte-identical to the sequential bipartite join
-/// at every shard and thread count, for every measure.
+/// probe task. Output is byte-identical to the brute-force bipartite
+/// reference at every shard and thread count, for every measure.
 class ShardedBipartiteJoiner {
  public:
   explicit ShardedBipartiteJoiner(int num_shards = 0);
 
   /// Ingests one left/right document; its global id within that side is
-  /// the ingestion order, matching `PrefixFilterBipartiteJoin` indexing.
+  /// the ingestion order, matching `BruteForceBipartiteJoin` indexing.
   void AddLeft(const std::vector<int32_t>& doc);
   void AddRight(const std::vector<int32_t>& doc);
   void AddLeft(const MeasureDoc& doc);

@@ -1,339 +1,14 @@
 #include "simjoin/similarity_join.h"
 
-#include <algorithm>
-#include <limits>
-#include <numeric>
 #include <string_view>
 
-#include "common/macros.h"
 #include "simjoin/measure_policy.h"
 #include "simjoin/postings_index.h"
-#include "simjoin/prefix_filter.h"
 #include "text/set_similarity.h"
 
 namespace crowdjoin {
 
-namespace {
-
 using internal::MeasureDocRef;
-
-constexpr size_t kNoMaxSize = std::numeric_limits<size_t>::max();
-constexpr auto kNoSkip = [](int32_t) { return false; };
-
-// The sequential join cores are templates over a measure policy
-// (measure_policy.h) and three document accessors — raw signature tokens,
-// measure size, verification payload — so one body serves the legacy
-// vector<vector<int32_t>> Jaccard entry points and the MeasureDoc entry
-// points alike. The JaccardPolicy instantiation performs exactly the
-// operations the pre-measure code performed (same helpers, same argument
-// order, same sweep), keeping Jaccard output byte-identical.
-
-template <typename Policy, typename TokensOf, typename SizeIn,
-          typename PayloadOf>
-std::vector<ScoredPair> SelfJoinCore(const Policy& policy, size_t n,
-                                     TokensOf tokens_of, SizeIn size_in,
-                                     PayloadOf payload_of,
-                                     const std::vector<int32_t>& ranks,
-                                     size_t num_tokens, double threshold) {
-  // Process docs in ascending measure size so the size window's lower
-  // bound holds for everything already indexed when a probe arrives.
-  std::vector<int32_t> by_size(n);
-  std::iota(by_size.begin(), by_size.end(), 0);
-  std::sort(by_size.begin(), by_size.end(),
-            [&size_in](int32_t x, int32_t y) {
-              const size_t sx = size_in(static_cast<size_t>(x));
-              const size_t sy = size_in(static_cast<size_t>(y));
-              if (sx != sy) return sx < sy;
-              return x < y;
-            });
-
-  // Rank-encoded copies: ascending rank order == rarity order, so
-  // prefixes are leading slices and verification merges plain ranks.
-  std::vector<std::vector<int32_t>> rank_docs(n);
-  std::vector<size_t> sizes(n);
-  std::vector<size_t> tok_lens(n);
-  std::vector<int32_t> prefix_lens(n);
-  std::vector<int32_t> counts(num_tokens, 0);
-  for (size_t i = 0; i < n; ++i) {
-    RankEncode(tokens_of(i), ranks, rank_docs[i]);
-    tok_lens[i] = rank_docs[i].size();
-    sizes[i] = size_in(i);
-    const size_t prefix =
-        policy.PrefixLen(threshold, rank_docs[i].data(), tok_lens[i], sizes[i]);
-    prefix_lens[i] = static_cast<int32_t>(prefix);
-    for (size_t p = 0; p < prefix; ++p) ++counts[rank_docs[i][p]];
-  }
-
-  // The index fills as the sweep passes each document, so every token's
-  // postings run ascending in document size — exactly what the gather's
-  // binary-searched size window requires. The fallback bucket (measures
-  // with incomplete prefixes on short signatures) fills the same way and
-  // inherits the same (size, id) order.
-  PostingsArena index;
-  index.Build(counts);
-  const auto size_of = [&sizes](int32_t doc) {
-    return sizes[static_cast<size_t>(doc)];
-  };
-  const auto tok_len_of = [&tok_lens](int32_t doc) {
-    return tok_lens[static_cast<size_t>(doc)];
-  };
-  std::vector<int32_t> fallback;
-
-  std::vector<int32_t> last_seen(n, -1);
-  // Scratch candidate buffer, reused across probes: the probe phase only
-  // gathers ids + seed positions, and verification runs afterwards as one
-  // tight batch.
-  std::vector<JoinCandidate> candidates;
-  std::vector<ScoredPair> out;
-
-  for (size_t step = 0; step < n; ++step) {
-    const int32_t x = by_size[step];
-    const auto& rank_x = rank_docs[static_cast<size_t>(x)];
-    const size_t tok_len_x = rank_x.size();
-    if (tok_len_x == 0) continue;
-    const size_t size_x = sizes[static_cast<size_t>(x)];
-    const auto prefix_x =
-        static_cast<size_t>(prefix_lens[static_cast<size_t>(x)]);
-    const size_t min_size_y = policy.MinSize(threshold, size_x);
-    const auto required_of = [&policy, threshold, tok_len_x,
-                              size_x](size_t cand_size) {
-      return policy.Required(threshold, tok_len_x, size_x, cand_size);
-    };
-
-    candidates.clear();
-    GatherPositionalCandidates(index, rank_x.data(), prefix_x, tok_len_x,
-                               min_size_y, kNoMaxSize, x, last_seen, size_of,
-                               tok_len_of, required_of, kNoSkip, candidates);
-    if constexpr (Policy::kUsesFallback) {
-      // Unfilterable probes may qualify against unfilterable indexed docs
-      // while sharing no signature token; the bucket closes that gap.
-      // Shared last_seen keeps postings-found docs from re-emitting.
-      if (policy.Unfilterable(threshold, tok_len_x, size_x)) {
-        GatherFallbackCandidates(fallback, min_size_y, kNoMaxSize, x,
-                                 last_seen, size_of, kNoSkip, candidates);
-      }
-    }
-    const MeasureDocRef probe_ref{rank_x.data(), tok_len_x, size_x,
-                                  payload_of(static_cast<size_t>(x))};
-    for (const JoinCandidate& cand : candidates) {
-      const auto& rank_y = rank_docs[static_cast<size_t>(cand.doc)];
-      const MeasureDocRef cand_ref{rank_y.data(), rank_y.size(),
-                                   sizes[static_cast<size_t>(cand.doc)],
-                                   payload_of(static_cast<size_t>(cand.doc))};
-      const double score =
-          policy.Verify(probe_ref, cand_ref, static_cast<size_t>(cand.probe_pos),
-                        static_cast<size_t>(cand.index_pos), threshold);
-      if (score + 1e-12 >= threshold) {
-        out.push_back({std::min(x, cand.doc), std::max(x, cand.doc), score});
-      }
-    }
-    for (size_t p = 0; p < prefix_x; ++p) {
-      index.Append(rank_x[p], x, static_cast<int32_t>(p));
-    }
-    if constexpr (Policy::kUsesFallback) {
-      if (policy.Unfilterable(threshold, tok_len_x, size_x)) {
-        fallback.push_back(x);  // sweep order keeps (size, id) ascending
-      }
-    }
-  }
-  SortByPairOrder(out);
-  return out;
-}
-
-template <typename Policy, typename LeftTokensOf, typename LeftSizeIn,
-          typename LeftPayloadOf, typename RightTokensOf, typename RightSizeIn,
-          typename RightPayloadOf>
-std::vector<ScoredPair> BipartiteJoinCore(
-    const Policy& policy, size_t n_left, LeftTokensOf left_tokens_of,
-    LeftSizeIn left_size_in, LeftPayloadOf left_payload_of, size_t n_right,
-    RightTokensOf right_tokens_of, RightSizeIn right_size_in,
-    RightPayloadOf right_payload_of, const std::vector<int32_t>& ranks,
-    size_t num_tokens, double threshold) {
-  // Rank-encode and index the left side's prefixes; the shared builder
-  // fills each token's postings in ascending (size, id) order so the
-  // probe side can binary-search its [min_size, max_size] window.
-  std::vector<std::vector<int32_t>> left_ranks(n_left);
-  std::vector<size_t> sizes(n_left);
-  std::vector<size_t> tok_lens(n_left);
-  std::vector<int32_t> prefix_lens(n_left);
-  for (size_t i = 0; i < n_left; ++i) {
-    RankEncode(left_tokens_of(i), ranks, left_ranks[i]);
-    tok_lens[i] = left_ranks[i].size();
-    sizes[i] = left_size_in(i);
-    prefix_lens[i] = static_cast<int32_t>(policy.PrefixLen(
-        threshold, left_ranks[i].data(), tok_lens[i], sizes[i]));
-  }
-  PostingsArena index;
-  BuildLengthOrderedPostings(index, num_tokens, sizes, prefix_lens,
-                             [&left_ranks](int32_t d) {
-                               return left_ranks[static_cast<size_t>(d)]
-                                   .data();
-                             });
-  const auto size_of = [&sizes](int32_t doc) {
-    return sizes[static_cast<size_t>(doc)];
-  };
-  const auto tok_len_of = [&tok_lens](int32_t doc) {
-    return tok_lens[static_cast<size_t>(doc)];
-  };
-  std::vector<int32_t> fallback;
-  if constexpr (Policy::kUsesFallback) {
-    for (size_t d = 0; d < n_left; ++d) {
-      if (policy.Unfilterable(threshold, tok_lens[d], sizes[d])) {
-        fallback.push_back(static_cast<int32_t>(d));
-      }
-    }
-    std::sort(fallback.begin(), fallback.end(),
-              [&sizes](int32_t x, int32_t y) {
-                const size_t sx = sizes[static_cast<size_t>(x)];
-                const size_t sy = sizes[static_cast<size_t>(y)];
-                if (sx != sy) return sx < sy;
-                return x < y;
-              });
-  }
-
-  std::vector<int32_t> last_seen(n_left, -1);
-  std::vector<JoinCandidate> candidates;
-  std::vector<ScoredPair> out;
-  std::vector<int32_t> rank_s;
-  for (size_t j = 0; j < n_right; ++j) {
-    RankEncode(right_tokens_of(j), ranks, rank_s);
-    const size_t tok_len_s = rank_s.size();
-    if (tok_len_s == 0) continue;
-    const size_t size_s = right_size_in(j);
-    const size_t prefix_s =
-        policy.PrefixLen(threshold, rank_s.data(), tok_len_s, size_s);
-    const size_t min_size = policy.MinSize(threshold, size_s);
-    const size_t max_size = policy.MaxSize(threshold, size_s);
-    const auto required_of = [&policy, threshold, tok_len_s,
-                              size_s](size_t cand_size) {
-      return policy.Required(threshold, tok_len_s, size_s, cand_size);
-    };
-    candidates.clear();
-    GatherPositionalCandidates(index, rank_s.data(), prefix_s, tok_len_s,
-                               min_size, max_size, static_cast<int32_t>(j),
-                               last_seen, size_of, tok_len_of, required_of,
-                               kNoSkip, candidates);
-    if constexpr (Policy::kUsesFallback) {
-      if (policy.Unfilterable(threshold, tok_len_s, size_s)) {
-        GatherFallbackCandidates(fallback, min_size, max_size,
-                                 static_cast<int32_t>(j), last_seen, size_of,
-                                 kNoSkip, candidates);
-      }
-    }
-    const MeasureDocRef probe_ref{rank_s.data(), tok_len_s, size_s,
-                                  right_payload_of(j)};
-    for (const JoinCandidate& cand : candidates) {
-      const auto& rank_r = left_ranks[static_cast<size_t>(cand.doc)];
-      const MeasureDocRef cand_ref{rank_r.data(), rank_r.size(),
-                                   sizes[static_cast<size_t>(cand.doc)],
-                                   left_payload_of(static_cast<size_t>(cand.doc))};
-      const double score =
-          policy.Verify(cand_ref, probe_ref, static_cast<size_t>(cand.index_pos),
-                        static_cast<size_t>(cand.probe_pos), threshold);
-      if (score + 1e-12 >= threshold) {
-        out.push_back({cand.doc, static_cast<int32_t>(j), score});
-      }
-    }
-  }
-  SortByPairOrder(out);
-  return out;
-}
-
-template <typename Policy>
-std::vector<ScoredPair> MeasureSelfJoinWith(const Policy& policy,
-                                            const std::vector<MeasureDoc>& docs,
-                                            const std::vector<int32_t>& ranks,
-                                            size_t num_tokens,
-                                            double threshold) {
-  return SelfJoinCore(
-      policy, docs.size(),
-      [&docs](size_t i) -> const std::vector<int32_t>& { return docs[i].tokens; },
-      [&docs](size_t i) { return static_cast<size_t>(docs[i].size); },
-      [&docs](size_t i) { return std::string_view(docs[i].payload); }, ranks,
-      num_tokens, threshold);
-}
-
-template <typename Policy>
-std::vector<ScoredPair> MeasureBipartiteJoinWith(
-    const Policy& policy, const std::vector<MeasureDoc>& left,
-    const std::vector<MeasureDoc>& right, const std::vector<int32_t>& ranks,
-    size_t num_tokens, double threshold) {
-  return BipartiteJoinCore(
-      policy, left.size(),
-      [&left](size_t i) -> const std::vector<int32_t>& { return left[i].tokens; },
-      [&left](size_t i) { return static_cast<size_t>(left[i].size); },
-      [&left](size_t i) { return std::string_view(left[i].payload); },
-      right.size(),
-      [&right](size_t j) -> const std::vector<int32_t>& {
-        return right[j].tokens;
-      },
-      [&right](size_t j) { return static_cast<size_t>(right[j].size); },
-      [&right](size_t j) { return std::string_view(right[j].payload); }, ranks,
-      num_tokens, threshold);
-}
-
-}  // namespace
-
-Result<std::vector<ScoredPair>> PrefixFilterSelfJoin(
-    const std::vector<std::vector<int32_t>>& docs,
-    const TokenDictionary& dictionary, double threshold) {
-  CJ_RETURN_IF_ERROR(ValidateJoinThreshold(threshold));
-  const std::vector<int32_t> ranks = dictionary.RarityRanks();
-  return SelfJoinCore(
-      internal::JaccardPolicy{}, docs.size(),
-      [&docs](size_t i) -> const std::vector<int32_t>& { return docs[i]; },
-      [&docs](size_t i) { return docs[i].size(); },
-      [](size_t) { return std::string_view(); }, ranks, dictionary.size(),
-      threshold);
-}
-
-Result<std::vector<ScoredPair>> PrefixFilterBipartiteJoin(
-    const std::vector<std::vector<int32_t>>& left,
-    const std::vector<std::vector<int32_t>>& right,
-    const TokenDictionary& dictionary, double threshold) {
-  CJ_RETURN_IF_ERROR(ValidateJoinThreshold(threshold));
-  const std::vector<int32_t> ranks = dictionary.RarityRanks();
-  return BipartiteJoinCore(
-      internal::JaccardPolicy{}, left.size(),
-      [&left](size_t i) -> const std::vector<int32_t>& { return left[i]; },
-      [&left](size_t i) { return left[i].size(); },
-      [](size_t) { return std::string_view(); }, right.size(),
-      [&right](size_t j) -> const std::vector<int32_t>& { return right[j]; },
-      [&right](size_t j) { return right[j].size(); },
-      [](size_t) { return std::string_view(); }, ranks, dictionary.size(),
-      threshold);
-}
-
-Result<std::vector<ScoredPair>> MeasureSelfJoin(
-    const std::vector<MeasureDoc>& docs, const TokenDictionary& dictionary,
-    const SimilarityMeasure& measure, double threshold) {
-  CJ_RETURN_IF_ERROR(ValidateJoinThreshold(threshold));
-  const std::vector<int32_t> ranks = dictionary.RarityRanks();
-  std::vector<double> weights;
-  if (measure.kind() == MeasureKind::kCosineTfIdf) {
-    weights = CosineRankWeights(dictionary, ranks);
-  }
-  return internal::DispatchMeasure(measure, &weights, [&](auto policy) {
-    return MeasureSelfJoinWith(policy, docs, ranks, dictionary.size(),
-                               threshold);
-  });
-}
-
-Result<std::vector<ScoredPair>> MeasureBipartiteJoin(
-    const std::vector<MeasureDoc>& left, const std::vector<MeasureDoc>& right,
-    const TokenDictionary& dictionary, const SimilarityMeasure& measure,
-    double threshold) {
-  CJ_RETURN_IF_ERROR(ValidateJoinThreshold(threshold));
-  const std::vector<int32_t> ranks = dictionary.RarityRanks();
-  std::vector<double> weights;
-  if (measure.kind() == MeasureKind::kCosineTfIdf) {
-    weights = CosineRankWeights(dictionary, ranks);
-  }
-  return internal::DispatchMeasure(measure, &weights, [&](auto policy) {
-    return MeasureBipartiteJoinWith(policy, left, right, ranks,
-                                    dictionary.size(), threshold);
-  });
-}
 
 std::vector<ScoredPair> BruteForceSelfJoin(
     const std::vector<std::vector<int32_t>>& docs, double threshold) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/result.h"
 #include "simjoin/similarity_measure.h"
 #include "simjoin/token_dictionary.h"
 
@@ -22,9 +21,10 @@ struct ScoredPair {
   }
 };
 
-/// The canonical (left, right) output order every join emits — sequential
-/// and sharded alike share this single definition, which is what the
-/// sharded join's byte-identical-output contract sorts and merges by.
+/// The canonical (left, right) output order every join emits — the
+/// brute-force references and the sharded join alike share this single
+/// definition, which is what the sharded join's byte-identical-output
+/// contract sorts and merges by.
 inline bool PairOrderLess(const ScoredPair& a, const ScoredPair& b) {
   if (a.left != b.left) return a.left < b.left;
   return a.right < b.right;
@@ -34,45 +34,10 @@ inline void SortByPairOrder(std::vector<ScoredPair>& pairs) {
   std::sort(pairs.begin(), pairs.end(), PairOrderLess);
 }
 
-/// \brief Set-similarity self-join: all pairs (i < j) of documents with
-/// Jaccard >= threshold.
-///
-/// `docs` are deduplicated token-id vectors sorted ascending by id.
-/// Implements prefix filtering over a rarity-ordered token order with a
-/// length filter, then verifies candidates exactly — the classic AllPairs
-/// scheme, which is the machine step's workhorse on larger inputs.
-/// `threshold` must be in (0, 1].
-Result<std::vector<ScoredPair>> PrefixFilterSelfJoin(
-    const std::vector<std::vector<int32_t>>& docs,
-    const TokenDictionary& dictionary, double threshold);
-
-/// \brief Bipartite variant: all pairs (r, s) across two collections with
-/// Jaccard >= threshold.
-Result<std::vector<ScoredPair>> PrefixFilterBipartiteJoin(
-    const std::vector<std::vector<int32_t>>& left,
-    const std::vector<std::vector<int32_t>>& right,
-    const TokenDictionary& dictionary, double threshold);
-
-/// \brief Measure-generic self-join: all pairs (i < j) of documents with
-/// `measure` similarity >= threshold, through the same filter-verify
-/// pipeline the Jaccard join runs.
-///
-/// `docs` come from `measure.MakeDoc` against `dictionary`. Under the
-/// Jaccard measure this is `PrefixFilterSelfJoin` exactly — same
-/// operations, byte-identical output. Documents with empty signatures
-/// join nothing (the shared empty-doc contract).
-Result<std::vector<ScoredPair>> MeasureSelfJoin(
-    const std::vector<MeasureDoc>& docs, const TokenDictionary& dictionary,
-    const SimilarityMeasure& measure, double threshold);
-
-/// Measure-generic bipartite join across two collections built against
-/// one shared dictionary.
-Result<std::vector<ScoredPair>> MeasureBipartiteJoin(
-    const std::vector<MeasureDoc>& left, const std::vector<MeasureDoc>& right,
-    const TokenDictionary& dictionary, const SimilarityMeasure& measure,
-    double threshold);
-
-/// Brute-force reference self-join (exact, O(n^2) verifications).
+/// Brute-force reference self-join (exact, O(n^2) verifications), the
+/// oracle the sharded join is pinned to. Output is in `PairOrderLess`
+/// order. Two empty documents score 1.0 here; the sharded join follows
+/// the empty-doc contract and joins neither.
 std::vector<ScoredPair> BruteForceSelfJoin(
     const std::vector<std::vector<int32_t>>& docs, double threshold);
 

@@ -39,17 +39,18 @@ struct MeasureDoc {
 /// prefix scheme, a size-window + overlap filter bound, and a verification
 /// kernel.
 ///
-/// Every measure must satisfy the filter/verifier contract the sequential
-/// and sharded joiners assume:
+/// Every measure must satisfy the filter/verifier contract the sharded
+/// joiners assume and the brute-force references
+/// (`BruteForceMeasureSelfJoin` / `BruteForceMeasureBipartiteJoin`) check:
 ///  - completeness: any pair whose exact score passes
 ///    `score + 1e-12 >= threshold` shares at least one signature token
 ///    inside both prefixes (or is covered by the measure's fallback
 ///    bucket), lies inside the `[MinSize, MaxSize]` window, and survives
 ///    the `Required` overlap bound;
 ///  - determinism: verification computes the exact score through one fixed
-///    sequence of operations per pair, so every join path (sequential,
-///    sharded at any shard/thread count, and the brute-force reference)
-///    lands on bit-identical doubles;
+///    sequence of operations per pair, so the sharded join at any
+///    shard/thread count and the brute-force reference land on
+///    bit-identical doubles;
 ///  - the empty-doc contract: documents with an empty signature
 ///    (`tokens.empty()`) take no part in any join.
 ///

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <string_view>
 
 #include "common/serialize.h"
 
@@ -135,15 +138,6 @@ TEST(SessionCheckpoint, BadMagicIsRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SessionCheckpoint, TruncatedPayloadIsOutOfRange) {
-  std::string encoded = EncodeSessionCheckpoint(MakeState());
-  // Drop the last payload byte (keeping the checksum valid for what is
-  // left), so a bounds-checked field read runs out of buffer.
-  encoded.erase(encoded.size() - 9, 1);
-  EXPECT_EQ(DecodeSessionCheckpoint(Rechecksum(encoded)).status().code(),
-            StatusCode::kOutOfRange);
-}
-
 TEST(SessionCheckpoint, TrailingBytesAreRejected) {
   std::string encoded = EncodeSessionCheckpoint(MakeState());
   encoded.insert(encoded.size() - 8, 1, '\0');
@@ -154,6 +148,96 @@ TEST(SessionCheckpoint, TrailingBytesAreRejected) {
 TEST(SessionCheckpoint, TooSmallBufferIsRejected) {
   EXPECT_EQ(DecodeSessionCheckpoint("short").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Decodes `data` and returns its status; a throw fails the test and reads
+// as an error, so the mutation loops below keep going.
+Status DecodeStatus(const std::string& data) {
+  try {
+    return DecodeSessionCheckpoint(data).status();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "decoder threw: " << e.what();
+    return Status::Internal(e.what());
+  }
+}
+
+// Overwrites `width` little-endian bytes at `at` with `value`.
+std::string WithFieldAt(std::string encoded, size_t at, size_t width,
+                        uint64_t value) {
+  for (size_t i = 0; i < width; ++i) {
+    encoded[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  return encoded;
+}
+
+uint64_t ReadU64At(const std::string& encoded, size_t at) {
+  BinaryReader r(std::string_view(encoded).substr(at, 8));
+  return r.ReadU64().value();
+}
+
+// Deterministic mutation sweep over a small encoded state, each mutant
+// re-checksummed so it reaches the field decoder: the decoder returns a
+// Status for every one and never throws.
+TEST(SessionCheckpointMutation, EveryFlippedByteDecodesWithoutThrowing) {
+  const std::string encoded = EncodeSessionCheckpoint(MakeState());
+  for (size_t i = 0; i + 8 < encoded.size(); ++i) {
+    std::string mutant = encoded;
+    mutant[i] = static_cast<char>(mutant[i] ^ 0xFF);
+    const Status status = DecodeStatus(Rechecksum(mutant));
+    if (i < 8) {
+      EXPECT_FALSE(status.ok()) << "magic byte " << i;
+    }
+  }
+}
+
+// Truncates the payload at every length, keeping the checksum valid for
+// what is left: past the 16-byte minimum, a bounds-checked field read runs
+// out of buffer.
+TEST(SessionCheckpoint, TruncatedPayloadIsOutOfRange) {
+  const std::string encoded = EncodeSessionCheckpoint(MakeState());
+  for (size_t len = 0; len + 8 < encoded.size(); ++len) {
+    const std::string mutant =
+        Rechecksum(encoded.substr(0, len) + std::string(8, '\0'));
+    EXPECT_EQ(DecodeStatus(mutant).code(), len < 8
+                                               ? StatusCode::kInvalidArgument
+                                               : StatusCode::kOutOfRange)
+        << "payload length " << len;
+  }
+}
+
+TEST(SessionCheckpointMutation, InflatedCountsAreErrors) {
+  const SessionCheckpointState state = MakeState();
+  const std::string encoded = EncodeSessionCheckpoint(state);
+  // Wire offsets of the u64 element counts: magic, fingerprint, two i64s,
+  // the u32 object count and six i64s precede the batch count.
+  constexpr size_t kBatchesAt = 8 + 8 + 2 * 8 + 4 + 6 * 8;
+  const size_t outcomes_at =
+      kBatchesAt + 8 + 8 * state.crowdsourced_per_iteration.size();
+  const size_t edges_at = outcomes_at + 8 + state.outcomes.size();
+  ASSERT_EQ(ReadU64At(encoded, kBatchesAt),
+            state.crowdsourced_per_iteration.size());
+  ASSERT_EQ(ReadU64At(encoded, outcomes_at), state.outcomes.size());
+  ASSERT_EQ(ReadU64At(encoded, edges_at), state.edge_log.size());
+  for (const size_t at : {kBatchesAt, outcomes_at, edges_at}) {
+    const uint64_t remaining = encoded.size() - 8 - (at + 8);
+    for (const uint64_t count : {UINT64_MAX, remaining + 1}) {
+      const Status status =
+          DecodeStatus(Rechecksum(WithFieldAt(encoded, at, 8, count)));
+      EXPECT_EQ(status.code(), StatusCode::kOutOfRange)
+          << "offset " << at << " count " << count << ": " << status;
+    }
+  }
+}
+
+TEST(SessionCheckpointMutation, ObjectCountAboveInt32IsAnError) {
+  const std::string encoded = EncodeSessionCheckpoint(MakeState());
+  constexpr size_t kObjectsAt = 8 + 8 + 2 * 8;
+  for (const uint64_t count : {uint64_t{0x80000000u}, uint64_t{UINT32_MAX}}) {
+    const Status status =
+        DecodeStatus(Rechecksum(WithFieldAt(encoded, kObjectsAt, 4, count)));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "count " << count << ": " << status;
+  }
 }
 
 TEST(SessionCheckpoint, EncodingIsDeterministic) {

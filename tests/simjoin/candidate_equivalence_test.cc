@@ -1,6 +1,6 @@
 // Bit-equality of the machine step against a frozen reference: the
 // sequential `GenerateCandidates` body as it was before the step moved onto
-// the sharded join and the shared pool — the sequential measure join, then
+// the sharded join and the shared pool — the brute-force measure join, then
 // scoring, noise and the likelihood cut one pair at a time in join order.
 // Every candidate, every likelihood bit and every error must be reproduced.
 
@@ -60,9 +60,8 @@ Result<CandidateSet> ReferenceGenerateCandidates(
       docs[i] = measure.MakeDoc(ReferenceRecordText(records[i]), dictionary);
       left_index.push_back(i);
     }
-    CJ_ASSIGN_OR_RETURN(joined,
-                        MeasureSelfJoin(docs, dictionary, measure,
-                                        options.token_join_threshold));
+    joined = BruteForceMeasureSelfJoin(docs, dictionary, measure,
+                                       options.token_join_threshold);
     right_index = left_index;
   } else {
     std::vector<MeasureDoc> left_docs;
@@ -78,9 +77,9 @@ Result<CandidateSet> ReferenceGenerateCandidates(
         right_index.push_back(i);
       }
     }
-    CJ_ASSIGN_OR_RETURN(
-        joined, MeasureBipartiteJoin(left_docs, right_docs, dictionary,
-                                     measure, options.token_join_threshold));
+    joined = BruteForceMeasureBipartiteJoin(left_docs, right_docs, dictionary,
+                                            measure,
+                                            options.token_join_threshold);
   }
   candidates.reserve(joined.size());
   for (const ScoredPair& pair : joined) {

@@ -1,15 +1,15 @@
-// Randomized property suite pinning the measure-generic joins to the
-// brute-force reference: for every measure (Jaccard, edit distance, TF-IDF
-// cosine), every join path — sequential prefix-filter and sharded parallel
-// at shard counts {1, 4, 3, 5} x thread counts {1, 2, 4, 8} — must emit
-// ScoredPair vectors *byte-identical* to BruteForceMeasureSelfJoin /
-// BruteForceMeasureBipartiteJoin: same pairs, same exact score doubles,
-// same order. The corpora exercise each measure's filter edge cases:
-// empty and whitespace-only texts, singletons, all-identical docs,
-// near-duplicate strings a few character edits apart (the edit measure's
-// q-gram filter), very short strings at low thresholds (the edit
-// measure's fallback bucket, where qualifying pairs can share zero
-// grams), and heavy-tail token frequencies (weighted cosine prefixes).
+// Randomized property suite pinning the measure-generic sharded join to
+// the brute-force reference: for every measure (Jaccard, edit distance,
+// TF-IDF cosine), at shard counts {1, 4, 3, 5} x thread counts {1, 2, 4,
+// 8}, it must emit ScoredPair vectors *byte-identical* to
+// BruteForceMeasureSelfJoin / BruteForceMeasureBipartiteJoin: same pairs,
+// same exact score doubles, same order. The corpora exercise each
+// measure's filter edge cases: empty and whitespace-only texts,
+// singletons, all-identical docs, near-duplicate strings a few character
+// edits apart (the edit measure's q-gram filter), very short strings at
+// low thresholds (the edit measure's fallback bucket, where qualifying
+// pairs can share zero grams), and heavy-tail token frequencies (weighted
+// cosine prefixes).
 
 #include <gtest/gtest.h>
 
@@ -157,24 +157,13 @@ std::vector<std::string> MakeHeavyTailTexts(uint64_t seed, size_t num_docs) {
   return texts;
 }
 
-std::vector<ScoredPair> Sorted(std::vector<ScoredPair> pairs) {
-  SortByPairOrder(pairs);
-  return pairs;
-}
-
 void ExpectSelfJoinsMatchBruteForce(const std::vector<std::string>& texts,
                                     const char* label) {
   for (const SimilarityMeasure* measure : AllMeasures()) {
     const MeasureCorpus corpus = BuildCorpus(texts, *measure);
     for (const double threshold : kThresholds) {
-      const auto brute = Sorted(BruteForceMeasureSelfJoin(
-          corpus.docs, corpus.dictionary, *measure, threshold));
-      const auto sequential =
-          MeasureSelfJoin(corpus.docs, corpus.dictionary, *measure, threshold)
-              .value();
-      EXPECT_EQ(sequential, brute) << label << " sequential, measure="
-                                   << measure->name()
-                                   << ", threshold=" << threshold;
+      const auto brute = BruteForceMeasureSelfJoin(
+          corpus.docs, corpus.dictionary, *measure, threshold);
       for (const auto& [shards, threads] : kShardingGrid) {
         ShardedJoinOptions options;
         options.num_shards = shards;
@@ -202,15 +191,8 @@ void ExpectBipartiteJoinsMatchBruteForce(const std::vector<std::string>& texts,
     const std::vector<MeasureDoc> right(corpus.docs.begin() + half,
                                         corpus.docs.end());
     for (const double threshold : kThresholds) {
-      const auto brute = Sorted(BruteForceMeasureBipartiteJoin(
-          left, right, corpus.dictionary, *measure, threshold));
-      const auto sequential =
-          MeasureBipartiteJoin(left, right, corpus.dictionary, *measure,
-                               threshold)
-              .value();
-      EXPECT_EQ(sequential, brute) << label << " sequential, measure="
-                                   << measure->name()
-                                   << ", threshold=" << threshold;
+      const auto brute = BruteForceMeasureBipartiteJoin(
+          left, right, corpus.dictionary, *measure, threshold);
       for (const auto& [shards, threads] : kShardingGrid) {
         ShardedJoinOptions options;
         options.num_shards = shards;
@@ -271,23 +253,28 @@ TEST(MeasureEquivalence, AllEmptyDocs) {
   ExpectBipartiteJoinsMatchBruteForce(texts, "all-empty");
 }
 
-// The Jaccard instantiation of the measure pipeline is the legacy join:
-// same documents through MeasureSelfJoin and PrefixFilterSelfJoin must be
-// byte-identical (the refactor's no-regression pin at the API level).
+// The two ingest paths of the sharded join agree under Jaccard: raw token
+// vectors joined measure-less and the same documents as MeasureDocs joined
+// under Jaccard() must be byte-identical.
 TEST(MeasureEquivalence, JaccardMeasurePathMatchesLegacyJoin) {
   const auto texts = MakeMixedTexts(/*seed=*/9321, /*num_docs=*/80);
   const MeasureCorpus corpus =
       BuildCorpus(texts, SimilarityMeasure::Jaccard());
-  std::vector<std::vector<int32_t>> raw_docs;
-  for (const MeasureDoc& doc : corpus.docs) raw_docs.push_back(doc.tokens);
+  ShardedSelfJoiner measure_docs(/*num_shards=*/4);
+  ShardedSelfJoiner raw_docs(/*num_shards=*/4);
+  for (const MeasureDoc& doc : corpus.docs) {
+    measure_docs.Add(doc);
+    raw_docs.Add(doc.tokens);
+  }
   for (const double threshold : kThresholds) {
     const auto measure_path =
-        MeasureSelfJoin(corpus.docs, corpus.dictionary,
-                        SimilarityMeasure::Jaccard(), threshold)
+        measure_docs
+            .Finish(corpus.dictionary, SimilarityMeasure::Jaccard(),
+                    threshold, nullptr)
             .value();
-    const auto legacy =
-        PrefixFilterSelfJoin(raw_docs, corpus.dictionary, threshold).value();
-    EXPECT_EQ(measure_path, legacy) << "threshold=" << threshold;
+    const auto raw_path =
+        raw_docs.Finish(corpus.dictionary, threshold, nullptr).value();
+    EXPECT_EQ(measure_path, raw_path) << "threshold=" << threshold;
   }
 }
 

@@ -35,8 +35,9 @@ Corpus MakeRandomCorpus(uint64_t seed, size_t num_docs, size_t vocabulary,
   return corpus;
 }
 
-// The acceptance matrix: byte-identical ScoredPair output (pairs, scores,
-// order) at every tested (threads, shards, threshold) combination.
+// The acceptance matrix: ScoredPair output (pairs, scores, order)
+// byte-identical to the sequential brute-force join at every tested
+// (threads, shards, threshold) combination.
 constexpr int kThreadCounts[] = {0, 1, 2, 4, 8};
 constexpr int kShardCounts[] = {1, 2, 3, 7, 16};
 constexpr double kThresholds[] = {0.3, 0.5, 0.8, 1.0};
@@ -45,9 +46,7 @@ TEST(ShardedSelfJoin, ByteIdenticalToSequentialAcrossMatrix) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/901, /*num_docs=*/160,
                                          /*vocabulary=*/70, 2, 12);
   for (double threshold : kThresholds) {
-    const auto sequential =
-        PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, threshold)
-            .value();
+    const auto expected = BruteForceSelfJoin(corpus.docs, threshold);
     for (int shards : kShardCounts) {
       for (int threads : kThreadCounts) {
         ShardedJoinOptions options;
@@ -57,7 +56,7 @@ TEST(ShardedSelfJoin, ByteIdenticalToSequentialAcrossMatrix) {
             ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold,
                             options)
                 .value();
-        ASSERT_EQ(sharded, sequential)
+        ASSERT_EQ(sharded, expected)
             << "threshold=" << threshold << " shards=" << shards
             << " threads=" << threads;
       }
@@ -73,9 +72,7 @@ TEST(ShardedBipartiteJoin, ByteIdenticalToSequentialAcrossMatrix) {
   const std::vector<std::vector<int32_t>> right(corpus.docs.begin() + 70,
                                                 corpus.docs.end());
   for (double threshold : kThresholds) {
-    const auto sequential =
-        PrefixFilterBipartiteJoin(left, right, corpus.dictionary, threshold)
-            .value();
+    const auto expected = BruteForceBipartiteJoin(left, right, threshold);
     for (int shards : kShardCounts) {
       for (int threads : kThreadCounts) {
         ShardedJoinOptions options;
@@ -85,7 +82,7 @@ TEST(ShardedBipartiteJoin, ByteIdenticalToSequentialAcrossMatrix) {
                                                   corpus.dictionary,
                                                   threshold, options)
                                  .value();
-        ASSERT_EQ(sharded, sequential)
+        ASSERT_EQ(sharded, expected)
             << "threshold=" << threshold << " shards=" << shards
             << " threads=" << threads;
       }
@@ -104,17 +101,75 @@ TEST(ShardedSelfJoin, MatchesBruteForceOnRandomSeeds) {
       const auto sharded =
           ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold, options)
               .value();
-      auto brute = BruteForceSelfJoin(corpus.docs, threshold);
-      std::sort(brute.begin(), brute.end(),
-                [](const ScoredPair& a, const ScoredPair& b) {
-                  if (a.left != b.left) return a.left < b.left;
-                  return a.right < b.right;
-                });
-      EXPECT_EQ(sharded, brute) << "seed=" << seed
-                                << " threshold=" << threshold;
+      EXPECT_EQ(sharded, BruteForceSelfJoin(corpus.docs, threshold))
+          << "seed=" << seed << " threshold=" << threshold;
     }
   }
 }
+
+TEST(ShardedSelfJoin, TinyHandCase) {
+  TokenDictionary dict;
+  std::vector<std::vector<int32_t>> docs;
+  docs.push_back(dict.AddDocument({"a", "b", "c"}));
+  docs.push_back(dict.AddDocument({"a", "b", "d"}));
+  docs.push_back(dict.AddDocument({"x", "y"}));
+  const auto result = ShardedSelfJoin(docs, dict, 0.5, {}).value();
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].left, 0);
+  EXPECT_EQ(result[0].right, 1);
+  EXPECT_DOUBLE_EQ(result[0].score, 0.5);
+}
+
+TEST(ShardedSelfJoin, ThresholdOneFindsDuplicatesOnly) {
+  TokenDictionary dict;
+  std::vector<std::vector<int32_t>> docs;
+  docs.push_back(dict.AddDocument({"a", "b"}));
+  docs.push_back(dict.AddDocument({"a", "b"}));
+  docs.push_back(dict.AddDocument({"a", "c"}));
+  const auto result = ShardedSelfJoin(docs, dict, 1.0, {}).value();
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].left, 0);
+  EXPECT_EQ(result[0].right, 1);
+}
+
+class SelfJoinPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SelfJoinPropertyTest, MatchesBruteForceAcrossThresholds) {
+  const Corpus corpus = MakeRandomCorpus(GetParam(), /*num_docs=*/80,
+                                         /*vocabulary=*/60, 3, 12);
+  for (double threshold : {0.2, 0.4, 0.6, 0.8, 1.0}) {
+    EXPECT_EQ(
+        ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold, {})
+            .value(),
+        BruteForceSelfJoin(corpus.docs, threshold))
+        << "seed=" << GetParam() << " threshold=" << threshold;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, SelfJoinPropertyTest,
+                         ::testing::Range<uint64_t>(600, 610));
+
+class BipartiteJoinPropertyTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(BipartiteJoinPropertyTest, MatchesBruteForceAcrossThresholds) {
+  const Corpus corpus = MakeRandomCorpus(GetParam(), /*num_docs=*/100,
+                                         /*vocabulary=*/50, 2, 10);
+  const std::vector<std::vector<int32_t>> left(corpus.docs.begin(),
+                                               corpus.docs.begin() + 40);
+  const std::vector<std::vector<int32_t>> right(corpus.docs.begin() + 40,
+                                                corpus.docs.end());
+  for (double threshold : {0.3, 0.5, 0.7, 1.0}) {
+    EXPECT_EQ(ShardedBipartiteJoin(left, right, corpus.dictionary, threshold,
+                                   {})
+                  .value(),
+              BruteForceBipartiteJoin(left, right, threshold))
+        << "seed=" << GetParam() << " threshold=" << threshold;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, BipartiteJoinPropertyTest,
+                         ::testing::Range<uint64_t>(700, 710));
 
 TEST(ShardedSelfJoiner, StreamingIngestMatchesBulkWrapper) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/903, /*num_docs=*/120,
@@ -142,10 +197,8 @@ TEST(ShardedSelfJoiner, FinishIsRepeatableAtMultipleThresholds) {
     const auto second =
         joiner.Finish(corpus.dictionary, threshold, nullptr).value();
     EXPECT_EQ(first, second) << "threshold=" << threshold;
-    const auto sequential =
-        PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, threshold)
-            .value();
-    EXPECT_EQ(first, sequential) << "threshold=" << threshold;
+    EXPECT_EQ(first, BruteForceSelfJoin(corpus.docs, threshold))
+        << "threshold=" << threshold;
   }
 }
 
@@ -155,17 +208,17 @@ TEST(ShardedSelfJoin, EmptyAndDegenerateInputs) {
   options.num_shards = 4;
   // Empty corpus.
   EXPECT_TRUE(ShardedSelfJoin({}, dict, 0.5, options).value().empty());
-  // All-empty docs produce nothing (mirrors the sequential join).
+  // All-empty docs produce nothing (the empty-doc contract).
   std::vector<std::vector<int32_t>> empties(5);
   EXPECT_TRUE(
       ShardedSelfJoin(empties, dict, 0.5, options).value().empty());
-  // Bipartite with empty docs mixed in on both sides: byte-identical to
-  // the sequential join (which must also survive empty left docs).
+  // Bipartite with empty docs mixed in on both sides: the empty pair
+  // (which brute force scores 1.0) is not joined.
   std::vector<std::vector<int32_t>> left = {{}, dict.AddDocument({"a", "b"})};
   std::vector<std::vector<int32_t>> right = {{},
                                              dict.AddDocument({"a", "b"})};
   EXPECT_EQ(ShardedBipartiteJoin(left, right, dict, 0.5, options).value(),
-            PrefixFilterBipartiteJoin(left, right, dict, 0.5).value());
+            (std::vector<ScoredPair>{{1, 1, 1.0}}));
   // Fewer docs than shards.
   std::vector<std::vector<int32_t>> docs;
   docs.push_back(dict.AddDocument({"a", "b"}));
@@ -309,16 +362,15 @@ Corpus MakeOneTaskCorpus(size_t num_docs, int shards) {
 TEST(ShardedJoinMerge, AllPairsFromOneTaskAtEveryPoolSize) {
   constexpr int kShards = 4;
   const Corpus corpus = MakeOneTaskCorpus(200, kShards);
-  const auto sequential =
-      PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, 0.5).value();
-  ASSERT_GT(sequential.size(), 100u);
+  const auto expected = BruteForceSelfJoin(corpus.docs, 0.5);
+  ASSERT_GT(expected.size(), 100u);
   ShardedSelfJoiner joiner(kShards);
   for (const auto& doc : corpus.docs) joiner.Add(doc);
   for (int threads : kPoolSizes) {
     ThreadPool pool(threads);
     ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
     EXPECT_EQ(joiner.Finish(corpus.dictionary, 0.5, pool_ptr).value(),
-              sequential)
+              expected)
         << "threads=" << threads;
     ShardedJoinCursor cursor =
         joiner.MakeCursor(corpus.dictionary, 0.5, pool_ptr).value();
@@ -327,7 +379,7 @@ TEST(ShardedJoinMerge, AllPairsFromOneTaskAtEveryPoolSize) {
     size_t nonempty = 0;
     for (const auto& run : runs) nonempty += run.empty() ? 0 : 1;
     EXPECT_EQ(nonempty, 1u) << "threads=" << threads;
-    EXPECT_EQ(ConcatenateAndSort(runs), sequential) << "threads=" << threads;
+    EXPECT_EQ(ConcatenateAndSort(runs), expected) << "threads=" << threads;
   }
 }
 
@@ -338,10 +390,8 @@ TEST(ShardedJoinMerge, OneAndSixtyFourShardsAtEveryPoolSize) {
                                                corpus.docs.begin() + 150);
   const std::vector<std::vector<int32_t>> right(corpus.docs.begin() + 150,
                                                 corpus.docs.end());
-  const auto self_expected =
-      PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, 0.4).value();
-  const auto bipartite_expected =
-      PrefixFilterBipartiteJoin(left, right, corpus.dictionary, 0.4).value();
+  const auto self_expected = BruteForceSelfJoin(corpus.docs, 0.4);
+  const auto bipartite_expected = BruteForceBipartiteJoin(left, right, 0.4);
   for (int shards : {1, 64}) {
     for (int threads : kPoolSizes) {
       ShardedJoinOptions options;
@@ -364,8 +414,7 @@ TEST(ShardedJoinMerge, OneAndSixtyFourShardsAtEveryPoolSize) {
 TEST(ShardedJoinMerge, OneTaskPerBatchMatchesItsRuns) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/904, /*num_docs=*/300,
                                          /*vocabulary=*/80, 2, 10);
-  const auto sequential =
-      PrefixFilterSelfJoin(corpus.docs, corpus.dictionary, 0.4).value();
+  const auto expected = BruteForceSelfJoin(corpus.docs, 0.4);
   ShardedSelfJoiner joiner(/*num_shards=*/6);
   for (const auto& doc : corpus.docs) joiner.Add(doc);
   for (int threads : kPoolSizes) {
@@ -386,7 +435,7 @@ TEST(ShardedJoinMerge, OneTaskPerBatchMatchesItsRuns) {
     }
     EXPECT_TRUE(runs.done());
     SortByPairOrder(all);
-    EXPECT_EQ(all, sequential) << "threads=" << threads;
+    EXPECT_EQ(all, expected) << "threads=" << threads;
   }
 }
 

@@ -12,7 +12,7 @@
 
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
-#include "simjoin/similarity_join.h"
+#include "simjoin/sharded_join.h"
 #include "simjoin/similarity_measure.h"
 #include "simjoin/token_dictionary.h"
 #include "text/edit_distance.h"
@@ -172,12 +172,14 @@ std::vector<std::pair<size_t, size_t>> WorkbenchJoinedPairs(
     }
   }
   constexpr double kWorkbenchJoinThreshold = 0.08;
+  const ShardedJoinOptions sharding;
   const std::vector<ScoredPair> joined =
       side_of == nullptr
-          ? MeasureSelfJoin(left, dictionary, measure, kWorkbenchJoinThreshold)
+          ? ShardedMeasureSelfJoin(left, dictionary, measure,
+                                   kWorkbenchJoinThreshold, sharding)
                 .value()
-          : MeasureBipartiteJoin(left, right, dictionary, measure,
-                                 kWorkbenchJoinThreshold)
+          : ShardedMeasureBipartiteJoin(left, right, dictionary, measure,
+                                        kWorkbenchJoinThreshold, sharding)
                 .value();
   const std::vector<size_t>& right_of =
       side_of == nullptr ? left_index : right_index;
