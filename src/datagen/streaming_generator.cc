@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <deque>
 #include <functional>
 #include <future>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "datagen/cluster_distribution.h"
 #include "datagen/perturb.h"
@@ -60,12 +61,11 @@ struct BlockBuffer {
     status = Status::OK();
   }
 
-  void Append(const std::vector<std::string>& fields, int32_t record_entity,
-              uint8_t record_side) {
-    for (const std::string& field : fields) {
-      bytes += field;
-      field_ends.push_back(bytes.size());
-    }
+  // Ends the field written so far at the back of `bytes`.
+  void EndField() { field_ends.push_back(bytes.size()); }
+
+  // Ends a record whose fields have all been ended.
+  void EndRecord(int32_t record_entity, uint8_t record_side) {
     entity.push_back(record_entity);
     side.push_back(record_side);
   }
@@ -253,110 +253,138 @@ class BlockStream {
 // Paper entity/record construction. This is the single home of the
 // generation logic: the batch GeneratePaperDataset drains a 1x stream, so
 // the RNG consumption order below defines both paths.
+//
+// Records are written straight into the block buffer. An entity struct is
+// reused for every entity of a block and the Corruptor keeps its own
+// scratch, so once their strings have grown, generating a record allocates
+// nothing.
 // ---------------------------------------------------------------------------
 
-// Schema field indexes for the Paper dataset.
-constexpr int kAuthor = 0;
-constexpr int kTitle = 1;
-constexpr int kVenue = 2;
-constexpr int kDate = 3;
-constexpr int kPages = 4;
+// Appends the decimal form of `value`, as printf's "%d" writes it.
+void AppendInt(int value, std::string& out) {
+  char digits[std::numeric_limits<int>::digits10 + 2];
+  const std::to_chars_result result =
+      std::to_chars(digits, digits + sizeof(digits), value);
+  out.append(digits, result.ptr);
+}
 
-// A pronounceable rare token (consonant-vowel alternation) used to give
-// each publication title a discriminative word, the way real titles carry
-// system names and coined terms.
-std::string RareToken(Rng& rng) {
+// Appends a pronounceable rare token (consonant-vowel alternation), the
+// discriminative word that real titles carry in system names and coined
+// terms.
+void AppendRareToken(Rng& rng, std::string& out) {
   static constexpr char kConsonants[] = "bcdfghjklmnpqrstvwz";
   static constexpr char kVowels[] = "aeiou";
   const size_t length = 5 + rng.Index(4);
-  std::string token;
-  token.reserve(length);
   for (size_t i = 0; i < length; ++i) {
     if (i % 2 == 0) {
-      token += kConsonants[rng.Index(sizeof(kConsonants) - 1)];
+      out += kConsonants[rng.Index(sizeof(kConsonants) - 1)];
     } else {
-      token += kVowels[rng.Index(sizeof(kVowels) - 1)];
+      out += kVowels[rng.Index(sizeof(kVowels) - 1)];
     }
   }
-  return token;
 }
 
 struct PaperEntity {
-  std::vector<std::string> authors;  // "first last"
+  static constexpr size_t kMaxAuthors = 3;
+  std::string authors[kMaxAuthors];  // "first last"
+  size_t num_authors = 0;
   std::string title;
   size_t venue_index = 0;
   int year = 0;
   int first_page = 0;
   int last_page = 0;
+  // Title scratch: the drawn words and the rare token.
+  std::vector<std::string_view> title_words;
+  std::string rare_token;
 };
 
-PaperEntity MakePaperEntity(Rng& rng, const ZipfSampler& title_sampler) {
+// Overwrites `entity` with the next entity drawn from `rng`.
+void MakePaperEntity(Rng& rng, const ZipfSampler& title_sampler,
+                     PaperEntity& entity) {
   const auto& first_names = wordlists::FirstNames();
   const auto& last_names = wordlists::LastNames();
   const auto& title_words = wordlists::TitleWords();
 
-  PaperEntity entity;
-  const size_t num_authors = 1 + rng.Index(3);
-  for (size_t i = 0; i < num_authors; ++i) {
-    std::string name(first_names[rng.Index(first_names.size())]);
+  entity.num_authors = 1 + rng.Index(PaperEntity::kMaxAuthors);
+  for (size_t i = 0; i < entity.num_authors; ++i) {
+    std::string& name = entity.authors[i];
+    name.assign(first_names[rng.Index(first_names.size())]);
     name += ' ';
     name += last_names[rng.Index(last_names.size())];
-    entity.authors.push_back(std::move(name));
   }
   const size_t title_length = 5 + rng.Index(5);
-  std::vector<std::string> words;
+  std::vector<std::string_view>& words = entity.title_words;
+  words.clear();
   for (size_t i = 0; i < title_length; ++i) {
     // Zipf-weighted draw: common words recur across entities, which gives
     // non-matching pairs graded, non-zero similarity.
     const size_t w = static_cast<size_t>(title_sampler.Sample(rng)) - 1;
-    words.emplace_back(title_words[w]);
+    words.push_back(title_words[w]);
   }
   if (rng.Bernoulli(0.8)) {
-    words.insert(words.begin() + static_cast<std::ptrdiff_t>(
-                                     rng.Index(words.size() + 1)),
-                 RareToken(rng));
+    // The token's draws come before the position's: the order the frozen
+    // checksums pin.
+    entity.rare_token.clear();
+    AppendRareToken(rng, entity.rare_token);
+    const size_t position = rng.Index(words.size() + 1);
+    words.insert(words.begin() + static_cast<std::ptrdiff_t>(position),
+                 entity.rare_token);
   }
-  entity.title = Join(words, " ");
+  entity.title.clear();
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (i > 0) entity.title += ' ';
+    entity.title += words[i];
+  }
   entity.venue_index = rng.Index(wordlists::Venues().size());
   entity.year = 1988 + static_cast<int>(rng.Index(17));
   entity.first_page = 1 + static_cast<int>(rng.Index(500));
   entity.last_page = entity.first_page + 8 + static_cast<int>(rng.Index(20));
-  return entity;
 }
 
-// Fills the five fields of one record of `entity`; a missing field is left
-// empty.
-void MakePaperRecord(const PaperEntity& entity, bool canonical,
-                     const PaperDatasetConfig& config, Corruptor& corruptor,
-                     Rng& rng, std::vector<std::string>& fields) {
-  for (std::string& field : fields) field.clear();
+// Appends the five fields of one record of `entity` to `out`; a missing
+// field is left empty.
+void AppendPaperRecord(const PaperEntity& entity, bool canonical,
+                       const PaperDatasetConfig& config, Corruptor& corruptor,
+                       Rng& rng, BlockBuffer& out) {
+  std::string& bytes = out.bytes;
 
   // Author field.
-  std::vector<std::string> authors = entity.authors;
-  if (!canonical) {
-    if (authors.size() > 1 && rng.Bernoulli(config.author_drop_prob)) {
-      authors.erase(authors.begin() +
-                    static_cast<std::ptrdiff_t>(rng.Index(authors.size())));
-    }
-    for (auto& author : authors) {
-      if (rng.Bernoulli(config.author_initial_prob)) {
-        author = corruptor.InitialForm(author);
-      }
+  size_t dropped = PaperEntity::kMaxAuthors;  // none
+  if (!canonical && entity.num_authors > 1 &&
+      rng.Bernoulli(config.author_drop_prob)) {
+    dropped = rng.Index(entity.num_authors);
+  }
+  bool first_author = true;
+  for (size_t i = 0; i < entity.num_authors; ++i) {
+    if (i == dropped) continue;
+    if (!first_author) bytes += " and ";
+    first_author = false;
+    if (!canonical && rng.Bernoulli(config.author_initial_prob)) {
+      Corruptor::InitialForm(entity.authors[i], bytes);
+    } else {
+      bytes += entity.authors[i];
     }
   }
-  fields[kAuthor] = Join(authors, " and ");
+  out.EndField();
 
   // Title field.
-  fields[kTitle] =
-      canonical ? entity.title : corruptor.CorruptText(entity.title);
+  if (canonical) {
+    bytes += entity.title;
+  } else {
+    corruptor.CorruptText(entity.title, bytes);
+  }
+  out.EndField();
 
   // Venue field: full name or abbreviation.
   const auto& venue = wordlists::Venues()[entity.venue_index];
   const bool abbreviate = !canonical && rng.Bernoulli(config.venue_abbrev_prob);
-  fields[kVenue] = std::string(abbreviate ? venue.second : venue.first);
+  const std::string_view venue_name = abbreviate ? venue.second : venue.first;
   if (!canonical && rng.Bernoulli(0.15)) {
-    fields[kVenue] = corruptor.CorruptText(fields[kVenue]);
+    corruptor.CorruptText(venue_name, bytes);
+  } else {
+    bytes += venue_name;
   }
+  out.EndField();
 
   // Date field.
   if (canonical || !rng.Bernoulli(config.year_missing_prob)) {
@@ -364,39 +392,51 @@ void MakePaperRecord(const PaperEntity& entity, bool canonical,
     if (!canonical && rng.Bernoulli(config.year_off_by_one_prob)) {
       year += rng.Bernoulli(0.5) ? 1 : -1;
     }
-    fields[kDate] = StrFormat("%d", year);
+    AppendInt(year, bytes);
   }
+  out.EndField();
 
   // Pages field.
   if (canonical || !rng.Bernoulli(config.pages_missing_prob)) {
     if (!canonical && rng.Bernoulli(0.3)) {
-      fields[kPages] =
-          StrFormat("pages %d %d", entity.first_page, entity.last_page);
+      bytes += "pages ";
+      AppendInt(entity.first_page, bytes);
+      bytes += ' ';
     } else {
-      fields[kPages] = StrFormat("%d-%d", entity.first_page, entity.last_page);
+      AppendInt(entity.first_page, bytes);
+      bytes += '-';
     }
+    AppendInt(entity.last_page, bytes);
   }
+  out.EndField();
 }
 
 // ---------------------------------------------------------------------------
-// Product entity/record construction (bipartite; see paper note above).
+// Product entity/record construction (bipartite; same scheme as the paper
+// records above).
 // ---------------------------------------------------------------------------
 
-// Schema field indexes for the Product dataset.
-constexpr int kName = 0;
-constexpr int kPrice = 1;
+// Appends `price` with two decimals, byte for byte as printf's "%.2f"
+// writes it (corruptor_golden_test.cc checks the equivalence over the
+// generated price range).
+void AppendPrice(double price, std::string& out) {
+  char digits[32];
+  const std::to_chars_result result = std::to_chars(
+      digits, digits + sizeof(digits), price, std::chars_format::fixed, 2);
+  out.append(digits, result.ptr);
+}
 
 struct ProductEntity {
-  std::string brand;
+  std::string_view brand;
   std::string model;  // e.g. "kx-3200b"
-  std::vector<std::string> nouns;
-  std::vector<std::string> adjectives;
+  std::vector<std::string_view> nouns;
+  std::vector<std::string_view> adjectives;
   double price = 0.0;
 };
 
-std::string MakeModelCode(Rng& rng) {
+void MakeModelCode(Rng& rng, std::string& code) {
   static constexpr char kLetters[] = "abcdefghijklmnopqrstuvwxyz";
-  std::string code;
+  code.clear();
   const size_t prefix_len = 2 + rng.Index(2);
   for (size_t i = 0; i < prefix_len; ++i) {
     code += kLetters[rng.Index(26)];
@@ -407,77 +447,99 @@ std::string MakeModelCode(Rng& rng) {
     code += static_cast<char>('0' + rng.Index(10));
   }
   if (rng.Bernoulli(0.4)) code += kLetters[rng.Index(26)];
-  return code;
 }
 
-ProductEntity MakeProductEntity(Rng& rng) {
+// Overwrites `entity` with the next entity drawn from `rng`.
+void MakeProductEntity(Rng& rng, ProductEntity& entity) {
   const auto& brands = wordlists::Brands();
   const auto& nouns = wordlists::ProductNouns();
   const auto& adjectives = wordlists::ProductAdjectives();
 
-  ProductEntity entity;
-  entity.brand = std::string(brands[rng.Index(brands.size())]);
-  entity.model = MakeModelCode(rng);
+  entity.brand = brands[rng.Index(brands.size())];
+  MakeModelCode(rng, entity.model);
   const size_t num_nouns = 1 + rng.Index(2);
+  entity.nouns.clear();
   for (size_t i = 0; i < num_nouns; ++i) {
-    entity.nouns.emplace_back(nouns[rng.Index(nouns.size())]);
+    entity.nouns.push_back(nouns[rng.Index(nouns.size())]);
   }
   const size_t num_adjectives = 2 + rng.Index(3);
+  entity.adjectives.clear();
   for (size_t i = 0; i < num_adjectives; ++i) {
-    entity.adjectives.emplace_back(adjectives[rng.Index(adjectives.size())]);
+    entity.adjectives.push_back(adjectives[rng.Index(adjectives.size())]);
   }
   entity.price = 10.0 + rng.UniformDouble() * 1990.0;
-  return entity;
 }
 
-// Fills the two fields of one record of `entity` as listed on `side`; a
-// missing price is left empty.
-void MakeProductRecord(const ProductEntity& entity, uint8_t side,
-                       bool canonical, const ProductDatasetConfig& config,
-                       Corruptor& corruptor, Rng& rng,
-                       std::vector<std::string>& fields) {
-  for (std::string& field : fields) field.clear();
-
-  std::string model = entity.model;
-  bool include_model = true;
-  if (!canonical) {
-    if (rng.Bernoulli(config.drop_model_prob)) include_model = false;
-    if (include_model && rng.Bernoulli(config.reformat_model_prob)) {
-      // Strip the dash so the code tokenizes as one word instead of two.
-      std::string compact;
-      for (char c : model) {
-        if (c != '-') compact += c;
-      }
-      model = compact;
+// Appends the product name as listed on `side`, words joined by single
+// spaces. Retailer-specific word order: side 0 leads with brand + model;
+// side 1 leads with the description. A compact model has its dash
+// stripped, so the code tokenizes as one word instead of two.
+void AppendProductName(const ProductEntity& entity, uint8_t side,
+                       bool include_model, bool compact_model,
+                       std::string& out) {
+  bool first = true;
+  const auto separate = [&out, &first] {
+    if (!first) out += ' ';
+    first = false;
+  };
+  const auto brand_and_model = [&] {
+    separate();
+    out += entity.brand;
+    if (!include_model) return;
+    separate();
+    for (char c : entity.model) {
+      if (!compact_model || c != '-') out += c;
     }
-  }
-
-  // Retailer-specific word order: side 0 leads with brand + model; side 1
-  // leads with the description.
-  std::vector<std::string> words;
+  };
+  const auto description = [&] {
+    for (std::string_view word : entity.adjectives) {
+      separate();
+      out += word;
+    }
+    for (std::string_view word : entity.nouns) {
+      separate();
+      out += word;
+    }
+  };
   if (side == 0) {
-    words.push_back(entity.brand);
-    if (include_model) words.push_back(model);
-    words.insert(words.end(), entity.adjectives.begin(),
-                 entity.adjectives.end());
-    words.insert(words.end(), entity.nouns.begin(), entity.nouns.end());
+    brand_and_model();
+    description();
   } else {
-    words.insert(words.end(), entity.adjectives.begin(),
-                 entity.adjectives.end());
-    words.insert(words.end(), entity.nouns.begin(), entity.nouns.end());
-    words.push_back(entity.brand);
-    if (include_model) words.push_back(model);
+    description();
+    brand_and_model();
   }
-  std::string name = Join(words, " ");
-  if (!canonical) name = corruptor.CorruptText(name);
-  fields[kName] = std::move(name);
+}
+
+// Appends the two fields of one record of `entity` as listed on `side` to
+// `out`; a missing price is left empty. `name_scratch` holds the name
+// before corruption.
+void AppendProductRecord(const ProductEntity& entity, uint8_t side,
+                         bool canonical, const ProductDatasetConfig& config,
+                         Corruptor& corruptor, Rng& rng,
+                         std::string& name_scratch, BlockBuffer& out) {
+  bool include_model = true;
+  bool compact_model = false;
+  if (!canonical) {
+    include_model = !rng.Bernoulli(config.drop_model_prob);
+    compact_model = include_model && rng.Bernoulli(config.reformat_model_prob);
+  }
+  if (canonical) {
+    AppendProductName(entity, side, include_model, compact_model, out.bytes);
+  } else {
+    name_scratch.clear();
+    AppendProductName(entity, side, include_model, compact_model,
+                      name_scratch);
+    corruptor.CorruptText(name_scratch, out.bytes);
+  }
+  out.EndField();
 
   if (!rng.Bernoulli(config.price_missing_prob)) {
     const double price =
         canonical ? entity.price
                   : corruptor.JitterNumber(entity.price, config.price_jitter);
-    fields[kPrice] = StrFormat("%.2f", price);
+    AppendPrice(price, out.bytes);
   }
+  out.EndField();
 }
 
 // ---------------------------------------------------------------------------
@@ -498,15 +560,15 @@ void GeneratePaperBlock(const PaperDatasetConfig& config,
     return;
   }
   Corruptor corruptor(config.corruption, &rng);
-  std::vector<std::string> fields(5);
+  PaperEntity entity;
   out->num_entities = static_cast<int32_t>(sizes->size());
   for (int32_t e = 0; e < out->num_entities; ++e) {
     if (cancel.load(std::memory_order_relaxed)) return;
-    const PaperEntity entity = MakePaperEntity(rng, title_sampler);
+    MakePaperEntity(rng, title_sampler, entity);
     for (int32_t r = 0; r < (*sizes)[e]; ++r) {
-      MakePaperRecord(entity, /*canonical=*/r == 0, config, corruptor, rng,
-                      fields);
-      out->Append(fields, e, /*record_side=*/0);
+      AppendPaperRecord(entity, /*canonical=*/r == 0, config, corruptor, rng,
+                        *out);
+      out->EndRecord(e, /*record_side=*/0);
     }
   }
 }
@@ -521,20 +583,21 @@ void GenerateProductBlock(const ProductDatasetConfig& config, uint64_t seed,
     return;
   }
   Corruptor corruptor(config.corruption, &rng);
-  std::vector<std::string> fields(2);
+  ProductEntity entity;
+  std::string name_scratch;
   out->num_entities = static_cast<int32_t>(sizes->size());
   for (int32_t e = 0; e < out->num_entities; ++e) {
     if (cancel.load(std::memory_order_relaxed)) return;
     const int32_t size = (*sizes)[e];
-    const ProductEntity entity = MakeProductEntity(rng);
+    MakeProductEntity(rng, entity);
     for (int32_t r = 0; r < size; ++r) {
       // Singleton clusters land on a random side; larger clusters alternate
       // so every multi-record entity spans both catalogs.
       uint8_t side = static_cast<uint8_t>(r % 2);
       if (size == 1) side = rng.Bernoulli(0.5) ? 1 : 0;
-      MakeProductRecord(entity, side, /*canonical=*/r == 0, config, corruptor,
-                        rng, fields);
-      out->Append(fields, e, side);
+      AppendProductRecord(entity, side, /*canonical=*/r == 0, config,
+                          corruptor, rng, name_scratch, *out);
+      out->EndRecord(e, side);
     }
   }
 }

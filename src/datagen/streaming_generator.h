@@ -36,6 +36,13 @@ uint64_t BlockSeed(uint64_t base_seed, int32_t block);
 /// Errors (a bad scale factor, record ids past `ObjectId`, a cluster
 /// config the sampler rejects) end the stream with `status()` set.
 ///
+/// A worker writes each record's fields straight into its block's flat
+/// buffer (bytes plus field offsets), reusing one entity and one
+/// `Corruptor` for the whole block, so generating a record allocates
+/// nothing. The order of the RNG draws is the output contract: frozen
+/// checksums pin it, so any rewrite of the generation code must draw the
+/// same values in the same order.
+///
 /// Memory: O(window × block), the window being the worker count plus two
 /// flat block buffers; the whole dataset is never materialized.
 class StreamingPaperSource : public RecordSource {

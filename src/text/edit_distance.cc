@@ -1,15 +1,51 @@
 #include "text/edit_distance.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/macros.h"
 
 namespace crowdjoin {
 
+namespace {
+
+// Myers' bit-parallel Levenshtein distance in Hyyrö's formulation, for a
+// pattern `b` of 1..64 bytes: bit i of the vertical delta vectors holds
+// D[i+1][j] - D[i][j] for the current text column j. One column costs a
+// handful of word operations and nothing is allocated.
+size_t BitParallelLevenshtein(std::string_view a, std::string_view b) {
+  uint64_t peq[256] = {};  // peq[c]: bit i set iff b[i] == c
+  for (size_t i = 0; i < b.size(); ++i) {
+    peq[static_cast<unsigned char>(b[i])] |= uint64_t{1} << i;
+  }
+  const uint64_t last = uint64_t{1} << (b.size() - 1);
+  uint64_t pv = ~uint64_t{0};  // D[i][0] = i: every vertical delta is +1
+  uint64_t mv = 0;
+  size_t distance = b.size();
+  for (char c : a) {
+    const uint64_t eq = peq[static_cast<unsigned char>(c)];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    uint64_t ph = mv | ~(xh | pv);
+    uint64_t mh = pv & xh;
+    if (ph & last) ++distance;
+    if (mh & last) --distance;
+    // D[0][j] = j: the row above the pattern always steps by +1.
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    pv = mh | ~(xv | ph);
+    mv = ph & xv;
+  }
+  return distance;
+}
+
+}  // namespace
+
 size_t LevenshteinDistance(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string
   if (b.empty()) return a.size();
+  if (b.size() <= 64) return BitParallelLevenshtein(a, b);
   std::vector<size_t> row(b.size() + 1);
   for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
   for (size_t i = 1; i <= a.size(); ++i) {

@@ -6,8 +6,10 @@
 
 namespace crowdjoin {
 
-/// Levenshtein (unit-cost insert/delete/substitute) distance.
-/// O(|a| * |b|) time, O(min(|a|, |b|)) space.
+/// Levenshtein (unit-cost insert/delete/substitute) distance. When the
+/// shorter string has at most 64 bytes this runs Myers' bit-parallel
+/// algorithm, O(|a| + |b|) time and no allocation; longer pairs run the
+/// O(|a| * |b|) dynamic program over one O(min(|a|, |b|)) row.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
 /// \brief Banded Levenshtein: the exact distance when it is <= `max_dist`,

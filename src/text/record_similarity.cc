@@ -70,8 +70,10 @@ double ParseNumericField(const std::string& text) {
 
 double NumericProximity(double x, double y) {
   if (std::isnan(x) || std::isnan(y)) return 0.0;
+  // Equal values score 1 without the division, which would be 0/0 for two
+  // zeros and inf/inf for two equal infinities.
+  if (x == y) return 1.0;
   const double denom = std::max(std::abs(x), std::abs(y));
-  if (denom == 0.0) return 1.0;
   return std::max(0.0, 1.0 - std::abs(x - y) / denom);
 }
 

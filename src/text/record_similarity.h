@@ -102,7 +102,8 @@ class RecordScorer {
 double ParseNumericField(const std::string& text);
 
 /// Relative numeric proximity: max(0, 1 - |x-y| / max(|x|,|y|)).
-/// Both zero -> 1.0; NaN inputs -> 0.0.
+/// Equal values (both zero, or the same infinity) -> 1.0; NaN inputs, and
+/// an infinity against any other value -> 0.0.
 double NumericProximity(double x, double y);
 
 }  // namespace crowdjoin

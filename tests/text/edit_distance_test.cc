@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -21,6 +24,87 @@ TEST(LevenshteinDistance, KnownDistances) {
 TEST(LevenshteinDistance, Symmetric) {
   EXPECT_EQ(LevenshteinDistance("sunday", "saturday"),
             LevenshteinDistance("saturday", "sunday"));
+}
+
+// The textbook full-matrix dynamic program, the reference for the
+// bit-parallel kernel that serves patterns of up to 64 bytes.
+size_t ReferenceLevenshtein(std::string_view a, std::string_view b) {
+  std::vector<std::vector<size_t>> d(a.size() + 1,
+                                     std::vector<size_t>(b.size() + 1));
+  for (size_t i = 0; i <= a.size(); ++i) d[i][0] = i;
+  for (size_t j = 0; j <= b.size(); ++j) d[0][j] = j;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1)});
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+// `length` bytes drawn from `alphabet`, or from all 256 byte values when
+// it is empty.
+std::string RandomBytes(Rng& rng, size_t length, std::string_view alphabet) {
+  std::string out(length, '\0');
+  for (char& c : out) {
+    c = alphabet.empty() ? static_cast<char>(rng.Index(256))
+                         : alphabet[rng.Index(alphabet.size())];
+  }
+  return out;
+}
+
+// A few random edits of `base`, so the pair has a small distance.
+std::string Mutate(Rng& rng, std::string base, std::string_view alphabet) {
+  const size_t edits = rng.Index(6);
+  for (size_t e = 0; e < edits; ++e) {
+    const std::string c = RandomBytes(rng, 1, alphabet);
+    const size_t pos = rng.Index(base.size() + 1);
+    switch (rng.Index(3)) {
+      case 0:
+        base.insert(pos, c);
+        break;
+      case 1:
+        if (pos < base.size()) base.erase(pos, 1);
+        break;
+      default:
+        if (pos < base.size()) base[pos] = c[0];
+        break;
+    }
+  }
+  return base;
+}
+
+TEST(LevenshteinDistance, MatchesTheDynamicProgramOnRandomStrings) {
+  // Small alphabets force long runs of matches; the high bytes catch any
+  // signed-char table index.
+  const std::vector<std::string_view> alphabets = {
+      "ab", "acgt", "abcdefghijklmnopqrstuvwxyz -", "\x80\xc3\xff" "a", ""};
+  Rng rng(8080);
+  const auto expect_agrees = [](const std::string& a, const std::string& b) {
+    ASSERT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b))
+        << "lengths " << a.size() << ", " << b.size();
+    ASSERT_EQ(LevenshteinDistance(b, a), ReferenceLevenshtein(a, b));
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string_view alphabet = alphabets[rng.Index(alphabets.size())];
+    const std::string a = RandomBytes(rng, rng.Index(81), alphabet);
+    expect_agrees(a, rng.Bernoulli(0.5)
+                         ? Mutate(rng, a, alphabet)
+                         : RandomBytes(rng, rng.Index(81), alphabet));
+  }
+  // Either side of the 64-byte word: the shorter string at 63, 64 and 65
+  // bytes against every longer length up to 80.
+  for (size_t shorter : {63u, 64u, 65u}) {
+    for (size_t longer = shorter; longer <= 80; ++longer) {
+      for (std::string_view alphabet : alphabets) {
+        const std::string a = RandomBytes(rng, shorter, alphabet);
+        std::string b = Mutate(rng, a, alphabet);
+        b.resize(longer, alphabet.empty() ? '\x90' : alphabet[0]);
+        expect_agrees(a, b);
+        expect_agrees(a, RandomBytes(rng, longer, alphabet));
+      }
+    }
+  }
 }
 
 TEST(LevenshteinSimilarity, NormalizedToUnitInterval) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace crowdjoin {
 namespace {
@@ -27,6 +28,19 @@ TEST(NumericProximity, RelativeDistance) {
   EXPECT_NEAR(NumericProximity(90.0, 100.0), 0.9, 1e-12);
   EXPECT_DOUBLE_EQ(NumericProximity(1.0, 1000.0), 1.0 - 999.0 / 1000.0);
   EXPECT_DOUBLE_EQ(NumericProximity(std::nan(""), 1.0), 0.0);
+}
+
+TEST(NumericProximity, EqualInfinitiesScoreOne) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(NumericProximity(inf, inf), 1.0);
+  EXPECT_DOUBLE_EQ(NumericProximity(-inf, -inf), 1.0);
+  EXPECT_DOUBLE_EQ(NumericProximity(inf, -inf), 0.0);
+  EXPECT_DOUBLE_EQ(NumericProximity(inf, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(NumericProximity(0.0, -0.0), 1.0);
+  // Fields that overflow a double parse to the same infinity.
+  EXPECT_DOUBLE_EQ(NumericProximity(ParseNumericField("1e400"),
+                                    ParseNumericField("1e400")),
+                   1.0);
 }
 
 TEST(RecordScorer, IdenticalRecordsScoreOne) {
