@@ -11,8 +11,6 @@
 
 #include "common/logging.h"
 #include "common/status.h"
-#include "obs/metrics.h"
-#include "obs/tracing.h"
 
 namespace crowdjoin::bench {
 
@@ -135,36 +133,6 @@ template <typename R>
 auto Unwrap(R result) {
   CheckOk(result.status());
   return std::move(result).value();
-}
-
-/// Writes `content` to `path`, aborting (exit 2, like flag errors) when the
-/// file cannot be written — a harness asked for an export it didn't get.
-inline void WriteFileOrDie(const std::string& path, std::string_view content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "FATAL: cannot open '%s' for writing\n", path.c_str());
-    std::exit(2);
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  if (std::fclose(file) != 0 || written != content.size()) {
-    std::fprintf(stderr, "FATAL: short write to '%s'\n", path.c_str());
-    std::exit(2);
-  }
-}
-
-/// Shared tail of harnesses carrying --metrics_json= / --trace_json=:
-/// exports the global metrics snapshot and/or Chrome trace to the given
-/// paths (empty = skip that export). Call once, after the measured work.
-inline void ExportObservability(const std::string& metrics_json_path,
-                                const std::string& trace_json_path) {
-  if (!metrics_json_path.empty()) {
-    WriteFileOrDie(metrics_json_path,
-                   obs::MetricsRegistry::Global().Snapshot().ToJson());
-  }
-  if (!trace_json_path.empty()) {
-    WriteFileOrDie(trace_json_path,
-                   obs::TraceRecorder::Global().ToChromeTraceJson());
-  }
 }
 
 }  // namespace crowdjoin::bench

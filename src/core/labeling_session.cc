@@ -595,7 +595,6 @@ Result<LabelingReport> LabelingSession::RunStream(
   int32_t num_objects = 0;
   int64_t completed_rounds = 0;
   int64_t candidates_consumed = 0;
-  int64_t skip_rounds = 0;
 
   if (checkpointing) {
     // Record every Add from here on; the log *is* the durable graph.
@@ -611,6 +610,39 @@ Result<LabelingReport> LabelingSession::RunStream(
               checkpoint->path.c_str(),
               static_cast<unsigned long long>(state.fingerprint),
               static_cast<unsigned long long>(checkpoint->fingerprint)));
+        }
+        // Fast-forward first: the stream is deterministic, so the completed
+        // rounds re-emit the same candidates; consume and verify them
+        // without labeling anything (and without touching the order RNG).
+        // Nothing is restored until the stream has vouched for the file's
+        // counts, so a malformed object count cannot size the graph.
+        int64_t skipped_candidates = 0;
+        int32_t skipped_objects = 0;
+        for (int64_t i = 0; i < state.completed_rounds; ++i) {
+          CJ_ASSIGN_OR_RETURN(const CandidateSet skipped,
+                              stream.NextRound());
+          if (skipped.empty()) {
+            return Status::FailedPrecondition(
+                "stream exhausted while fast-forwarding past checkpointed "
+                "rounds; the stream does not match the checkpoint");
+          }
+          skipped_candidates += static_cast<int64_t>(skipped.size());
+          skipped_objects =
+              std::max(skipped_objects, NumObjectsSpanned(skipped));
+        }
+        if (skipped_candidates != state.candidates_consumed) {
+          return Status::FailedPrecondition(StrFormat(
+              "stream replayed %lld candidates over the checkpointed "
+              "rounds, expected %lld; the stream does not match the "
+              "checkpoint",
+              static_cast<long long>(skipped_candidates),
+              static_cast<long long>(state.candidates_consumed)));
+        }
+        if (skipped_objects != state.num_objects) {
+          return Status::FailedPrecondition(StrFormat(
+              "stream spans %d objects over the checkpointed rounds, "
+              "expected %d; the stream does not match the checkpoint",
+              skipped_objects, state.num_objects));
         }
         // Restore the report-so-far, the budget, the graph (by replaying
         // the Add log — re-logged as it replays, so the next checkpoint
@@ -631,7 +663,6 @@ Result<LabelingReport> LabelingSession::RunStream(
         if (state.has_order_rng && order_rng != nullptr) {
           order_rng->RestoreState(state.order_rng);
         }
-        skip_rounds = state.completed_rounds;
         completed_rounds = state.completed_rounds;
         // The killed process took its round counters with it: credit the
         // restored rounds here so the resumed run's exported session.*
@@ -641,28 +672,6 @@ Result<LabelingReport> LabelingSession::RunStream(
         metrics.oracle_calls_total->Inc(state.num_crowdsourced);
         metrics.deduced_total->Inc(state.num_deduced);
         CheckpointMetrics::Get().resumes_total->Inc();
-        // Fast-forward: the stream is deterministic, so the completed
-        // rounds re-emit the same candidates; consume and verify them
-        // without labeling anything (and without touching the order RNG).
-        int64_t skipped_candidates = 0;
-        for (int64_t i = 0; i < skip_rounds; ++i) {
-          CJ_ASSIGN_OR_RETURN(const CandidateSet skipped,
-                              stream.NextRound());
-          if (skipped.empty()) {
-            return Status::FailedPrecondition(
-                "stream exhausted while fast-forwarding past checkpointed "
-                "rounds; the stream does not match the checkpoint");
-          }
-          skipped_candidates += static_cast<int64_t>(skipped.size());
-        }
-        if (skipped_candidates != state.candidates_consumed) {
-          return Status::FailedPrecondition(StrFormat(
-              "stream replayed %lld candidates over the checkpointed "
-              "rounds, expected %lld; the stream does not match the "
-              "checkpoint",
-              static_cast<long long>(skipped_candidates),
-              static_cast<long long>(state.candidates_consumed)));
-        }
         candidates_consumed = state.candidates_consumed;
       } else if (loaded.status().code() != StatusCode::kNotFound) {
         return loaded.status();  // corrupt checkpoint: surface, don't clobber

@@ -123,6 +123,14 @@ Result<SessionCheckpointState> DecodeSessionCheckpoint(std::string_view data) {
     CJ_ASSIGN_OR_RETURN(const uint32_t a, r.ReadU32());
     CJ_ASSIGN_OR_RETURN(const uint32_t b, r.ReadU32());
     CJ_ASSIGN_OR_RETURN(const uint8_t label, r.ReadU8());
+    // The log replays through ClusterGraph::Add, which aborts on a
+    // self-loop or an object outside the graph.
+    if (a == b || a >= num_objects || b >= num_objects) {
+      return Status::InvalidArgument(StrFormat(
+          "checkpoint edge (%u, %u) is a self-loop or lies outside the %u "
+          "checkpointed objects",
+          a, b, num_objects));
+    }
     edge.a = static_cast<ObjectId>(a);
     edge.b = static_cast<ObjectId>(b);
     edge.label = static_cast<Label>(label & 1u);

@@ -90,7 +90,9 @@ struct SessionCheckpointState {
 std::string EncodeSessionCheckpoint(const SessionCheckpointState& state);
 
 /// Parses a checkpoint file's bytes. Fails with `InvalidArgument` on a
-/// bad magic/version or an object count above int32, `OutOfRange` on
+/// bad magic/version, an object count above int32, or a logged edge that
+/// is a self-loop or names an object outside `[0, num_objects)`;
+/// `OutOfRange` on
 /// truncation or an element count the buffer cannot hold, and
 /// `FailedPrecondition` on checksum mismatch. Arbitrary bytes yield a
 /// `Status`, never a throw.

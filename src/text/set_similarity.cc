@@ -155,7 +155,7 @@ double BoundedJaccardSeeded(const int32_t* a, size_t na, const int32_t* b,
     return internal::MergeVerifyGallop(b, nb, a, na, b_pos, a_pos,
                                        seed_overlap, required);
   }
-  // Measured (bench/micro_verify + the scale_sweep SF 100 join phase,
+  // Measured (bench/micro_verify + an SF 100 streaming join,
   // BASELINES.md): the branch-per-element merge with mismatch-only exit
   // checks beats the branchless block merge ~2.4x on this workload's
   // short documents (~10 tokens) and ~10% end-to-end at SF 100; the

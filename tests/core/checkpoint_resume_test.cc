@@ -5,18 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/serialize.h"
 #include "core/labeling_session.h"
+#include "core/session_checkpoint.h"
 #include "tests/core/test_fixtures.h"
 
 namespace crowdjoin {
 namespace {
 
 using testing_fixtures::MakeRandomInstance;
+using testing_fixtures::RandomInstance;
 using testing_fixtures::ThreadSafeCountingOracle;
 
 constexpr size_t kRoundSize = 25;
@@ -265,6 +270,72 @@ TEST(CheckpointResume, CorruptCheckpointSurfacesInsteadOfRestarting) {
       &checkpoint);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// Resumes a round-parallel campaign from its genuine round-2 frontier
+// after `edit` rewrote it. The edited state is re-saved, so its checksum
+// is valid: the file a buggy or hostile writer leaves, not a torn one.
+Status ResumeFromEditedFrontier(
+    const RandomInstance& instance, const std::string& path,
+    const std::function<void(SessionCheckpointState&)>& edit) {
+  std::remove(path.c_str());
+  SessionCheckpointOptions checkpoint;
+  checkpoint.path = path;
+  checkpoint.fingerprint = kFingerprint;
+  std::optional<SessionCheckpointState> frontier;
+  checkpoint.after_write = [&](int64_t completed_rounds) {
+    if (completed_rounds == 2) frontier = LoadSessionCheckpoint(path).value();
+  };
+  ThreadSafeCountingOracle full_oracle(instance.entity_of);
+  EXPECT_TRUE(RunCampaign(instance.pairs,
+                          Options(SchedulePolicy::kRoundParallel),
+                          full_oracle, &checkpoint)
+                  .ok());
+  EXPECT_TRUE(frontier.has_value());
+  if (!frontier.has_value()) return Status::Internal("no round-2 frontier");
+  edit(*frontier);
+  EXPECT_TRUE(SaveSessionCheckpoint(path, *frontier).ok());
+
+  checkpoint.after_write = nullptr;
+  ThreadSafeCountingOracle resumed_oracle(instance.entity_of);
+  const Status status =
+      RunCampaign(instance.pairs, Options(SchedulePolicy::kRoundParallel),
+                  resumed_oracle, &checkpoint)
+          .status();
+  std::remove(path.c_str());
+  return status;
+}
+
+TEST(CheckpointResume, SelfLoopEdgeIsAnError) {
+  const auto instance = MakeRandomInstance(39, 30, 6, 120);
+  const Status status = ResumeFromEditedFrontier(
+      instance, ::testing::TempDir() + "cj_resume_self_loop.ckpt",
+      [](SessionCheckpointState& state) {
+        ASSERT_FALSE(state.edge_log.empty());
+        state.edge_log.front().b = state.edge_log.front().a;
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST(CheckpointResume, EdgeOutsideTheObjectCountIsAnError) {
+  const auto instance = MakeRandomInstance(40, 30, 6, 120);
+  const Status status = ResumeFromEditedFrontier(
+      instance, ::testing::TempDir() + "cj_resume_edge_range.ckpt",
+      [](SessionCheckpointState& state) {
+        ASSERT_FALSE(state.edge_log.empty());
+        state.edge_log.back().b = state.num_objects;
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST(CheckpointResume, InflatedObjectCountIsRefusedBeforeSizingTheGraph) {
+  // Resuming used to grow the graph to the file's object count before the
+  // stream could vouch for it: INT32_MAX objects is several GiB.
+  const auto instance = MakeRandomInstance(41, 30, 6, 120);
+  const Status status = ResumeFromEditedFrontier(
+      instance, ::testing::TempDir() + "cj_resume_objects.ckpt",
+      [](SessionCheckpointState& state) { state.num_objects = INT32_MAX; });
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
 }
 
 TEST(CheckpointResume, CheckpointRequiresTransitiveOnlyChain) {

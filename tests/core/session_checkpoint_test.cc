@@ -1,19 +1,25 @@
 // Wire-format and file round-trip tests for the session checkpoint
 // (core/session_checkpoint.h). Every corruption mode must surface as a
 // typed error — a torn, truncated, or foreign file must never decode into
-// a plausible-but-wrong frontier.
+// a plausible-but-wrong frontier — and whatever does decode must resume
+// without aborting.
 
 #include "core/session_checkpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "common/rng.h"
 #include "common/serialize.h"
+#include "core/labeling_session.h"
+#include "tests/core/test_fixtures.h"
 
 namespace crowdjoin {
 namespace {
@@ -238,6 +244,120 @@ TEST(SessionCheckpointMutation, ObjectCountAboveInt32IsAnError) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << "count " << count << ": " << status;
   }
+}
+
+constexpr uint64_t kCampaignFingerprint = 0xC4EC4EC4EC4EC4E5ull;
+
+// A small round-parallel campaign under a random order, so its frontier
+// carries every field: batches, outcomes, an edge log and the order RNG.
+Result<LabelingReport> RunSmallCampaign(
+    const testing_fixtures::RandomInstance& instance,
+    const SessionCheckpointOptions& checkpoint) {
+  LabelingSessionOptions options;
+  options.schedule = SchedulePolicy::kRoundParallel;
+  LabelingSession session(options);
+  MaterializedCandidateStream stream(&instance.pairs, /*round_size=*/20);
+  GroundTruthOracle oracle(instance.entity_of);
+  Rng order_rng(5);
+  return session.RunStream(stream, OrderKind::kRandom, oracle,
+                           /*truth=*/nullptr, &order_rng, &checkpoint);
+}
+
+// Deterministic mutation sweep over a real campaign's round-3 frontier:
+// seeded bit flips, every truncation, and inflated count fields, each
+// re-checksummed so it reaches the field decoder. Decoding returns a
+// Status and reserves no more elements than the buffer can hold; a mutant
+// that decodes resumes its campaign to some Status without aborting.
+TEST(SessionCheckpointMutation, RealFrontierMutantsFailOrResumeCleanly) {
+  const auto instance = testing_fixtures::MakeRandomInstance(71, 40, 8, 160);
+  SessionCheckpointOptions checkpoint;
+  checkpoint.path = ::testing::TempDir() + "cjckpt_mutants.ckpt";
+  checkpoint.fingerprint = kCampaignFingerprint;
+  std::remove(checkpoint.path.c_str());
+  std::string frontier;
+  checkpoint.after_write = [&](int64_t completed_rounds) {
+    if (completed_rounds == 3) {
+      frontier = ReadFileToString(checkpoint.path).value();
+    }
+  };
+  ASSERT_TRUE(RunSmallCampaign(instance, checkpoint).ok());
+  checkpoint.after_write = nullptr;
+  const SessionCheckpointState genuine =
+      DecodeSessionCheckpoint(frontier).value();
+  ASSERT_TRUE(genuine.has_order_rng);
+  ASSERT_FALSE(genuine.edge_log.empty());
+
+  int64_t num_resumed = 0;
+  const auto try_mutant = [&](const std::string& mutant) -> Status {
+    const Status status = DecodeStatus(mutant);
+    if (!status.ok()) return status;
+    const SessionCheckpointState state =
+        DecodeSessionCheckpoint(mutant).value();
+    EXPECT_LE(state.crowdsourced_per_iteration.capacity() * 8,
+              mutant.size());
+    EXPECT_LE(state.outcomes.capacity(), mutant.size());
+    EXPECT_LE(state.edge_log.capacity() * 9, mutant.size());
+    EXPECT_TRUE(AtomicWriteFile(checkpoint.path, mutant).ok());
+    ++num_resumed;
+    return RunSmallCampaign(instance, checkpoint).status();
+  };
+
+  // The unmutated frontier resumes to completion.
+  ASSERT_TRUE(try_mutant(frontier).ok());
+
+  const std::string payload = frontier.substr(0, frontier.size() - 8);
+  Rng rng(2024);
+  for (int i = 0; i < 400; ++i) {
+    std::string mutant = payload;
+    for (int64_t flips = rng.UniformInt(1, 3); flips > 0; --flips) {
+      const uint64_t bit = rng.UniformUint64(payload.size() * 8);
+      mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+    }
+    SCOPED_TRACE(testing::Message() << "bit-flip mutant " << i);
+    (void)try_mutant(Rechecksum(mutant + std::string(8, '\0')));
+  }
+
+  for (size_t len = 0; len < payload.size(); ++len) {
+    SCOPED_TRACE(testing::Message() << "payload truncated to " << len);
+    EXPECT_FALSE(try_mutant(Rechecksum(payload.substr(0, len) +
+                                       std::string(8, '\0')))
+                     .ok());
+  }
+
+  // Wire offsets as in InflatedCountsAreErrors, for this frontier's sizes.
+  constexpr size_t kBatchesAt = 8 + 8 + 2 * 8 + 4 + 6 * 8;
+  const size_t outcomes_at =
+      kBatchesAt + 8 + 8 * genuine.crowdsourced_per_iteration.size();
+  const size_t edges_at = outcomes_at + 8 + genuine.outcomes.size();
+  ASSERT_EQ(ReadU64At(frontier, edges_at), genuine.edge_log.size());
+  for (const auto& [at, width] :
+       {std::pair<size_t, uint64_t>{kBatchesAt, 8},
+        std::pair<size_t, uint64_t>{outcomes_at, 1},
+        std::pair<size_t, uint64_t>{edges_at, 9}}) {
+    const uint64_t remaining = payload.size() - (at + 8);
+    for (const uint64_t count : {remaining / width + 1, remaining + 1,
+                                 uint64_t{UINT32_MAX}, uint64_t{1} << 62,
+                                 uint64_t{UINT64_MAX}}) {
+      SCOPED_TRACE(testing::Message() << "offset " << at << " count " << count);
+      EXPECT_EQ(try_mutant(Rechecksum(WithFieldAt(frontier, at, 8, count)))
+                    .code(),
+                StatusCode::kOutOfRange);
+    }
+  }
+
+  // An inflated object count keeps every edge in range, so it decodes; the
+  // resume must refuse it before sizing the graph by it.
+  constexpr size_t kObjectsAt = 8 + 8 + 2 * 8;
+  const auto num_objects = static_cast<uint64_t>(genuine.num_objects);
+  for (const uint64_t count : {uint64_t{INT32_MAX}, num_objects + 1}) {
+    SCOPED_TRACE(testing::Message() << "object count " << count);
+    EXPECT_EQ(
+        try_mutant(Rechecksum(WithFieldAt(frontier, kObjectsAt, 4, count)))
+            .code(),
+        StatusCode::kFailedPrecondition);
+  }
+  EXPECT_GT(num_resumed, 100);
+  std::remove(checkpoint.path.c_str());
 }
 
 TEST(SessionCheckpoint, EncodingIsDeterministic) {

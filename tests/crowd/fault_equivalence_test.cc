@@ -105,7 +105,7 @@ TEST(FaultEquivalence, DifferentFaultSeedsSameLabels) {
 
 TEST(FaultEquivalence, StreamedCampaignMasksTransientFaultsToo) {
   // The same invariant through the streaming round-by-round drive (the
-  // path scale_sweep and the CI campaign smoke exercise).
+  // path tests/integration/campaign_pins_test.cc pins at SF 10).
   const auto instance = MakeRandomInstance(88, 30, 6, 120);
   GroundTruthOracle truth(instance.entity_of);
 
