@@ -1,7 +1,7 @@
 // Microbenchmark + ablation: sharded prefix-filter similarity join vs
 // brute-force all-pairs verification — the machine step's cost profile across
 // thresholds (higher thresholds prune better) — plus the whole machine step
-// on the paper workbench.
+// on the paper workbench and its scoring kernel.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,9 @@
 #include "simjoin/candidate_generator.h"
 #include "simjoin/sharded_join.h"
 #include "simjoin/similarity_join.h"
+#include "simjoin/similarity_measure.h"
 #include "simjoin/token_dictionary.h"
+#include "text/record_similarity.h"
 
 namespace crowdjoin {
 namespace {
@@ -107,6 +109,53 @@ void BM_PaperWorkbenchCandidates(benchmark::State& state) {
                           static_cast<int64_t>(dataset.records.size()));
 }
 BENCHMARK(BM_PaperWorkbenchCandidates)->Unit(benchmark::kMillisecond);
+
+// The scoring kernel of the machine step: the seed-42 paper workbench's
+// joined pairs (t = 0.08, in join order) scored one thread, per pair
+// through `PreparedRecords::Score` (arg 0) or through one
+// `PreparedRecords::RowCursor` (arg 1), which marks each left record's sets
+// once per row. Both give bit-identical scores.
+void BM_PaperWorkbenchScore(benchmark::State& state) {
+  constexpr uint64_t kSeed = 42;
+  PaperDatasetConfig config;
+  config.seed = kSeed;
+  const Dataset dataset = GeneratePaperDataset(config).value();
+  const SimilarityMeasure& measure =
+      SimilarityMeasure::Get(MeasureKind::kJaccard);
+  TokenDictionary dictionary;
+  std::vector<MeasureDoc> docs;
+  for (const Record& record : dataset.records) {
+    std::string text;
+    for (const std::string& field : record.fields) text += field + ' ';
+    docs.push_back(measure.MakeDoc(text, dictionary));
+  }
+  const std::vector<ScoredPair> joined =
+      ShardedMeasureSelfJoin(docs, dictionary, measure,
+                             WorkbenchGeneratorOptions(kSeed)
+                                 .token_join_threshold,
+                             ShardedJoinOptions())
+          .value();
+  const PreparedRecords prepared =
+      MakePaperScorer().Prepare(dataset.records).value();
+  const bool row_cursor = state.range(0) != 0;
+  for (auto _ : state) {
+    PreparedRecords::RowCursor cursor(prepared);
+    double sum = 0.0;
+    for (const ScoredPair& pair : joined) {
+      const auto i = static_cast<size_t>(pair.left);
+      const auto j = static_cast<size_t>(pair.right);
+      sum += (row_cursor ? cursor.Score(i, j) : prepared.Score(i, j)).value();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(joined.size()));
+}
+BENCHMARK(BM_PaperWorkbenchScore)
+    ->ArgName("row_cursor")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace crowdjoin

@@ -91,6 +91,22 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
+void Rng::SkipNormals(uint64_t n) {
+  if (n > 0 && has_spare_normal_) {
+    has_spare_normal_ = false;
+    --n;
+  }
+  // The uniform draws of one Box–Muller pair, as `Normal()` makes them.
+  for (; n > 2; n -= 2) {
+    while (UniformDouble() <= 0.0) {
+    }
+    NextUint64();
+  }
+  // The last pair runs for real, so the spare (kept even when consumed)
+  // matches too.
+  for (; n > 0; --n) Normal();
+}
+
 double Rng::Exponential(double mean) {
   CJ_CHECK(mean > 0.0);
   double u = 0.0;

@@ -61,6 +61,13 @@ class Rng {
   /// Normal variate with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
+  /// Advances the generator past `n` `Normal()` draws: afterwards its
+  /// state (spare included) is exactly what `n` `Normal()` calls leave.
+  /// Every Box–Muller pair but the last makes only its uniform draws, so
+  /// the skip costs no log, sin or cos per pair; it is how a range of a
+  /// parallel pass finds where the noise stream stands at its first pair.
+  void SkipNormals(uint64_t n);
+
   /// Exponential variate with the given mean (mean = 1/lambda, must be > 0).
   double Exponential(double mean);
 

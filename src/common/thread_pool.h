@@ -21,7 +21,8 @@ namespace crowdjoin {
 /// round-based parallel labeler, the sharded simjoin, and the two users of
 /// the process-wide `SharedPool()`: streaming datagen, which generates
 /// record blocks ahead of the reader, and the machine step
-/// (`GenerateCandidates`), which joins and scores on it. Design points:
+/// (`GenerateCandidates`), which prepares, joins and scores on it. Design
+/// points:
 ///
 ///  * `num_threads == 0` is a valid degenerate pool: tasks run inline on
 ///    the submitting thread, so callers never need a separate code path.

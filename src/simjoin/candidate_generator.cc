@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/rng.h"
@@ -103,21 +104,29 @@ Status IngestStreamIntoJoiner(RecordSource& source,
   return source.status();
 }
 
-// The emission half shared by every path: maps one verified join pair
-// back to record ids, blends the (possibly re-scored) similarity into a
-// likelihood, applies the cut.
+// What `left` / `right` hold for a join pair's two documents, indexed by
+// side-local join index: record ids or record positions. A self-join
+// indexes both documents through `left`.
+template <typename T>
+std::pair<T, T> MapPair(const ScoredPair& pair, bool bipartite,
+                        const std::vector<T>& left,
+                        const std::vector<T>& right) {
+  const auto a = static_cast<size_t>(pair.left);
+  const auto b = static_cast<size_t>(pair.right);
+  return {left[a], bipartite ? right[b] : left[b]};
+}
+
+// The streaming feed's emission: maps one join pair back to record ids,
+// noises its join score into a likelihood, applies the cut.
 void EmitCandidate(const ScoredPair& pair, bool bipartite,
                    const std::vector<ObjectId>& left_ids,
-                   const std::vector<ObjectId>& right_ids, double similarity,
+                   const std::vector<ObjectId>& right_ids,
                    const CandidateGeneratorOptions& options, Rng& noise_rng,
                    CandidateSet& out) {
-  const auto left = static_cast<size_t>(pair.left);
-  const auto right = static_cast<size_t>(pair.right);
-  const ObjectId id_a = left_ids[left];
-  const ObjectId id_b = bipartite ? right_ids[right] : left_ids[right];
   const double likelihood = NoisyLikelihood(
-      similarity, options.likelihood_noise_stddev, noise_rng);
+      pair.score, options.likelihood_noise_stddev, noise_rng);
   if (likelihood >= options.min_likelihood) {
+    const auto [id_a, id_b] = MapPair(pair, bipartite, left_ids, right_ids);
     out.push_back({id_a, id_b, likelihood});
   }
 }
@@ -138,50 +147,19 @@ Result<internal::SortedRuns> JoinIngested(const JoinIngest& ingest,
       std::max<int64_t>(cursor.value().num_tasks(), 1), pool);
 }
 
-// Replaces every joined pair's join score by its record similarity, run by
-// run across `pool`. A run stops at its first failing pair, and of those
-// the one first in join order is returned: the error a sequential pass in
-// join order stops at, whichever run fails first in time.
-Status ScoreRuns(const PreparedRecords& prepared, const JoinIngest& ingest,
-                 internal::SortedRuns& runs, ThreadPool* pool) {
-  struct RunError {
-    Status status;
-    size_t at = 0;  // the failing pair's index in its run
-  };
-  const std::vector<RunError> errors = ParallelMap(
-      pool, static_cast<int64_t>(runs.size()), [&](int64_t k) -> RunError {
-        std::vector<ScoredPair>& run = runs[static_cast<size_t>(k)];
-        for (size_t i = 0; i < run.size(); ++i) {
-          const auto left = static_cast<size_t>(run[i].left);
-          const auto right = static_cast<size_t>(run[i].right);
-          const Result<double> similarity = prepared.Score(
-              ingest.left_pos[left], ingest.bipartite ? ingest.right_pos[right]
-                                                      : ingest.left_pos[right]);
-          if (!similarity.ok()) return {similarity.status(), i};
-          run[i].score = similarity.value();
-        }
-        return {};
-      });
-  const ScoredPair* first_failing = nullptr;
-  Status status;
-  for (size_t k = 0; k < runs.size(); ++k) {
-    if (errors[k].status.ok()) continue;
-    const ScoredPair& failing = runs[k][errors[k].at];
-    if (first_failing == nullptr || PairOrderLess(failing, *first_failing)) {
-      first_failing = &failing;
-      status = errors[k].status;
-    }
-  }
-  return status;
-}
-
-// Join -> score -> emit, shared by both materializing paths: joins what was
-// ingested on `pool`, scores the survivors on the same pool when `prepared`
-// is set (the join scores stand otherwise), then draws the noise and cuts
-// sequentially in join order, so every likelihood is independent of the
-// pool. The sorted runs are read in join order by a k-way merge instead
-// of being merged into a copy: a merged copy beside the runs, whose memory
-// the pool's threads then keep, raised peak RSS by about 15%.
+// Join -> score -> noise -> cut, shared by both materializing paths, as
+// one pass over the joined runs in place. The runs are cut into left-id
+// ranges of about equal pair counts (one range without a pool). Each range
+// starts the noise stream where a walk in join order would stand at its
+// first pair, then, on `pool`, reads its pairs in join order through a
+// k-way merge: scores each (when `prepared` is set; the join scores stand
+// otherwise) with a row cursor, draws its noise, writes the likelihood back
+// into the run and counts the pairs that pass the cut, stopping at its
+// first failing pair. Ranges are in join order, so the lowest range's error
+// is the first in join order. A second pass writes each range's kept pairs
+// at its offset in the exactly sized result. Neither pass builds a merged
+// copy beside the runs: one, whose memory the pool's threads then kept,
+// raised peak RSS by about 15%.
 Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
                                    const TokenDictionary& dictionary,
                                    const SimilarityMeasure& measure,
@@ -191,17 +169,73 @@ Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
   CJ_ASSIGN_OR_RETURN(internal::SortedRuns runs,
                       JoinIngested(ingest, dictionary, measure,
                                    options.token_join_threshold, pool));
-  if (prepared != nullptr) {
-    CJ_RETURN_IF_ERROR(ScoreRuns(*prepared, ingest, runs, pool));
-  }
-  size_t num_joined = 0;
-  for (const std::vector<ScoredPair>& run : runs) num_joined += run.size();
-  CandidateSet candidates;
-  candidates.reserve(num_joined);
+  const std::vector<std::vector<size_t>> cuts =
+      internal::CutRunsByLeftId(runs, pool);
+  const size_t num_ranges = cuts.size() - 1;
+
+  // One Normal() per joined pair, kept or not, in join order.
+  const double stddev = options.likelihood_noise_stddev;
+  std::vector<Rng::State> noise(num_ranges);
   Rng noise_rng(options.noise_seed);
-  internal::ForEachInPairOrder(runs, [&](const ScoredPair& pair) {
-    EmitCandidate(pair, ingest.bipartite, ingest.left_ids, ingest.right_ids,
-                  pair.score, options, noise_rng, candidates);
+  size_t drawn = 0;
+  for (size_t r = 0; r < num_ranges; ++r) {
+    size_t rank = 0;
+    for (const size_t start : cuts[r]) rank += start;
+    if (stddev > 0.0) noise_rng.SkipNormals(rank - drawn);
+    drawn = rank;
+    noise[r] = noise_rng.SaveState();
+  }
+
+  struct RangePass {
+    Status status;
+    size_t kept = 0;
+  };
+  const std::vector<RangePass> passes = ParallelMap(
+      pool, static_cast<int64_t>(num_ranges), [&](int64_t r) -> RangePass {
+        const auto range = static_cast<size_t>(r);
+        Rng range_rng;
+        range_rng.RestoreState(noise[range]);
+        std::optional<PreparedRecords::RowCursor> cursor;
+        if (prepared != nullptr) cursor.emplace(*prepared);
+        RangePass pass;
+        internal::ForEachInPairOrder(
+            runs, cuts[range], cuts[range + 1], [&](ScoredPair& pair) {
+              if (cursor.has_value()) {
+                const auto [i, j] = MapPair(pair, ingest.bipartite,
+                                            ingest.left_pos, ingest.right_pos);
+                const Result<double> similarity = cursor->Score(i, j);
+                if (!similarity.ok()) {
+                  pass.status = similarity.status();
+                  return false;
+                }
+                pair.score = similarity.value();
+              }
+              pair.score = NoisyLikelihood(pair.score, stddev, range_rng);
+              if (pair.score >= options.min_likelihood) ++pass.kept;
+              return true;
+            });
+        return pass;
+      });
+  std::vector<size_t> offsets(num_ranges + 1);
+  for (size_t r = 0; r < num_ranges; ++r) {
+    CJ_RETURN_IF_ERROR(passes[r].status);
+    offsets[r + 1] = offsets[r] + passes[r].kept;
+  }
+
+  CandidateSet candidates(offsets.back());
+  ParallelMap(pool, static_cast<int64_t>(num_ranges), [&](int64_t r) {
+    const auto range = static_cast<size_t>(r);
+    CandidatePair* next = candidates.data() + offsets[range];
+    internal::ForEachInPairOrder(
+        runs, cuts[range], cuts[range + 1], [&](const ScoredPair& pair) {
+          if (pair.score >= options.min_likelihood) {
+            const auto [id_a, id_b] = MapPair(
+                pair, ingest.bipartite, ingest.left_ids, ingest.right_ids);
+            *next++ = {id_a, id_b, pair.score};
+          }
+          return true;
+        });
+    return 0;
   });
   return candidates;
 }
@@ -219,8 +253,10 @@ Result<CandidateSet> GenerateCandidates(
       CJ_RETURN_IF_ERROR(ValidateSide(i, (*side_of)[i]));
     }
   }
+  ThreadPool* pool =
+      ThreadPool::HardwareThreads() > 1 ? &SharedPool() : nullptr;
   CJ_ASSIGN_OR_RETURN(const PreparedRecords prepared,
-                      scorer.Prepare(records));
+                      scorer.Prepare(records, pool));
 
   const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
   TokenDictionary dictionary;
@@ -237,8 +273,6 @@ Result<CandidateSet> GenerateCandidates(
     ingest.Add(measure.MakeDoc(RecordText(records[i]), dictionary),
                side_of == nullptr ? 0 : (*side_of)[i], records[i].id, i);
   }
-  ThreadPool* pool =
-      ThreadPool::HardwareThreads() > 1 ? &SharedPool() : nullptr;
   return JoinScoreEmit(ingest, dictionary, measure, &prepared, options, pool);
 }
 
@@ -267,16 +301,16 @@ Result<CandidateSet> GenerateCandidatesStreaming(
 
   // Score features are computed once per retained record; the record text
   // itself is not needed past this point.
+  ThreadPool pool(sharding.num_threads);
+  ThreadPool* pool_ptr = pool.num_threads() > 0 ? &pool : nullptr;
   std::optional<PreparedRecords> prepared;
   if (scorer != nullptr) {
-    CJ_ASSIGN_OR_RETURN(prepared, scorer->Prepare(retained));
+    CJ_ASSIGN_OR_RETURN(prepared, scorer->Prepare(retained, pool_ptr));
     retained = RecordSet();
   }
-
-  ThreadPool pool(sharding.num_threads);
   return JoinScoreEmit(ingest, dictionary, measure,
                        prepared.has_value() ? &*prepared : nullptr, options,
-                       pool.num_threads() > 0 ? &pool : nullptr);
+                       pool_ptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +394,7 @@ Result<CandidateSet> StreamingCandidateFeed::NextRound() {
                         cursor_->NextBatch(tasks_per_round_, pool));
     round.reserve(joined.size());
     for (const ScoredPair& pair : joined) {
-      EmitCandidate(pair, bipartite_, left_ids_, right_ids_, pair.score,
+      EmitCandidate(pair, bipartite_, left_ids_, right_ids_,
                     options_.candidates, noise_rng_, round);
     }
   }

@@ -59,24 +59,34 @@ struct CandidateGeneratorOptions {
 /// 1081 x 1092 setting); any other side value is an InvalidArgument.
 /// Candidate pairs reference `Record::id`.
 ///
-/// Pool: the join (`ShardedSelfJoiner` / `ShardedBipartiteJoiner`) and the
-/// scoring of its survivors run on the process-wide `SharedPool()` (inline
-/// on a 1-core host); there is no thread option. Per that pool's rule, do
-/// not call this from a task running on the shared pool.
+/// Pool: the scorer's `Prepare`, the join (`ShardedSelfJoiner` /
+/// `ShardedBipartiteJoiner`) and one pass over its survivors run on the
+/// process-wide `SharedPool()` (inline on a 1-core host); there is no
+/// thread option. Per that pool's rule, do not call this from a task
+/// running on the shared pool.
+///
+/// The pass: the joined pairs are cut into left-id ranges of about equal
+/// pair counts (`internal::CutRunsByLeftId`), and each range, as one pool
+/// task, reads its pairs in (left, right) order, scores them row by row
+/// (`PreparedRecords::RowCursor`), draws their likelihood noise and counts
+/// the pairs that pass the `min_likelihood` cut; then each range writes its
+/// kept pairs at its offset in the result.
 ///
 /// Determinism: the result is bit-identical to the sequential machine step
 /// (`BruteForceMeasureSelfJoin` / `BruteForceMeasureBipartiteJoin`, then
-/// each pair scored in join order) for every pool size: the join's pairs
-/// and their (left, right) order do not depend on the pool, each pair's
-/// score is a function of the pair alone, and the likelihood noise is
-/// drawn and the `min_likelihood` cut applied on the calling thread, in
-/// join order.
+/// each pair scored, noised and cut in join order) for every pool size: the
+/// join's pairs and their (left, right) order do not depend on the pool,
+/// each pair's score is a function of the pair alone, and each range's
+/// noise stream starts where one stream walked in join order stands at the
+/// range's first pair (`Rng::SkipNormals`), one `Normal()` per joined pair,
+/// kept or not.
 ///
 /// Errors: argument errors (`side_of`) come first, then the scorer's
 /// `Prepare`, then the join's threshold check; a pair that fails to score
 /// (e.g. a record missing a scored field) fails the call with the error of
 /// the first failing pair in join order, whichever failure the pool meets
-/// first.
+/// first: a range stops at its first failing pair, and the lowest failing
+/// range's error is returned.
 Result<CandidateSet> GenerateCandidates(
     const RecordSet& records, const std::vector<uint8_t>* side_of,
     const RecordScorer& scorer, const CandidateGeneratorOptions& options);
@@ -95,9 +105,10 @@ Result<CandidateSet> GenerateCandidates(
 /// memory stays at the measure docs plus the candidate set, which is what
 /// makes million-record campaigns fit. With a scorer (fit it over the same
 /// corpus first) the streamed records are prepared for scoring once
-/// (`RecordScorer::Prepare`), scored on the same workers as the join, and
-/// the result — candidates and errors alike — is byte-identical to
-/// `GenerateCandidates` over the materialized dataset. A bipartite stream
+/// (`RecordScorer::Prepare`) and scored on the same workers as the join, in
+/// the same pass as `GenerateCandidates`, and the result — candidates and
+/// errors alike — is byte-identical to `GenerateCandidates` over the
+/// materialized dataset. A bipartite stream
 /// record whose side is not 0 or 1 is an InvalidArgument.
 ///
 /// `entity_of_out`, when non-null, receives each streamed record's ground

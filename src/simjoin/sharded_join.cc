@@ -80,6 +80,40 @@ int64_t LeftIdWithRankBelow(const internal::SortedRuns& runs, size_t target,
 
 namespace internal {
 
+std::vector<std::vector<size_t>> CutRunsByLeftId(const SortedRuns& runs,
+                                                 ThreadPool* pool) {
+  size_t total = 0;
+  int64_t min_left = std::numeric_limits<int64_t>::max();
+  int64_t max_left = std::numeric_limits<int64_t>::min();
+  for (const std::vector<ScoredPair>& run : runs) {
+    if (run.empty()) continue;
+    total += run.size();
+    min_left = std::min<int64_t>(min_left, run.front().left);
+    max_left = std::max<int64_t>(max_left, run.back().left);
+  }
+  if (total == 0) {
+    return std::vector<std::vector<size_t>>(2,
+                                            std::vector<size_t>(runs.size()));
+  }
+  const int workers = pool == nullptr ? 0 : pool->num_threads();
+  const size_t max_ranges = workers > 1 ? static_cast<size_t>(workers) * 4 : 1;
+  const auto num_ranges = static_cast<int64_t>(
+      std::clamp<size_t>(total / kMinPairsPerRange, 1, max_ranges));
+
+  // Range r takes the left ids from its cut to the next one; cuts split
+  // the pairs into about equal counts.
+  return ParallelMap(pool, num_ranges + 1, [&](int64_t r) {
+    const int64_t first_left = LeftIdWithRankBelow(
+        runs, total * static_cast<size_t>(r) / static_cast<size_t>(num_ranges),
+        min_left, max_left + 1);
+    std::vector<size_t> starts(runs.size());
+    for (size_t k = 0; k < runs.size(); ++k) {
+      starts[k] = FirstAtOrAfter(runs[k], first_left);
+    }
+    return starts;
+  });
+}
+
 std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool) {
   runs.erase(std::remove_if(runs.begin(), runs.end(),
                             [](const std::vector<ScoredPair>& run) {
@@ -89,45 +123,23 @@ std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool) {
   if (runs.empty()) return {};
   if (runs.size() == 1) return std::move(runs.front());
 
-  size_t total = 0;
-  int64_t min_left = std::numeric_limits<int64_t>::max();
-  int64_t max_left = std::numeric_limits<int64_t>::min();
-  for (const std::vector<ScoredPair>& run : runs) {
-    total += run.size();
-    min_left = std::min<int64_t>(min_left, run.front().left);
-    max_left = std::max<int64_t>(max_left, run.back().left);
-  }
-  const int workers = pool == nullptr ? 0 : pool->num_threads();
-  const size_t max_ranges = workers > 1 ? static_cast<size_t>(workers) * 4 : 1;
-  const auto num_ranges = static_cast<int64_t>(
-      std::clamp<size_t>(total / kMinPairsPerRange, 1, max_ranges));
-
-  // Range r takes the left ids from its cut to the next one; cuts split
-  // the pairs into about equal counts. cuts[r][k] is where range r starts
-  // in run k, and the output is ranges in order, so keys stay sorted.
-  const std::vector<std::vector<size_t>> cuts =
-      ParallelMap(pool, num_ranges + 1, [&](int64_t r) {
-        const int64_t first_left = LeftIdWithRankBelow(
-            runs, total * static_cast<size_t>(r) /
-                      static_cast<size_t>(num_ranges),
-            min_left, max_left + 1);
-        std::vector<size_t> starts(runs.size());
-        for (size_t k = 0; k < runs.size(); ++k) {
-          starts[k] = FirstAtOrAfter(runs[k], first_left);
-        }
-        return starts;
-      });
-  std::vector<size_t> offsets(static_cast<size_t>(num_ranges));
-  for (size_t r = 0; r < offsets.size(); ++r) {
+  // The output is the ranges in order, so keys stay sorted.
+  const std::vector<std::vector<size_t>> cuts = CutRunsByLeftId(runs, pool);
+  const size_t num_ranges = cuts.size() - 1;
+  std::vector<size_t> offsets(num_ranges + 1);
+  for (size_t r = 0; r <= num_ranges; ++r) {
     for (const size_t start : cuts[r]) offsets[r] += start;
   }
 
-  std::vector<ScoredPair> out(total);
-  ParallelMap(pool, num_ranges, [&](int64_t r) {
+  std::vector<ScoredPair> out(offsets.back());
+  ParallelMap(pool, static_cast<int64_t>(num_ranges), [&](int64_t r) {
     const auto range = static_cast<size_t>(r);
     ScoredPair* next = out.data() + offsets[range];
     ForEachInPairOrder(runs, cuts[range], cuts[range + 1],
-                       [&next](const ScoredPair& pair) { *next++ = pair; });
+                       [&next](const ScoredPair& pair) {
+                         *next++ = pair;
+                         return true;
+                       });
     return 0;
   });
   return out;

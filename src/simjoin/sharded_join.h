@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -240,17 +241,19 @@ namespace internal {
 using SortedRuns = std::vector<std::vector<ScoredPair>>;
 
 /// Calls `fn(pair)` for the pairs of every slice runs[k][begin[k], end[k])
-/// in (left, right) order: a k-way merge over a min-heap of run cursors,
-/// each keyed by its next pair's (left, right) packed into one integer
-/// (join indexes are non-negative, so the packing keeps their order).
-template <typename Fn>
-void ForEachInPairOrder(const SortedRuns& runs,
-                        const std::vector<size_t>& begin,
+/// in (left, right) order, until `fn` returns false: a k-way merge over a
+/// min-heap of run cursors, each keyed by its next pair's (left, right)
+/// packed into one integer (join indexes are non-negative, so the packing
+/// keeps their order). `fn` takes a `ScoredPair&` when `runs` is mutable,
+/// so a pass may rewrite each score in place.
+template <typename Runs, typename Fn>
+void ForEachInPairOrder(Runs& runs, const std::vector<size_t>& begin,
                         const std::vector<size_t>& end, Fn&& fn) {
+  using Pair = std::remove_pointer_t<decltype(runs.front().data())>;
   struct Cursor {
     uint64_t key;
-    const ScoredPair* next;
-    const ScoredPair* end;
+    Pair* next;
+    Pair* end;
   };
   const auto key_of = [](const ScoredPair& pair) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(pair.left)) << 32) |
@@ -259,7 +262,7 @@ void ForEachInPairOrder(const SortedRuns& runs,
   std::vector<Cursor> heap;
   for (size_t k = 0; k < runs.size(); ++k) {
     if (begin[k] < end[k]) {
-      const ScoredPair* next = runs[k].data() + begin[k];
+      Pair* next = runs[k].data() + begin[k];
       heap.push_back({key_of(*next), next, runs[k].data() + end[k]});
     }
   }
@@ -280,7 +283,7 @@ void ForEachInPairOrder(const SortedRuns& runs,
   for (size_t at = heap.size() / 2; at-- > 0;) sift_down(at);
   while (!heap.empty()) {
     Cursor& top = heap.front();
-    fn(*top.next);
+    if (!fn(*top.next)) return;
     if (++top.next == top.end) {
       top = heap.back();
       heap.pop_back();
@@ -292,24 +295,28 @@ void ForEachInPairOrder(const SortedRuns& runs,
   }
 }
 
-/// Every pair of `runs`, in (left, right) order.
-template <typename Fn>
-void ForEachInPairOrder(const SortedRuns& runs, Fn&& fn) {
-  std::vector<size_t> end(runs.size());
-  for (size_t k = 0; k < runs.size(); ++k) end[k] = runs[k].size();
-  ForEachInPairOrder(runs, std::vector<size_t>(runs.size(), 0), end,
-                     std::forward<Fn>(fn));
-}
+/// \brief Cuts `runs` at left-id boundaries into ranges holding about equal
+/// pair counts, as many as `pool` has use for: up to four per worker, none
+/// under 4096 pairs, and one range without a pool (or with a one-worker
+/// pool).
+///
+/// `cuts[r][k]` is where range r starts in run k; the last entry holds
+/// every run's size. Taken in order, the ranges are the pairs in (left,
+/// right) order, so range r's first pair has join-order rank
+/// `sum_k cuts[r][k]`. Empty runs are allowed; with no pairs at all there
+/// is one empty range.
+std::vector<std::vector<size_t>> CutRunsByLeftId(const SortedRuns& runs,
+                                                 ThreadPool* pool);
 
 /// \brief The tail of every sharded join: merges sorted runs into one
 /// (left, right)-sorted vector.
 ///
 /// The result is exactly the runs concatenated and `SortByPairOrder`ed,
-/// for every pool. The left-id space is cut into ranges holding about
-/// equal pair counts, and each range is k-way merged from its slice of
-/// every run into its own part of one presized output, fanned across
-/// `pool` (nullptr, or a pool of <= 1 worker, merges on the caller). A lone
-/// non-empty run is returned as is, without a copy.
+/// for every pool. The runs are cut into ranges (`CutRunsByLeftId`), and
+/// each range is k-way merged from its slice of every run into its own
+/// part of one presized output, fanned across `pool` (nullptr, or a pool of
+/// <= 1 worker, merges on the caller). A lone non-empty run is returned as
+/// is, without a copy.
 std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool);
 
 }  // namespace internal

@@ -15,7 +15,9 @@ namespace {
 // D[i+1][j] - D[i][j] for the current text column j. One column costs a
 // handful of word operations and nothing is allocated.
 size_t BitParallelLevenshtein(std::string_view a, std::string_view b) {
-  uint64_t peq[256] = {};  // peq[c]: bit i set iff b[i] == c
+  // peq[c]: bit i set iff b[i] == c. The table is all zeros between calls:
+  // each call clears only its pattern's bytes, not all 2 KiB.
+  thread_local uint64_t peq[256] = {};
   for (size_t i = 0; i < b.size(); ++i) {
     peq[static_cast<unsigned char>(b[i])] |= uint64_t{1} << i;
   }
@@ -37,6 +39,7 @@ size_t BitParallelLevenshtein(std::string_view a, std::string_view b) {
     pv = mh | ~(xv | ph);
     mv = ph & xv;
   }
+  for (char c : b) peq[static_cast<unsigned char>(c)] = 0;
   return distance;
 }
 

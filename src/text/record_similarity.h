@@ -11,6 +11,8 @@
 
 namespace crowdjoin {
 
+class ThreadPool;
+
 /// Per-field similarity measures available to the record scorer.
 enum class FieldMeasure : uint8_t {
   kJaccardWords = 0,   ///< Jaccard over normalized word-token sets
@@ -34,7 +36,7 @@ struct FieldSimilaritySpec {
 /// Everything a field measure needs from one record is computed once here:
 /// token and q-gram sets as sorted int ids (interned per spec), normalized
 /// text for the edit measures, parsed numbers, and tf-idf weights. Scoring
-/// a pair is then only id merges and DP on cached strings.
+/// a pair is then only set-overlap counts and DP on cached strings.
 class PreparedRecords {
  public:
   /// Similarity of prepared records `i` and `j` (positions in the prepared
@@ -42,6 +44,30 @@ class PreparedRecords {
   /// two records, including its errors; OutOfRange for a position past the
   /// prepared list.
   Result<double> Score(size_t i, size_t j) const;
+
+  /// \brief Scores pairs row by row: consecutive calls that share the first
+  /// record `i` mark its token sets once, and each partner's ids are only
+  /// counted against the marks. The machine step scores its joined pairs
+  /// in join order, where every left record's partners come together.
+  ///
+  /// `Score` and the cursor run one body (specs in order, the skip rule,
+  /// the weight renormalization and clamp, the errors); they differ only in
+  /// how a set overlap is counted, and the overlap is exact either way, so
+  /// the scores are bit-identical. A cursor holds one byte per interned
+  /// token of each set spec; use one per thread. The prepared records must
+  /// outlive it.
+  class RowCursor {
+   public:
+    explicit RowCursor(const PreparedRecords& prepared);
+
+    /// `prepared.Score(i, j)`.
+    Result<double> Score(size_t i, size_t j);
+
+   private:
+    const PreparedRecords* prepared_;
+    size_t row_;                               // marked record, or npos
+    std::vector<std::vector<uint8_t>> marks_;  // per set spec, by token id
+  };
 
  private:
   friend class RecordScorer;
@@ -54,11 +80,17 @@ class PreparedRecords {
     std::vector<FieldState> state;
     std::vector<uint32_t> set_offsets;  // token sets, CSR over `set_ids`
     std::vector<int32_t> set_ids;
+    size_t num_tokens = 0;  // set ids are in [0, num_tokens)
     std::vector<std::string> text;
     std::vector<double> number;
     std::vector<TfIdfVector> tfidf;
     bool tfidf_fit = false;
   };
+
+  // The body of both scorers; `overlap(s, i, j)` counts the token ids
+  // spec s's sets of records i and j share.
+  template <typename Overlap>
+  Result<double> ScoreWith(size_t i, size_t j, Overlap&& overlap) const;
 
   std::vector<FieldSimilaritySpec> specs_;
   std::vector<Column> columns_;  // indexed like specs_
@@ -85,7 +117,15 @@ class RecordScorer {
   /// pairs by position. InvalidArgument for a spec with q < 1 (q-gram
   /// measure) or a negative or non-finite weight. A record lacking a spec's
   /// field is only an error when a pair containing it is scored.
-  Result<PreparedRecords> Prepare(const RecordSet& records) const;
+  ///
+  /// The work fans out over `pool` (nullptr runs inline) as one task per
+  /// spec and record range. Each range interns its tokens in a vocabulary
+  /// of its own; merging the vocabularies in range order gives every token
+  /// the id of its first appearance over all records, so the result is
+  /// identical to the inline one at every pool size. Per the shared pool's
+  /// rule, do not pass `SharedPool()` from a task running on it.
+  Result<PreparedRecords> Prepare(const RecordSet& records,
+                                  ThreadPool* pool = nullptr) const;
 
   /// Similarity of two records in [0, 1]: prepares both and scores them.
   Result<double> Score(const Record& a, const Record& b) const;

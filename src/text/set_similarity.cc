@@ -7,28 +7,8 @@
 
 namespace crowdjoin {
 
-size_t OverlapSize(const std::vector<int32_t>& a,
-                   const std::vector<int32_t>& b) {
-  size_t i = 0;
-  size_t j = 0;
-  size_t overlap = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++overlap;
-      ++i;
-      ++j;
-    }
-  }
-  return overlap;
-}
-
-double JaccardSimilarity(const int32_t* a, size_t na, const int32_t* b,
-                         size_t nb) {
-  if (na == 0 && nb == 0) return 1.0;
+size_t OverlapSize(const int32_t* a, size_t na, const int32_t* b,
+                   size_t nb) {
   size_t i = 0;
   size_t j = 0;
   size_t overlap = 0;
@@ -43,6 +23,18 @@ double JaccardSimilarity(const int32_t* a, size_t na, const int32_t* b,
       ++j;
     }
   }
+  return overlap;
+}
+
+size_t OverlapSize(const std::vector<int32_t>& a,
+                   const std::vector<int32_t>& b) {
+  return OverlapSize(a.data(), a.size(), b.data(), b.size());
+}
+
+double JaccardSimilarity(const int32_t* a, size_t na, const int32_t* b,
+                         size_t nb) {
+  if (na == 0 && nb == 0) return 1.0;
+  const size_t overlap = OverlapSize(a, na, b, nb);
   const size_t unions = na + nb - overlap;
   return static_cast<double>(overlap) / static_cast<double>(unions);
 }

@@ -9,6 +9,10 @@
 
 namespace crowdjoin {
 
+/// Size of the intersection of two *sorted, deduplicated* id ranges.
+size_t OverlapSize(const int32_t* a, size_t na, const int32_t* b,
+                   size_t nb);
+
 /// Size of the intersection of two *sorted, deduplicated* id vectors.
 size_t OverlapSize(const std::vector<int32_t>& a,
                    const std::vector<int32_t>& b);

@@ -40,7 +40,7 @@ TfIdfVector TfIdfModel::Weigh(const std::vector<std::string>& doc,
     const double w = tf * Idf(token);
     vec.norm_sq += w * w;
     const auto next_id = static_cast<int32_t>(ids.size());
-    terms.emplace_back(ids.emplace(token, next_id).first->second, w);
+    terms.emplace_back(ids.try_emplace(token, next_id).first->second, w);
   }
 
   std::vector<uint32_t> by_id(terms.size());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -85,6 +86,33 @@ TEST(Rng, NormalMoments) {
   const double variance = sum_sq / kDraws - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(std::sqrt(variance), 3.0, 0.1);
+}
+
+void ExpectSameState(const Rng::State& got, const Rng::State& want) {
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got.s[i], want.s[i]) << "word " << i;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.spare_normal),
+            std::bit_cast<uint64_t>(want.spare_normal));
+  EXPECT_EQ(got.has_spare_normal, want.has_spare_normal);
+}
+
+// Skipping n normals leaves the exact state n `Normal()` calls leave, from
+// a fresh stream and from one holding a spare.
+TEST(Rng, SkipNormalsMatchesDrawing) {
+  for (const bool with_spare : {false, true}) {
+    for (const uint64_t n : {0ull, 1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull,
+                             8ull, 9ull, 100000ull}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " with_spare=" << with_spare);
+      Rng drawn(77);
+      if (with_spare) drawn.Normal();
+      Rng skipped = drawn;
+      for (uint64_t i = 0; i < n; ++i) drawn.Normal();
+      skipped.SkipNormals(n);
+      ExpectSameState(skipped.SaveState(), drawn.SaveState());
+      EXPECT_EQ(std::bit_cast<uint64_t>(skipped.Normal()),
+                std::bit_cast<uint64_t>(drawn.Normal()));
+    }
+  }
 }
 
 TEST(Rng, ExponentialMeanAndPositivity) {

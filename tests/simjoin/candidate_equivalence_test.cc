@@ -311,5 +311,62 @@ TEST(CandidateEquivalence, MissingFieldErrorMatchesReference) {
   }
 }
 
+// The seed-42 paper workbench (997 records, ~197k joined pairs: sixteen
+// left-id ranges on four workers) with records replaced by twins of unique
+// words, so each twin pair joins only with itself, as (left, left + 1).
+// The right twin lacks fields from `missing_from` on, so the pair fails;
+// the left twins' ids place the failures in chosen ranges.
+Status WorkbenchErrorWithFailingTwins(
+    const std::vector<std::pair<size_t, size_t>>& twins_and_missing_from) {
+  PaperDatasetConfig config;
+  config.seed = 42;
+  Dataset dataset = GeneratePaperDataset(config).value();
+  for (const auto& [left, missing_from] : twins_and_missing_from) {
+    const std::string word = "qzv" + std::to_string(left);
+    for (size_t at : {left, left + 1}) {
+      for (std::string& field : dataset.records[at].fields) {
+        field = word + " " + word + "x";
+      }
+    }
+    dataset.records[left + 1].fields.resize(missing_from);
+  }
+  RecordScorer scorer = MakePaperScorer();
+  scorer.FitTfIdf(dataset.records);
+  const CandidateGeneratorOptions options = WorkbenchGeneratorOptions(42);
+  const Status expected =
+      ReferenceGenerateCandidates(dataset.records, nullptr, scorer, options)
+          .status();
+  EXPECT_EQ(
+      GenerateCandidates(dataset.records, nullptr, scorer, options).status(),
+      expected);
+  DatasetRecordSource source(&dataset);
+  for (const auto& [threads, shards] : kStreamingGrid) {
+    ShardedJoinOptions sharding;
+    sharding.num_threads = threads;
+    sharding.num_shards = shards;
+    EXPECT_EQ(GenerateCandidatesStreaming(source, &scorer, options, sharding)
+                  .status(),
+              expected)
+        << "threads=" << threads << " shards=" << shards;
+  }
+  return expected;
+}
+
+// The only failing pair sits in the last range; every earlier range is
+// clean and must not mask it.
+TEST(CandidateEquivalence, FailureInALaterRangeOnly) {
+  EXPECT_EQ(WorkbenchErrorWithFailingTwins({{990, 4}}),
+            Status::InvalidArgument("field index 4 out of range"));
+}
+
+// Failures in a middle range and in the last range: the earlier range's
+// error wins, whichever range fails first in time.
+TEST(CandidateEquivalence, EarlierRangeErrorWinsOverALaterOne) {
+  EXPECT_EQ(WorkbenchErrorWithFailingTwins({{500, 2}, {990, 4}}),
+            Status::InvalidArgument("field index 2 out of range"));
+  EXPECT_EQ(WorkbenchErrorWithFailingTwins({{500, 4}, {990, 2}}),
+            Status::InvalidArgument("field index 4 out of range"));
+}
+
 }  // namespace
 }  // namespace crowdjoin

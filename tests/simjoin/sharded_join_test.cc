@@ -293,10 +293,27 @@ void ExpectMergeExact(const internal::SortedRuns& runs,
     EXPECT_EQ(internal::MergeSortedRuns(runs, pool_ptr), expected)
         << label << " threads=" << threads;
   }
-  std::vector<ScoredPair> visited;
-  internal::ForEachInPairOrder(
-      runs, [&visited](const ScoredPair& pair) { visited.push_back(pair); });
-  EXPECT_EQ(visited, expected) << label << " (ForEachInPairOrder)";
+  // The ranges, walked in order, are the pairs in (left, right) order, and
+  // each range starts at the rank its cuts sum to.
+  for (int threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    const std::vector<std::vector<size_t>> cuts =
+        internal::CutRunsByLeftId(runs, threads > 0 ? &pool : nullptr);
+    ASSERT_GE(cuts.size(), 2u);
+    std::vector<ScoredPair> visited;
+    for (size_t r = 0; r + 1 < cuts.size(); ++r) {
+      size_t rank = 0;
+      for (const size_t start : cuts[r]) rank += start;
+      EXPECT_EQ(rank, visited.size()) << label << " range " << r;
+      internal::ForEachInPairOrder(runs, cuts[r], cuts[r + 1],
+                                   [&visited](const ScoredPair& pair) {
+                                     visited.push_back(pair);
+                                     return true;
+                                   });
+    }
+    EXPECT_EQ(visited, expected)
+        << label << " threads=" << threads << " (CutRunsByLeftId)";
+  }
 }
 
 TEST(MergeSortedRuns, EqualsConcatenationPlusSort) {

@@ -107,6 +107,29 @@ TEST(LevenshteinDistance, MatchesTheDynamicProgramOnRandomStrings) {
   }
 }
 
+// The kernel's byte table outlives each call, cleared only at the bytes
+// of the pattern just used: alternate patterns that share bytes, use
+// disjoint ones and use high bytes, so a bit a call leaves behind shows up
+// as a wrong distance in the next.
+TEST(LevenshteinDistance, AlternatingPatternsMatchTheDynamicProgram) {
+  const std::vector<std::string> patterns = {
+      "abcabc", "cab", "xyz", "\x80\xff\xc3\x80", "a\xff" "b", "zzzz",
+      "the quick brown fox", "quick", std::string(64, 'q'), "\xff"};
+  const std::vector<std::string> texts = {
+      "abcabcabc",   "cabbage", "xyzzy",      "\x80\x80\xff\xc3\xc3",
+      "a\xff\xff" "b", "zz",      "the quick brown fox jumps",
+      std::string(70, 'q') + "abc"};
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& pattern : patterns) {
+      for (const std::string& text : texts) {
+        ASSERT_EQ(LevenshteinDistance(text, pattern),
+                  ReferenceLevenshtein(text, pattern))
+            << "pattern '" << pattern << "' text '" << text << "'";
+      }
+    }
+  }
+}
+
 TEST(LevenshteinSimilarity, NormalizedToUnitInterval) {
   EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
   EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);

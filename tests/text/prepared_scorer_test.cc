@@ -8,8 +8,11 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
 #include "simjoin/sharded_join.h"
@@ -192,23 +195,52 @@ std::vector<std::pair<size_t, size_t>> WorkbenchJoinedPairs(
   return pairs;
 }
 
-// Scores every pair both ways and counts results that differ in any bit.
+// Counts the pairs whose `score` differs from `want` in any bit.
+template <typename Score, typename Want>
+void ExpectSameBits(const std::vector<std::pair<size_t, size_t>>& pairs,
+                    Score&& score, Want&& want, const std::string& label) {
+  size_t mismatches = 0;
+  for (const auto& [i, j] : pairs) {
+    const double got = score(i, j);
+    const double expected = want(i, j);
+    if (std::bit_cast<uint64_t>(got) != std::bit_cast<uint64_t>(expected)) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << label << ": records " << i << "," << j << ": "
+                      << got << " != " << expected;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label << " over " << pairs.size() << " pairs";
+}
+
+// Scores every pair both ways and counts results that differ in any bit;
+// then the row cursor against `Score`, over the pairs in the given order
+// (the join order keeps each row together) and shuffled (a row switch at
+// almost every pair).
 void ExpectBitEqual(const RecordScorer& scorer, const RecordSet& records,
                     const std::vector<std::pair<size_t, size_t>>& pairs) {
   const ReferenceScorer reference(scorer.specs(), records);
   const PreparedRecords prepared = scorer.Prepare(records).value();
-  size_t mismatches = 0;
-  for (const auto& [i, j] : pairs) {
-    const double got = prepared.Score(i, j).value();
-    const double want = reference.Score(i, j);
-    if (std::bit_cast<uint64_t>(got) != std::bit_cast<uint64_t>(want)) {
-      if (++mismatches <= 5) {
-        ADD_FAILURE() << "records " << i << "," << j << ": prepared " << got
-                      << " != reference " << want;
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0u) << "over " << pairs.size() << " pairs";
+  const auto score = [&prepared](size_t i, size_t j) {
+    return prepared.Score(i, j).value();
+  };
+  ExpectSameBits(
+      pairs, score,
+      [&reference](size_t i, size_t j) { return reference.Score(i, j); },
+      "prepared vs reference");
+
+  const auto expect_cursor = [&](const auto& order, const std::string& label) {
+    PreparedRecords::RowCursor cursor(prepared);
+    ExpectSameBits(
+        order,
+        [&cursor](size_t i, size_t j) { return cursor.Score(i, j).value(); },
+        score, label);
+  };
+  expect_cursor(pairs, "cursor in order");
+  std::vector<std::pair<size_t, size_t>> shuffled = pairs;
+  Rng rng(5);
+  rng.Shuffle(shuffled);
+  expect_cursor(shuffled, "cursor shuffled");
 }
 
 class WorkbenchBitEquality : public ::testing::TestWithParam<uint64_t> {};
@@ -285,12 +317,127 @@ TEST(PreparedScorerBitEquality, EdgeCaseFields) {
   EXPECT_EQ(scorer.Score(records[0], records[1]).value(), 0.0);
 }
 
+// Prepare on a pool of each size (one record range per worker) scores
+// every joined pair of both workbenches exactly as the inline Prepare does.
+TEST(PreparedScorer, PrepareOnAPoolMatchesInline) {
+  PaperDatasetConfig paper_config;
+  paper_config.seed = 42;
+  const Dataset paper = GeneratePaperDataset(paper_config).value();
+  RecordScorer paper_scorer = MakePaperScorer();
+  paper_scorer.FitTfIdf(paper.records);
+  ProductDatasetConfig product_config;
+  product_config.seed = 42;
+  const Dataset product = GenerateProductDataset(product_config).value();
+  RecordScorer product_scorer = MakeProductScorer();
+  product_scorer.FitTfIdf(product.records);
+
+  struct Case {
+    const RecordScorer* scorer;
+    const Dataset* dataset;
+    std::vector<std::pair<size_t, size_t>> pairs;
+  };
+  const Case cases[] = {
+      {&paper_scorer, &paper, WorkbenchJoinedPairs(paper.records, nullptr)},
+      {&product_scorer, &product,
+       WorkbenchJoinedPairs(product.records, &product.side_of)}};
+  for (const Case& c : cases) {
+    const PreparedRecords inline_prepared =
+        c.scorer->Prepare(c.dataset->records).value();
+    for (int threads : {0, 1, 2, 4}) {
+      ThreadPool pool(threads);
+      const PreparedRecords prepared =
+          c.scorer->Prepare(c.dataset->records, &pool).value();
+      PreparedRecords::RowCursor cursor(prepared);
+      ExpectSameBits(
+          c.pairs,
+          [&cursor](size_t i, size_t j) { return cursor.Score(i, j).value(); },
+          [&inline_prepared](size_t i, size_t j) {
+            return inline_prepared.Score(i, j).value();
+          },
+          c.dataset->name + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// Fewer records than the pool has ranges for: 0, 1 and 3 records on four
+// workers, every spec kind, every pair.
+TEST(PreparedScorer, PrepareOnAPoolWithFewerRecordsThanRanges) {
+  const RecordSet all = {
+      MakeRecord(0, {"Sony Bravia", "sony bravia tv", "499.99"}),
+      MakeRecord(1, {"sony  BRAVIA-tv", "", "  500 "}),
+      MakeRecord(2, {"martha", "marhta", "0"}),
+  };
+  RecordScorer scorer({
+      {0, FieldMeasure::kJaccardWords, 0.2},
+      {1, FieldMeasure::kQGramJaccard, 0.1, 2},
+      {1, FieldMeasure::kLevenshtein, 0.1},
+      {0, FieldMeasure::kJaroWinkler, 0.2},
+      {0, FieldMeasure::kTfIdfCosine, 0.3},
+      {2, FieldMeasure::kNumeric, 0.1},
+  });
+  scorer.FitTfIdf(all);
+  ThreadPool pool(4);
+  for (size_t n : {0u, 1u, 3u}) {
+    const RecordSet records(all.begin(),
+                            all.begin() + static_cast<std::ptrdiff_t>(n));
+    const PreparedRecords inline_prepared = scorer.Prepare(records).value();
+    const PreparedRecords prepared = scorer.Prepare(records, &pool).value();
+    std::vector<std::pair<size_t, size_t>> pairs;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) pairs.emplace_back(i, j);
+    }
+    ExpectSameBits(
+        pairs,
+        [&prepared](size_t i, size_t j) {
+          return prepared.Score(i, j).value();
+        },
+        [&inline_prepared](size_t i, size_t j) {
+          return inline_prepared.Score(i, j).value();
+        },
+        std::to_string(n) + " records");
+    EXPECT_EQ(prepared.Score(0, n).status().code(), StatusCode::kOutOfRange);
+  }
+}
+
 TEST(PreparedScorer, PositionPastPreparedListIsError) {
   const RecordScorer scorer({{0, FieldMeasure::kJaccardWords, 1.0}});
   const PreparedRecords prepared =
       scorer.Prepare({MakeRecord(0, {"a"}), MakeRecord(1, {"b"})}).value();
   EXPECT_TRUE(prepared.Score(0, 1).ok());
   EXPECT_EQ(prepared.Score(0, 2).status().code(), StatusCode::kOutOfRange);
+}
+
+// The cursor fails where `Score` fails, with the same status: a record
+// missing a scored field (whichever side), a position past the list, and a
+// scorer without specs.
+TEST(PreparedScorer, RowCursorReturnsTheErrorsOfScore) {
+  const RecordScorer scorer({{0, FieldMeasure::kJaccardWords, 1.0},
+                             {1, FieldMeasure::kQGramJaccard, 1.0}});
+  const PreparedRecords prepared =
+      scorer
+          .Prepare({MakeRecord(0, {"a b", "ab"}), MakeRecord(1, {"b"}),
+                    MakeRecord(2, {"a", "abc"})})
+          .value();
+  PreparedRecords::RowCursor cursor(prepared);
+  for (const auto& [i, j] : std::vector<std::pair<size_t, size_t>>{
+           {0, 2}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {0, 3}, {3, 0}, {2, 2}}) {
+    const Result<double> want = prepared.Score(i, j);
+    const Result<double> got = cursor.Score(i, j);
+    ASSERT_EQ(got.status(), want.status()) << i << "," << j;
+    if (want.ok()) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.value()),
+                std::bit_cast<uint64_t>(want.value()));
+    }
+  }
+  EXPECT_EQ(prepared.Score(1, 2).status(),
+            Status::InvalidArgument("field index 1 out of range"));
+
+  const PreparedRecords no_specs =
+      RecordScorer({}).Prepare({MakeRecord(0, {"a"})}).value();
+  PreparedRecords::RowCursor empty_cursor(no_specs);
+  EXPECT_EQ(empty_cursor.Score(0, 0).status(), no_specs.Score(0, 0).status());
+  EXPECT_EQ(empty_cursor.Score(0, 0).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
