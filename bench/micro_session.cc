@@ -192,6 +192,26 @@ void BM_SessionRoundParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionRoundParallel)->Arg(256)->Arg(2048)->Arg(8192);
 
+// The same instances streamed in eight chunked rounds: every round's
+// scans start from what earlier rounds established (the streamed scan
+// path, ordered per round by expected likelihood).
+void BM_SessionStreamRoundParallel(benchmark::State& state) {
+  const Instance instance = MakeInstance(state.range(0));
+  GroundTruthOracle oracle(instance.entity_of);
+  LabelingSessionOptions options;
+  options.schedule = SchedulePolicy::kRoundParallel;
+  LabelingSession session(options);
+  const size_t round_size = instance.pairs.size() / 8;
+  for (auto _ : state) {
+    MaterializedCandidateStream stream(&instance.pairs, round_size);
+    benchmark::DoNotOptimize(
+        session.RunStream(stream, OrderKind::kExpected, oracle).value());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(instance.pairs.size()));
+}
+BENCHMARK(BM_SessionStreamRoundParallel)->Arg(256)->Arg(2048)->Arg(8192);
+
 // The one-to-one rule chain: dispatch cost of a second rule in the chain.
 void BM_SessionOneToOneChain(benchmark::State& state) {
   const Instance instance = MakeInstance(state.range(0));

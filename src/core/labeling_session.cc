@@ -9,7 +9,6 @@
 #include "common/serialize.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "graph/overlay_graph.h"
 #include "obs/metrics.h"
 #include "obs/tracing.h"
 
@@ -274,12 +273,10 @@ Status ValidateOrder(const std::vector<int32_t>& order, size_t n) {
 
 namespace {
 
-// The Algorithm-3 ordered scan over any graph with ClusterGraph's
-// Add/Deduce surface (a real ClusterGraph, or an O(1) overlay on a
-// snapshot of one).
-template <typename Graph>
+// The Algorithm-3 ordered scan: real labels are inserted, and every
+// undeduced unlabeled pair is published and assumed matching.
 std::vector<int32_t> ScanPublish(
-    Graph& graph, const CandidateSet& pairs,
+    ClusterGraph& graph, const CandidateSet& pairs,
     const std::vector<int32_t>& order,
     const std::vector<std::optional<Label>>& labels_by_pos,
     const std::vector<bool>* exclude_from_output) {
@@ -305,33 +302,35 @@ std::vector<int32_t> ScanPublish(
   return publish;
 }
 
-// The Algorithm-2 round loop, generic over how each scan obtains its
-// graph: `make_graph()` builds a fresh value per scan — a ClusterGraph
-// for materialized runs (`fresh_graphs`), or an OverlayClusterGraph over
-// the persistent graph's snapshot for streaming rounds.
-template <typename MakeGraph>
+// The Algorithm-2 round loop. Every scan runs on a fresh copy of `base`:
+// an empty graph for materialized runs, or the persistent graph induced on
+// a streamed round's objects, with `pairs` renumbered to its local ids.
+// `label_batch` resolves batch positions, so it may read another copy of
+// the pairs (the streamed round under its real ids).
 Status RunRoundsImpl(const CandidateSet& pairs,
                      const std::vector<int32_t>& order,
-                     const BatchLabelFn& label_batch, bool fresh_graphs,
-                     const MakeGraph& make_graph, int64_t& remaining_budget,
-                     size_t report_offset, LabelingReport& report) {
+                     const BatchLabelFn& label_batch, const ClusterGraph& base,
+                     int64_t& remaining_budget, size_t report_offset,
+                     LabelingReport& report) {
   const size_t n = pairs.size();
   std::vector<std::optional<Label>> labels(n);
   size_t num_labeled = 0;
+  const bool without_labels =
+      base.num_clusters() == base.num_objects() && base.num_edges() == 0;
 
   while (num_labeled < n) {
     obs::Span iteration_span("session.iteration", "session");
     // Identify and "publish" this round's batch (Algorithm 2, line 4).
     std::vector<int32_t> batch;
     {
-      auto graph = make_graph();
+      ClusterGraph graph = base;
       batch = ScanPublish(graph, pairs, order, labels,
                           /*exclude_from_output=*/nullptr);
     }
     // Without outside knowledge, undeduced pairs always remain publishable;
-    // a seeded scan (earlier streaming rounds) can make a whole batch
-    // deducible before any money is spent.
-    if (fresh_graphs) CJ_CHECK(!batch.empty());
+    // a base holding earlier streaming rounds' labels can make a whole
+    // batch deducible before any money is spent.
+    if (without_labels) CJ_CHECK(!batch.empty());
     std::vector<int32_t> publish = batch;
     if (remaining_budget >= 0 &&
         static_cast<int64_t>(publish.size()) > remaining_budget) {
@@ -363,7 +362,7 @@ Status RunRoundsImpl(const CandidateSet& pairs,
     // Deduce every pair that became deducible from its prefix of labeled
     // pairs (lines 6-8): one ordered scan, cascading deductions.
     size_t scan_deduced = 0;
-    auto graph = make_graph();
+    ClusterGraph graph = base;
     for (int32_t pos : order) {
       const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
       auto& label = labels[static_cast<size_t>(pos)];
@@ -539,11 +538,10 @@ Result<LabelingReport> LabelingSession::RunRounds(
     const CandidateSet& pairs, const std::vector<int32_t>& order,
     const BatchLabelFn& label_batch, ConflictPolicy policy) {
   LabelingReport report = EmptyReport(pairs.size());
-  const int32_t num_objects = NumObjectsSpanned(pairs);
-  CJ_RETURN_IF_ERROR(RunRoundsImpl(
-      pairs, order, label_batch, /*fresh_graphs=*/true,
-      [&] { return ClusterGraph(num_objects, policy); }, remaining_budget_,
-      /*report_offset=*/0, report));
+  const ClusterGraph base(NumObjectsSpanned(pairs), policy);
+  CJ_RETURN_IF_ERROR(RunRoundsImpl(pairs, order, label_batch, base,
+                                   remaining_budget_, /*report_offset=*/0,
+                                   report));
   return report;
 }
 
@@ -572,16 +570,15 @@ Result<LabelingReport> LabelingSession::RunStream(
   const bool checkpointing =
       checkpoint != nullptr && !checkpoint->path.empty();
   BeginRun(/*num_objects=*/0);
-  ConflictPolicy policy = ConflictPolicy::kKeepFirst;
   TransitiveDeductionRule* transitive = nullptr;
   if (options_.schedule == SchedulePolicy::kRoundParallel) {
-    CJ_ASSIGN_OR_RETURN(policy, RequireTransitiveOnlyChain());
+    CJ_RETURN_IF_ERROR(RequireTransitiveOnlyChain().status());
     CJ_RETURN_IF_ERROR(CheckBatchSafe(oracle, options_.num_threads));
     transitive = dynamic_cast<TransitiveDeductionRule*>(rules_[0].get());
   } else if (checkpointing) {
     // The frontier persists the cluster graph as its Add log, so the
     // sequential schedule can only checkpoint a transitive-only chain too.
-    CJ_ASSIGN_OR_RETURN(policy, RequireTransitiveOnlyChain());
+    CJ_RETURN_IF_ERROR(RequireTransitiveOnlyChain().status());
     transitive = dynamic_cast<TransitiveDeductionRule*>(rules_[0].get());
   }
   std::optional<ThreadPool> pool;
@@ -595,6 +592,9 @@ Result<LabelingReport> LabelingSession::RunStream(
   int32_t num_objects = 0;
   int64_t completed_rounds = 0;
   int64_t candidates_consumed = 0;
+  // Object id -> the round's local id, -1 outside the round being scanned
+  // (round-parallel only).
+  std::vector<int32_t> local_of;
 
   if (checkpointing) {
     // Record every Add from here on; the log *is* the durable graph.
@@ -751,26 +751,38 @@ Result<LabelingReport> LabelingSession::RunStream(
       continue;
     }
 
-    // Round-parallel: the persistent graph seeds every scan, and the
-    // round's crowd answers are folded back in afterwards. Deduced labels
-    // need no fold — they are implied by the graph that produced them.
-    // The prefix-based scan semantics that keep a one-round stream
-    // byte-identical to the materialized run rule out scanning the
-    // persistent graph in place, so each Algorithm-2 iteration used to
-    // copy it twice (publish scan + deduction scan) — O(total objects
-    // seen) per round. Scans now read a published epoch snapshot through
-    // a fresh OverlayClusterGraph, making per-scan setup O(1) and scan
-    // work proportional to the round, while the snapshot isolates them
-    // from the fold-back mutations below.
-    const ClusterGraphSnapshot snapshot =
-        transitive->mutable_graph().Snapshot();
+    // Round-parallel: every scan starts from the persistent graph induced
+    // on the round's objects, and the round's crowd answers are folded back
+    // in afterwards. Deduced labels need no fold — they are implied by the
+    // graph that produced them. The prefix-based scan semantics that keep a
+    // one-round stream byte-identical to the materialized run rule out
+    // scanning the persistent graph in place. The induced base holds only
+    // what the round can see (its objects' clusters and the edges between
+    // them), so each scan copies O(round) state, not O(objects seen). The
+    // scans read the round renumbered to local ids; the oracle reads it
+    // under its real ids, at the same positions.
+    std::vector<ObjectId> objects;  // local id -> object, first appearance
+    CandidateSet local_round = round;
+    local_of.resize(static_cast<size_t>(num_objects), -1);
+    const auto to_local = [&](ObjectId x) {
+      int32_t& id = local_of[static_cast<size_t>(x)];
+      if (id < 0) {
+        id = static_cast<int32_t>(objects.size());
+        objects.push_back(x);
+      }
+      return id;
+    };
+    for (CandidatePair& pair : local_round) {
+      pair.a = to_local(pair.a);
+      pair.b = to_local(pair.b);
+    }
+    for (ObjectId x : objects) local_of[static_cast<size_t>(x)] = -1;
+    const ClusterGraph base = transitive->graph().InducedOn(objects);
     CJ_RETURN_IF_ERROR(RunRoundsImpl(
-        round, order,
+        local_round, order,
         OracleBatchSource(round, oracle, pool.has_value() ? &*pool : nullptr,
                           options_),
-        /*fresh_graphs=*/false,
-        [&] { return OverlayClusterGraph(&snapshot, policy); },
-        remaining_budget_, offset, report));
+        base, remaining_budget_, offset, report));
     for (int32_t pos : order) {
       const std::optional<PairOutcome>& outcome =
           report.outcomes[offset + static_cast<size_t>(pos)];

@@ -124,7 +124,7 @@ class TransitiveDeductionRule : public DeductionRule {
 
   ConflictPolicy policy() const { return policy_; }
   const ClusterGraph& graph() const { return graph_; }
-  /// Direct graph access for the streaming drive (snapshots, checkpoint
+  /// Direct graph access for the streaming drive (edge log, checkpoint
   /// replay).
   ClusterGraph& mutable_graph() { return graph_; }
 
@@ -294,6 +294,12 @@ class LabelingSession {
   /// `truth` is required for kOptimal/kWorst orders, `order_rng` for
   /// kRandom (both per `MakeLabelingOrder`). Sequential and round-parallel
   /// schedules only.
+  ///
+  /// Under the round-parallel schedule every Algorithm-2 scan of a round
+  /// copies the persistent graph induced on the round's objects
+  /// (`ClusterGraph::InducedOn`, built once per round), so a scan's work
+  /// follows the round, not the objects seen; the round's crowd answers
+  /// are folded into the persistent graph after the round.
   ///
   /// A non-null `checkpoint` with a non-empty path makes the campaign
   /// durable: the round frontier is written atomically to the checkpoint

@@ -265,6 +265,57 @@ AddOutcome ClusterGraph::Add(ObjectId a, ObjectId b, Label label) {
 }
 
 // ---------------------------------------------------------------------------
+// Induced subgraphs
+// ---------------------------------------------------------------------------
+
+ClusterGraph ClusterGraph::InducedOn(
+    const std::vector<ObjectId>& objects) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const auto n = static_cast<int32_t>(objects.size());
+  ClusterGraph induced(n, policy_);
+  // (root here, local id), sorted: each run of one root is a cluster, and
+  // its smallest local id becomes the local root, so the local canonical
+  // ids need no history. The merges are journaled at epoch 0, the state a
+  // first Snapshot() of the result would publish.
+  std::vector<std::pair<int32_t, int32_t>> by_root(objects.size());
+  for (int32_t i = 0; i < n; ++i) {
+    by_root[static_cast<size_t>(i)] = {
+        union_find_.Find(objects[static_cast<size_t>(i)]), i};
+  }
+  std::sort(by_root.begin(), by_root.end());
+  std::vector<int32_t> roots;        // distinct roots, ascending
+  std::vector<int32_t> local_roots;  // the local root of each
+  for (size_t j = 0; j < by_root.size(); ++j) {
+    const auto [root, local] = by_root[j];
+    if (!roots.empty() && roots.back() == root) {
+      induced.union_find_.UnionInto(local_roots.back(), local);
+      induced.link_parent_[static_cast<size_t>(local)] = local_roots.back();
+      induced.link_epoch_[static_cast<size_t>(local)] = 0;
+    } else {
+      roots.push_back(root);
+      local_roots.push_back(local);
+    }
+  }
+  // Every live edge between two of the roots, taken once from its smaller
+  // end.
+  for (size_t j = 0; j < roots.size(); ++j) {
+    const auto it = edges_.find(roots[j]);
+    if (it == edges_.end() || it->second.live_degree == 0) continue;
+    for (const auto& [nbr, span] : it->second.spans) {
+      if (span.death != kNoEpoch || nbr < roots[j]) continue;
+      const auto pos = std::lower_bound(roots.begin(), roots.end(), nbr);
+      if (pos == roots.end() || *pos != nbr) continue;
+      CJ_CHECK(induced.AddSpan(local_roots[j],
+                               local_roots[static_cast<size_t>(
+                                   pos - roots.begin())],
+                               /*epoch=*/0));
+      ++induced.num_edges_;
+    }
+  }
+  return induced;
+}
+
+// ---------------------------------------------------------------------------
 // Epoch snapshots
 // ---------------------------------------------------------------------------
 
@@ -327,13 +378,6 @@ Deduction ClusterGraphSnapshot::Deduce(ObjectId a, ObjectId b) const {
   CJ_CHECK(a >= 0 && a < num_objects_ && b >= 0 && b < num_objects_);
   std::shared_lock<std::shared_mutex> lock(graph_->mu_);
   return graph_->DeduceAtEpoch(a, b, epoch_);
-}
-
-ObjectId ClusterGraphSnapshot::ClusterOf(ObjectId x) const {
-  CJ_CHECK(graph_ != nullptr);
-  CJ_CHECK(x >= 0 && x < num_objects_);
-  std::shared_lock<std::shared_mutex> lock(graph_->mu_);
-  return graph_->RootAtEpoch(x, epoch_);
 }
 
 ObjectId ClusterGraphSnapshot::CanonicalClusterId(ObjectId x) const {

@@ -75,10 +75,6 @@ class ClusterGraphSnapshot {
   /// edge, undeduced otherwise. `a` and `b` must be `< num_objects()`.
   Deduction Deduce(ObjectId a, ObjectId b) const;
 
-  /// The cluster representative of `x` at the epoch. Stable within this
-  /// snapshot but NOT across epochs — persist `CanonicalClusterId` instead.
-  ObjectId ClusterOf(ObjectId x) const;
-
   /// The smallest member of `x`'s cluster at the epoch: the id to persist
   /// or compare across epochs (see `ClusterGraph::CanonicalClusterId`).
   ObjectId CanonicalClusterId(ObjectId x) const;
@@ -206,6 +202,18 @@ class ClusterGraph {
   /// labels add a cluster edge. Returns what happened; conflicts are
   /// counted and resolved per the configured policy.
   AddOutcome Add(ObjectId a, ObjectId b, Label label);
+
+  /// The graph restricted to `objects` (distinct ids `< num_objects()`):
+  /// a fresh graph over local ids `[0, objects.size())`, local id i
+  /// standing for `objects[i]`, under the same conflict policy. Objects of
+  /// one cluster start merged, and two clusters start with a non-matching
+  /// edge exactly when this graph has a live edge between them, so any
+  /// label sequence over the objects deduces, conflicts and resolves on
+  /// the result as it would on a copy of this graph. Work is proportional
+  /// to the objects plus the edge history of their clusters' roots. The
+  /// result has no snapshots and no edge log; its merge and conflict
+  /// counters start at zero. Const and compression-free, like copying.
+  ClusterGraph InducedOn(const std::vector<ObjectId>& objects) const;
 
   /// Publishes every mutation applied so far and returns an O(1) snapshot
   /// of the published state. The first call switches the graph into

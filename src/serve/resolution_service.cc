@@ -15,7 +15,6 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options)
     : options_(options), graph_(0, options.conflict_policy) {
   CJ_CHECK(options_.threshold > 0.0 && options_.threshold <= 1.0);
   CJ_CHECK(options_.top_k > 0);
-  CJ_CHECK(options_.snapshot_batch_size >= 1);
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -29,8 +28,6 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options)
   queries_total_ = metrics_->GetCounter("serve.queries_total");
   snapshot_publishes_total_ =
       metrics_->GetCounter("serve.snapshot_publishes_total");
-  snapshot_batch_flushes_total_ =
-      metrics_->GetCounter("serve.snapshot_batch_flushes_total");
   ingest_latency_us_ = metrics_->GetHistogram("serve.ingest_latency_us");
   query_latency_us_ = metrics_->GetHistogram("serve.query_latency_us");
   candidates_per_query_ = metrics_->GetHistogram("serve.candidates_per_query");
@@ -95,10 +92,8 @@ IngestResult ResolutionService::Ingest(const std::string& text) {
     doc_sizes_.push_back(static_cast<int32_t>(ids.size()));
   }
   // The new record joins the graph as a singleton, and the grown epoch is
-  // published before returning so readers can resolve it immediately —
-  // carrying any labels still waiting for a batch boundary with it.
+  // published before returning so readers can resolve it immediately.
   graph_.EnsureObjects(id + 1);
-  pending_labels_ = 0;
   PublishSnapshot();
 
   IngestResult result;
@@ -123,17 +118,8 @@ AddOutcome ResolutionService::OnPairLabeled(ObjectId a, ObjectId b,
   CJ_CHECK(b >= 0 && b < graph_.num_objects());
   const AddOutcome outcome = graph_.Add(a, b, label);
   labels_total_->Inc();
-  if (++pending_labels_ >= options_.snapshot_batch_size) {
-    FlushSnapshot();
-  }
-  return outcome;
-}
-
-void ResolutionService::FlushSnapshot() {
-  if (pending_labels_ == 0) return;
-  pending_labels_ = 0;
   PublishSnapshot();
-  snapshot_batch_flushes_total_->Inc();
+  return outcome;
 }
 
 std::vector<ServeCandidate> ResolutionService::QueryCandidates(

@@ -28,15 +28,6 @@ struct ResolutionServiceOptions {
   int32_t top_k = 10;
   /// How the cluster graph treats contradictory crowd answers.
   ConflictPolicy conflict_policy = ConflictPolicy::kKeepFirst;
-  /// Publish a fresh reader snapshot only after this many labels have
-  /// accumulated (a "batch boundary"), instead of after every label. 1 —
-  /// the default — keeps the historical publish-per-label behavior.
-  /// Higher values amortize epoch publication under label floods; readers
-  /// then see batch-granular state, and `FlushSnapshot()` forces the tail
-  /// batch out. Ingest always publishes immediately (a new record must be
-  /// resolvable the moment `Ingest` returns), carrying any pending labels
-  /// with it.
-  int32_t snapshot_batch_size = 1;
   /// Registry the service's `serve.*` metrics (ingest/query latency
   /// histograms, candidate/label counters) register in. nullptr gives the
   /// service a private always-enabled registry, keeping per-instance
@@ -107,15 +98,9 @@ class ResolutionService {
   IngestResult Ingest(const std::string& text);
 
   /// Feeds one crowd answer about records `a` and `b` into the cluster
-  /// graph. The resulting epoch is published at the next batch boundary
-  /// (every label with the default `snapshot_batch_size` of 1). Returns
-  /// the graph's verdict (applied / redundant / conflict).
+  /// graph and publishes the resulting epoch before returning. Returns the
+  /// graph's verdict (applied / redundant / conflict).
   AddOutcome OnPairLabeled(ObjectId a, ObjectId b, Label label);
-
-  /// Publishes any labels still waiting for a batch boundary. A no-op
-  /// when nothing is pending; counted in
-  /// `serve.snapshot_batch_flushes_total` otherwise.
-  void FlushSnapshot();
 
   // --- Reader API (any thread, concurrent with the writer) ---
 
@@ -170,9 +155,6 @@ class ResolutionService {
   ClusterGraph graph_;
   mutable std::shared_mutex snapshot_mu_;
   ClusterGraphSnapshot snapshot_;
-  // Labels accepted since the last published snapshot (writer-thread
-  // state; see snapshot_batch_size).
-  int32_t pending_labels_ = 0;
 
   // Telemetry (see ResolutionServiceOptions::metrics). Handles stay valid
   // for the registry's lifetime; readers increment through const pointers.
@@ -183,7 +165,6 @@ class ResolutionService {
   obs::Counter* labels_total_;
   obs::Counter* queries_total_;
   obs::Counter* snapshot_publishes_total_;
-  obs::Counter* snapshot_batch_flushes_total_;
   obs::Histogram* ingest_latency_us_;
   obs::Histogram* query_latency_us_;
   obs::Histogram* candidates_per_query_;

@@ -155,6 +155,33 @@ TEST(ClusterGraph, ResetClearsEverything) {
   EXPECT_EQ(graph.Deduce(0, 1), Deduction::kUndeduced);
 }
 
+// Induced on o7, o5, o3, o2 (local ids 0..3): o5 and o3 start merged, and
+// only the two edges among the three clusters come along — o6 and its two
+// edges stay behind.
+TEST_F(Example1Graph, InducedOnKeepsClustersAndEdgesAmongTheObjects) {
+  ClusterGraph induced = graph_.InducedOn({6, 4, 2, 1});
+  EXPECT_EQ(induced.num_objects(), 4);
+  EXPECT_EQ(induced.num_clusters(), 3);
+  EXPECT_EQ(induced.num_edges(), 2);
+  EXPECT_EQ(induced.num_merges(), 0);
+  EXPECT_EQ(induced.num_conflicts(), 0);
+  EXPECT_TRUE(induced.edge_log().empty());
+  EXPECT_EQ(induced.Deduce(1, 2), Deduction::kMatching);     // (o5,o3)
+  EXPECT_EQ(induced.Deduce(0, 1), Deduction::kNonMatching);  // (o7,o5)
+  EXPECT_EQ(induced.Deduce(2, 3), Deduction::kNonMatching);  // (o3,o2)
+  EXPECT_EQ(induced.Deduce(0, 3), Deduction::kUndeduced);    // (o7,o2)
+  EXPECT_EQ(induced.CanonicalClusterId(2), 1);
+  // A snapshot of the result publishes the induced state.
+  const ClusterGraphSnapshot snapshot = induced.Snapshot();
+  EXPECT_EQ(snapshot.Deduce(1, 2), Deduction::kMatching);
+  EXPECT_EQ(snapshot.Deduce(0, 1), Deduction::kNonMatching);
+  EXPECT_EQ(snapshot.CanonicalClusterId(2), 1);
+  // Further labels count from zero: (o7,o3) matching contradicts an edge.
+  EXPECT_EQ(induced.Add(0, 2, kM), AddOutcome::kConflict);
+  EXPECT_EQ(induced.num_conflicts(), 1);
+  EXPECT_EQ(graph_.num_conflicts(), 0);
+}
+
 TEST(ClusterGraph, ClusterSizeTracksMerges) {
   ClusterGraph graph(5);
   graph.Add(0, 1, kM);

@@ -113,8 +113,10 @@ TEST(SnapshotConcurrency, ReadersOnPublishedSnapshotsWhileWriterAdvances) {
         if ((deduction == Deduction::kMatching) != same_canonical) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
-        if (snapshot.ClusterOf(a) == snapshot.ClusterOf(b) &&
-            !same_canonical) {
+        // A canonical id is the smallest member of its own cluster.
+        const ObjectId canonical = snapshot.CanonicalClusterId(a);
+        if (canonical > a ||
+            snapshot.CanonicalClusterId(canonical) != canonical) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -1,19 +1,21 @@
-// Property suite for the epoch-snapshot machinery: a snapshot must answer
-// exactly like a deep copy of the graph taken at the same moment, and an
-// OverlayClusterGraph over a snapshot must behave exactly like that copy
-// with further labels applied — across conflict policies, EnsureObjects
-// growth interleavings, and merge-heavy random sequences.
+// Property suite for the epoch-snapshot machinery and induced graphs: a
+// snapshot must answer exactly like a deep copy of the graph taken at the
+// same moment, and a graph induced on some objects must behave exactly like
+// that copy with further labels over those objects applied — across
+// conflict policies, EnsureObjects growth interleavings, and merge-heavy
+// random sequences.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/cluster_graph.h"
-#include "graph/overlay_graph.h"
 
 namespace crowdjoin {
 namespace {
@@ -116,9 +118,45 @@ TEST_P(SnapshotPropertyTest, SnapshotDeduceMatchesDeepCopy) {
   }
 }
 
-// An overlay over a snapshot replays further labels exactly like a deep
-// copy of the graph would: identical Add outcomes, identical Deduce on
-// every pair, identical conflict count.
+// A random `count` of the objects [0, num_objects), in random order — a
+// round's objects in first-appearance order, often several of one cluster.
+std::vector<ObjectId> PickObjects(Rng& rng, int32_t num_objects,
+                                  int32_t count) {
+  std::vector<ObjectId> objects(static_cast<size_t>(num_objects));
+  std::iota(objects.begin(), objects.end(), 0);
+  for (int32_t i = 0; i < count; ++i) {
+    const size_t j = static_cast<size_t>(i) +
+                     rng.Index(static_cast<size_t>(num_objects - i));
+    std::swap(objects[static_cast<size_t>(i)], objects[j]);
+  }
+  objects.resize(static_cast<size_t>(count));
+  return objects;
+}
+
+// Deduce on every pair of local ids agrees with the reference on the
+// objects they stand for.
+void ExpectInducedDeduce(const ClusterGraph& induced,
+                         const ClusterGraph& reference,
+                         const std::vector<ObjectId>& objects, uint64_t seed) {
+  const auto n = static_cast<ObjectId>(objects.size());
+  for (ObjectId a = 0; a < n; ++a) {
+    for (ObjectId b = a + 1; b < n; ++b) {
+      ASSERT_EQ(induced.Deduce(a, b),
+                reference.Deduce(objects[static_cast<size_t>(a)],
+                                 objects[static_cast<size_t>(b)]))
+          << "seed=" << seed << " pair=(" << a << "," << b << ")";
+    }
+  }
+}
+
+// The two cases below keep their names from when streamed round scans ran
+// on an overlay of a snapshot; they now pin the induced graph that
+// replaced it.
+//
+// The graph induced on some objects replays further labels over them
+// exactly like a deep copy of the whole graph would: identical Add
+// outcomes, identical Deduce on every pair, and conflicts counted from
+// zero.
 TEST_P(SnapshotPropertyTest, OverlayMatchesDeepCopyUnderFurtherLabels) {
   const auto [seed, policy] = GetParam();
   Rng rng(seed ^ 0x5eed);
@@ -129,37 +167,44 @@ TEST_P(SnapshotPropertyTest, OverlayMatchesDeepCopyUnderFurtherLabels) {
               /*noise=*/0.15, /*match_bias=*/0);
   for (const Op& op : prefix) live.Add(op.a, op.b, op.label);
 
-  const ClusterGraphSnapshot snapshot = live.Snapshot();
-  ClusterGraph reference = live;  // the state the snapshot captured
-  OverlayClusterGraph overlay(&snapshot, policy);
+  const std::vector<ObjectId> objects = PickObjects(rng, num_objects, 18);
+  ClusterGraph reference = live;
+  ClusterGraph induced = live.InducedOn(objects);
+  EXPECT_EQ(induced.num_objects(), 18);
+  EXPECT_EQ(induced.num_merges(), 0);
+  EXPECT_EQ(induced.num_conflicts(), 0);
+  EXPECT_TRUE(induced.edge_log().empty());
+  std::set<ObjectId> clusters;
+  for (ObjectId x : objects) clusters.insert(reference.CanonicalClusterId(x));
+  EXPECT_EQ(induced.num_clusters(), static_cast<int32_t>(clusters.size()));
+  ExpectInducedDeduce(induced, reference, objects, seed);
 
-  // The live graph keeps moving underneath — the overlay must not notice.
+  // The live graph keeps moving — the induced graph must not notice.
   const std::vector<Op> concurrent =
       MakeOps(rng, num_objects, /*num_entities=*/6, /*num_ops=*/40,
               /*noise=*/0.3, /*match_bias=*/0);
   for (const Op& op : concurrent) live.Add(op.a, op.b, op.label);
 
+  const int64_t base_conflicts = reference.num_conflicts();
   const std::vector<Op> suffix =
-      MakeOps(rng, num_objects, /*num_entities=*/4, /*num_ops=*/80,
-              /*noise=*/0.2, /*match_bias=*/2);
+      MakeOps(rng, static_cast<int32_t>(objects.size()), /*num_entities=*/4,
+              /*num_ops=*/80, /*noise=*/0.2, /*match_bias=*/2);
   for (size_t i = 0; i < suffix.size(); ++i) {
     const Op& op = suffix[i];
-    ASSERT_EQ(overlay.Add(op.a, op.b, op.label),
-              reference.Add(op.a, op.b, op.label))
+    ASSERT_EQ(induced.Add(op.a, op.b, op.label),
+              reference.Add(objects[static_cast<size_t>(op.a)],
+                            objects[static_cast<size_t>(op.b)], op.label))
         << "seed=" << seed << " op=" << i;
-    ASSERT_EQ(overlay.num_conflicts(), reference.num_conflicts())
+    ASSERT_EQ(induced.num_conflicts(),
+              reference.num_conflicts() - base_conflicts)
         << "seed=" << seed << " op=" << i;
   }
-  for (ObjectId a = 0; a < num_objects; ++a) {
-    for (ObjectId b = a + 1; b < num_objects; ++b) {
-      ASSERT_EQ(overlay.Deduce(a, b), reference.Deduce(a, b))
-          << "seed=" << seed << " pair=(" << a << "," << b << ")";
-    }
-  }
+  ExpectInducedDeduce(induced, reference, objects, seed);
 }
 
-// Interleaved Deduce/Add on the overlay (the round scans' actual access
-// pattern) agrees with the deep copy at every step, not just at the end.
+// Interleaved Deduce/Add on the induced graph (the round scans' actual
+// access pattern) agrees with the deep copy at every step, not just at the
+// end.
 TEST_P(SnapshotPropertyTest, OverlayInterleavedDeduceMatches) {
   const auto [seed, policy] = GetParam();
   Rng rng(seed ^ 0xfeed);
@@ -170,19 +215,21 @@ TEST_P(SnapshotPropertyTest, OverlayInterleavedDeduceMatches) {
               /*noise=*/0.1, /*match_bias=*/1);
   for (const Op& op : prefix) live.Add(op.a, op.b, op.label);
 
-  const ClusterGraphSnapshot snapshot = live.Snapshot();
+  const std::vector<ObjectId> objects = PickObjects(rng, num_objects, 16);
   ClusterGraph reference = live;
-  OverlayClusterGraph overlay(&snapshot, policy);
+  ClusterGraph induced = live.InducedOn(objects);
 
   const std::vector<Op> suffix =
-      MakeOps(rng, num_objects, /*num_entities=*/5, /*num_ops=*/60,
-              /*noise=*/0.25, /*match_bias=*/1);
+      MakeOps(rng, static_cast<int32_t>(objects.size()), /*num_entities=*/5,
+              /*num_ops=*/60, /*noise=*/0.25, /*match_bias=*/1);
   for (const Op& op : suffix) {
-    ASSERT_EQ(overlay.Deduce(op.a, op.b), reference.Deduce(op.a, op.b))
-        << "seed=" << seed << " pair=(" << op.a << "," << op.b << ")";
+    const ObjectId a = objects[static_cast<size_t>(op.a)];
+    const ObjectId b = objects[static_cast<size_t>(op.b)];
+    ASSERT_EQ(induced.Deduce(op.a, op.b), reference.Deduce(a, b))
+        << "seed=" << seed << " pair=(" << a << "," << b << ")";
     if (rng.UniformDouble() < 0.6) {
-      ASSERT_EQ(overlay.Add(op.a, op.b, op.label),
-                reference.Add(op.a, op.b, op.label))
+      ASSERT_EQ(induced.Add(op.a, op.b, op.label),
+                reference.Add(a, b, op.label))
           << "seed=" << seed;
     }
   }

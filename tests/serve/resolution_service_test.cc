@@ -154,67 +154,6 @@ TEST(ResolutionService, ConflictPolicyFlowsThroughToTheGraph) {
   EXPECT_EQ(service.Stats().num_conflicts, 1);
 }
 
-TEST(ResolutionService, BatchedSnapshotsPublishOnlyAtTheBoundary) {
-  ResolutionServiceOptions options;
-  options.threshold = 0.3;
-  options.snapshot_batch_size = 3;
-  ResolutionService service(options);
-  obs::Counter* flushes =
-      service.metrics().GetCounter("serve.snapshot_batch_flushes_total");
-  for (int i = 0; i < 4; ++i) service.Ingest("record number " + std::to_string(i));
-
-  // Two labels in: readers still see the pre-batch snapshot.
-  service.OnPairLabeled(0, 1, Label::kMatching);
-  service.OnPairLabeled(2, 3, Label::kMatching);
-  EXPECT_EQ(service.ResolveCluster(1), 1);
-  EXPECT_EQ(service.ResolveCluster(3), 3);
-  EXPECT_EQ(service.DeducePair(0, 1), Deduction::kUndeduced);
-  EXPECT_EQ(flushes->Value(), 0);
-
-  // The third label closes the batch: everything becomes visible at once.
-  service.OnPairLabeled(1, 2, Label::kMatching);
-  EXPECT_EQ(service.ResolveCluster(1), 0);
-  EXPECT_EQ(service.ResolveCluster(3), 0);
-  EXPECT_EQ(service.DeducePair(0, 3), Deduction::kMatching);
-  EXPECT_EQ(flushes->Value(), 1);
-}
-
-TEST(ResolutionService, FlushSnapshotDrainsThePendingTail) {
-  ResolutionServiceOptions options;
-  options.threshold = 0.3;
-  options.snapshot_batch_size = 10;
-  ResolutionService service(options);
-  obs::Counter* flushes =
-      service.metrics().GetCounter("serve.snapshot_batch_flushes_total");
-  service.Ingest("alpha beta");
-  service.Ingest("alpha beta gamma");
-
-  service.OnPairLabeled(0, 1, Label::kMatching);
-  EXPECT_EQ(service.ResolveCluster(1), 1);  // batch still open
-  service.FlushSnapshot();
-  EXPECT_EQ(service.ResolveCluster(1), 0);
-  EXPECT_EQ(flushes->Value(), 1);
-  // With nothing pending a flush is a no-op, not a spurious publish.
-  service.FlushSnapshot();
-  EXPECT_EQ(flushes->Value(), 1);
-}
-
-TEST(ResolutionService, IngestPublishesPendingLabelsImmediately) {
-  ResolutionServiceOptions options;
-  options.threshold = 0.3;
-  options.snapshot_batch_size = 100;
-  ResolutionService service(options);
-  service.Ingest("first record text");
-  service.Ingest("second record text");
-  service.OnPairLabeled(0, 1, Label::kMatching);
-  EXPECT_EQ(service.ResolveCluster(1), 1);  // waiting for the boundary
-  // A new record must be resolvable the moment Ingest returns, so the
-  // ingest-time publish carries the waiting labels with it.
-  service.Ingest("third record text");
-  EXPECT_EQ(service.ResolveCluster(1), 0);
-  EXPECT_EQ(service.ResolveCluster(2), 2);
-}
-
 // Reader threads hammer the query/resolve/deduce surface while the writer
 // ingests and labels — the suite runs under TSan in CI, so a data race in
 // the snapshot/index protocol fails here.
