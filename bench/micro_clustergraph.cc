@@ -97,6 +97,22 @@ void BM_ClusterGraphInsertChain(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterGraphInsertChain)->Arg(1024)->Arg(16384);
 
+void BM_ClusterGraphCopy(benchmark::State& state) {
+  // Copying a labeled graph: what every Algorithm-2 scan does to its base
+  // before it labels ahead of the crowd.
+  const auto num_objects = static_cast<int32_t>(state.range(0));
+  Workload w = MakeWorkload(num_objects, /*cluster_size=*/8,
+                            /*num_edges=*/num_objects, /*num_queries=*/0);
+  ClusterGraph graph(w.num_objects);
+  for (const auto& [a, b, label] : w.labeled) graph.Add(a, b, label);
+  for (auto _ : state) {
+    ClusterGraph copy = graph;
+    benchmark::DoNotOptimize(copy.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * num_objects);
+}
+BENCHMARK(BM_ClusterGraphCopy)->Arg(1024)->Arg(65536);
+
 }  // namespace
 }  // namespace crowdjoin
 

@@ -232,8 +232,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// The process-wide registry all library instrumentation writes to.
-  /// Enabled by default: the instrumented counters double as live state
-  /// (e.g. ServeStats), so disabling is the opt-out for overhead studies.
+  /// Enabled by default; disabling is the opt-out for overhead studies.
   static MetricsRegistry& Global();
 
   void SetEnabled(bool enabled) {

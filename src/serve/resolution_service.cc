@@ -26,13 +26,9 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options)
       metrics_->GetCounter("serve.ingest_candidates_total");
   labels_total_ = metrics_->GetCounter("serve.labels_total");
   queries_total_ = metrics_->GetCounter("serve.queries_total");
-  snapshot_publishes_total_ =
-      metrics_->GetCounter("serve.snapshot_publishes_total");
   ingest_latency_us_ = metrics_->GetHistogram("serve.ingest_latency_us");
   query_latency_us_ = metrics_->GetHistogram("serve.query_latency_us");
   candidates_per_query_ = metrics_->GetHistogram("serve.candidates_per_query");
-  // Readers must always find a valid snapshot, even before the first write.
-  PublishSnapshot();
 }
 
 ResolutionService::~ResolutionService() = default;
@@ -91,17 +87,19 @@ IngestResult ResolutionService::Ingest(const std::string& text) {
     }
     doc_sizes_.push_back(static_cast<int32_t>(ids.size()));
   }
-  // The new record joins the graph as a singleton, and the grown epoch is
-  // published before returning so readers can resolve it immediately.
-  graph_.EnsureObjects(id + 1);
-  PublishSnapshot();
+  // The new record joins the graph as a singleton before returning, so
+  // readers can resolve it immediately.
+  {
+    std::unique_lock<std::shared_mutex> lock(graph_mu_);
+    graph_.EnsureObjects(id + 1);
+  }
 
   IngestResult result;
   result.id = id;
   ingest_candidates_total_->Inc(static_cast<int64_t>(matches.size()));
   result.candidates.reserve(matches.size());
   for (const Match& m : matches) {
-    // Live const read: the writer thread annotates from the graph it owns.
+    // Const read without the lock: only this thread mutates the graph.
     result.candidates.push_back(
         ServeCandidate{m.id,
                        static_cast<double>(m.overlap) /
@@ -116,9 +114,13 @@ AddOutcome ResolutionService::OnPairLabeled(ObjectId a, ObjectId b,
   CJ_CHECK(a != b);
   CJ_CHECK(a >= 0 && a < graph_.num_objects());
   CJ_CHECK(b >= 0 && b < graph_.num_objects());
-  const AddOutcome outcome = graph_.Add(a, b, label);
+  AddOutcome outcome;
+  {
+    std::unique_lock<std::shared_mutex> lock(graph_mu_);
+    outcome = graph_.Add(a, b, label);
+    ++num_labels_;
+  }
   labels_total_->Inc();
-  PublishSnapshot();
   return outcome;
 }
 
@@ -134,19 +136,22 @@ std::vector<ServeCandidate> ResolutionService::QueryCandidates(
     const std::vector<int32_t> ids = dict_.Lookup(tokens, &num_distinct);
     matches = MatchEncoded(ids, num_distinct, /*exclude=*/-1);
   }
-  const ClusterGraphSnapshot snapshot = CurrentSnapshot();
   std::vector<ServeCandidate> candidates;
   candidates.reserve(matches.size());
-  for (const Match& m : matches) {
-    // A record the index serves but the snapshot does not yet span is a
-    // singleton: its canonical cluster id is itself.
-    const ObjectId cluster = m.id < snapshot.num_objects()
-                                 ? snapshot.CanonicalClusterId(m.id)
-                                 : m.id;
-    candidates.push_back(ServeCandidate{
-        m.id,
-        static_cast<double>(m.overlap) / static_cast<double>(m.union_size),
-        cluster});
+  {
+    // One lock across the loop, so every annotation reads one graph state.
+    std::shared_lock<std::shared_mutex> lock(graph_mu_);
+    for (const Match& m : matches) {
+      // A record the index serves but the graph does not yet span is a
+      // singleton: its canonical cluster id is itself.
+      const ObjectId cluster = m.id < graph_.num_objects()
+                                   ? graph_.CanonicalClusterId(m.id)
+                                   : m.id;
+      candidates.push_back(ServeCandidate{
+          m.id,
+          static_cast<double>(m.overlap) / static_cast<double>(m.union_size),
+          cluster});
+    }
   }
   candidates_per_query_->Observe(static_cast<int64_t>(candidates.size()));
   return candidates;
@@ -154,43 +159,28 @@ std::vector<ServeCandidate> ResolutionService::QueryCandidates(
 
 ObjectId ResolutionService::ResolveCluster(ObjectId id) const {
   CJ_CHECK(id >= 0);
-  const ClusterGraphSnapshot snapshot = CurrentSnapshot();
-  if (id >= snapshot.num_objects()) return id;  // not yet spanned: singleton
-  return snapshot.CanonicalClusterId(id);
+  std::shared_lock<std::shared_mutex> lock(graph_mu_);
+  if (id >= graph_.num_objects()) return id;  // not yet spanned: singleton
+  return graph_.CanonicalClusterId(id);
 }
 
 Deduction ResolutionService::DeducePair(ObjectId a, ObjectId b) const {
   CJ_CHECK(a >= 0 && b >= 0 && a != b);
-  const ClusterGraphSnapshot snapshot = CurrentSnapshot();
-  if (a >= snapshot.num_objects() || b >= snapshot.num_objects()) {
+  std::shared_lock<std::shared_mutex> lock(graph_mu_);
+  if (a >= graph_.num_objects() || b >= graph_.num_objects()) {
     return Deduction::kUndeduced;  // no label can touch an unseen record
   }
-  return snapshot.Deduce(a, b);
+  return graph_.Deduce(a, b);
 }
 
 ServeStats ResolutionService::Stats() const {
-  const ClusterGraphSnapshot snapshot = CurrentSnapshot();
+  std::shared_lock<std::shared_mutex> lock(graph_mu_);
   ServeStats stats;
-  stats.num_records = snapshot.num_objects();
-  stats.num_labels = labels_total_->Value();
-  stats.epoch = snapshot.epoch();
-  stats.num_clusters = snapshot.num_clusters();
-  stats.num_conflicts = snapshot.num_conflicts();
+  stats.num_records = graph_.num_objects();
+  stats.num_labels = num_labels_;
+  stats.num_clusters = graph_.num_clusters();
+  stats.num_conflicts = graph_.num_conflicts();
   return stats;
-}
-
-void ResolutionService::PublishSnapshot() {
-  const ClusterGraphSnapshot snap = graph_.Snapshot();
-  {
-    std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
-    snapshot_ = snap;
-  }
-  snapshot_publishes_total_->Inc();
-}
-
-ClusterGraphSnapshot ResolutionService::CurrentSnapshot() const {
-  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  return snapshot_;
 }
 
 }  // namespace crowdjoin

@@ -33,8 +33,6 @@ struct ResolutionServiceOptions {
   /// service a private always-enabled registry, keeping per-instance
   /// counts exact when many services share a process (tests); a harness
   /// that wants one exportable view passes &obs::MetricsRegistry::Global().
-  /// `ServeStats` is a view over these counters, so disabling the shared
-  /// registry freezes the counter-backed stats fields.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -42,7 +40,7 @@ struct ResolutionServiceOptions {
 struct ServeCandidate {
   ObjectId id = -1;        ///< the matching corpus record
   double similarity = 0;   ///< exact Jaccard over distinct word tokens
-  ObjectId cluster = -1;   ///< canonical cluster id at the read snapshot
+  ObjectId cluster = -1;   ///< canonical cluster id when the result was read
 };
 
 /// What `Ingest` hands back: the new record's dense id plus the labeling
@@ -54,13 +52,12 @@ struct IngestResult {
   std::vector<ServeCandidate> candidates;
 };
 
-/// A consistent view of the service's bookkeeping.
+/// A consistent view of the service's bookkeeping, read at one graph state.
 struct ServeStats {
-  int64_t num_records = 0;    ///< records visible at the snapshot
+  int64_t num_records = 0;    ///< records the cluster graph spans
   int64_t num_labels = 0;     ///< OnPairLabeled calls accepted so far
-  int64_t epoch = 0;          ///< published graph epoch
-  int32_t num_clusters = 0;   ///< clusters (incl. singletons) at the snapshot
-  int64_t num_conflicts = 0;  ///< conflicting labels seen up to the snapshot
+  int32_t num_clusters = 0;   ///< clusters (incl. singletons)
+  int64_t num_conflicts = 0;  ///< conflicting labels seen so far
 };
 
 /// \brief The always-on entity-resolution service: the paper's offline
@@ -78,14 +75,17 @@ struct ServeStats {
 /// ## Threading model
 ///
 /// One writer, many readers. `Ingest` and `OnPairLabeled` must come from a
-/// single thread; they advance the live graph and publish a fresh epoch
-/// snapshot (O(1)) after every change. The read API (`QueryCandidates`,
-/// `ResolveCluster`, `DeducePair`, `Stats`) may be called from any number
-/// of threads concurrently with the writer: readers share-lock the index
-/// and resolve cluster questions against the latest published
-/// `ClusterGraphSnapshot`, never against in-flight mutations. A record the
-/// index already serves but the snapshot does not yet span is reported as
-/// its own singleton cluster — exactly what it is until a label touches it.
+/// single thread. The read API (`QueryCandidates`, `ResolveCluster`,
+/// `DeducePair`, `Stats`) may be called from any number of threads
+/// concurrently with the writer. Two reader/writer locks guard the two
+/// structures: the index lock and the graph lock. The writer holds the
+/// graph lock exclusively only while it grows the graph or applies one
+/// label; readers share-lock it and use the graph's const,
+/// compression-free reads. Every write is visible to readers once the
+/// writer's call returns. The locks are never held together, so a label
+/// never waits on a reader's overlap count. A record the index already
+/// serves but the graph does not yet span is reported as its own singleton
+/// cluster — exactly what it is until a label touches it.
 class ResolutionService {
  public:
   explicit ResolutionService(ResolutionServiceOptions options = {});
@@ -98,8 +98,8 @@ class ResolutionService {
   IngestResult Ingest(const std::string& text);
 
   /// Feeds one crowd answer about records `a` and `b` into the cluster
-  /// graph and publishes the resulting epoch before returning. Returns the
-  /// graph's verdict (applied / redundant / conflict).
+  /// graph; readers see it once this returns. Returns the graph's verdict
+  /// (applied / redundant / conflict).
   AddOutcome OnPairLabeled(ObjectId a, ObjectId b, Label label);
 
   // --- Reader API (any thread, concurrent with the writer) ---
@@ -109,14 +109,13 @@ class ResolutionService {
   /// so similarity is exact Jaccard against the full query.
   std::vector<ServeCandidate> QueryCandidates(const std::string& text) const;
 
-  /// The canonical cluster id of record `id` at the latest snapshot.
+  /// The canonical cluster id of record `id`.
   ObjectId ResolveCluster(ObjectId id) const;
 
-  /// What the labeled pairs imply about (`a`, `b`) at the latest snapshot.
+  /// What the labeled pairs imply about (`a`, `b`).
   Deduction DeducePair(ObjectId a, ObjectId b) const;
 
-  /// Bookkeeping at the latest snapshot. The label count is a view over
-  /// the `serve.labels_total` counter in `metrics()`.
+  /// The service's bookkeeping, read at one graph state.
   ServeStats Stats() const;
 
   /// The registry this service's `serve.*` metrics live in (the one from
@@ -138,10 +137,6 @@ class ResolutionService {
   std::vector<Match> MatchEncoded(const std::vector<int32_t>& ids,
                                   size_t query_size, ObjectId exclude) const;
 
-  // Publishes the live graph's pending epoch into `snapshot_`.
-  void PublishSnapshot();
-  ClusterGraphSnapshot CurrentSnapshot() const;
-
   ResolutionServiceOptions options_;
 
   // Self-join index: dictionary + inverted lists + per-record set sizes.
@@ -150,11 +145,11 @@ class ResolutionService {
   std::vector<std::vector<ObjectId>> postings_;  // token id -> record ids
   std::vector<int32_t> doc_sizes_;               // record id -> |token set|
 
-  // Crowd knowledge. The writer mutates `graph_` (which locks internally
-  // once snapshots exist); readers only ever touch `snapshot_`.
+  // Crowd knowledge. The writer mutates `graph_` and counts labels under an
+  // exclusive `graph_mu_`; readers share-lock it and use the const reads.
+  mutable std::shared_mutex graph_mu_;
   ClusterGraph graph_;
-  mutable std::shared_mutex snapshot_mu_;
-  ClusterGraphSnapshot snapshot_;
+  int64_t num_labels_ = 0;
 
   // Telemetry (see ResolutionServiceOptions::metrics). Handles stay valid
   // for the registry's lifetime; readers increment through const pointers.
@@ -164,7 +159,6 @@ class ResolutionService {
   obs::Counter* ingest_candidates_total_;
   obs::Counter* labels_total_;
   obs::Counter* queries_total_;
-  obs::Counter* snapshot_publishes_total_;
   obs::Histogram* ingest_latency_us_;
   obs::Histogram* query_latency_us_;
   obs::Histogram* candidates_per_query_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace crowdjoin {
 namespace {
 
@@ -171,11 +177,6 @@ TEST_F(Example1Graph, InducedOnKeepsClustersAndEdgesAmongTheObjects) {
   EXPECT_EQ(induced.Deduce(2, 3), Deduction::kNonMatching);  // (o3,o2)
   EXPECT_EQ(induced.Deduce(0, 3), Deduction::kUndeduced);    // (o7,o2)
   EXPECT_EQ(induced.CanonicalClusterId(2), 1);
-  // A snapshot of the result publishes the induced state.
-  const ClusterGraphSnapshot snapshot = induced.Snapshot();
-  EXPECT_EQ(snapshot.Deduce(1, 2), Deduction::kMatching);
-  EXPECT_EQ(snapshot.Deduce(0, 1), Deduction::kNonMatching);
-  EXPECT_EQ(snapshot.CanonicalClusterId(2), 1);
   // Further labels count from zero: (o7,o3) matching contradicts an edge.
   EXPECT_EQ(induced.Add(0, 2, kM), AddOutcome::kConflict);
   EXPECT_EQ(induced.num_conflicts(), 1);
@@ -222,6 +223,101 @@ TEST(ClusterGraph, EdgesSurviveMergesOnBothSides) {
   graph.Add(3, 5, kM);
   EXPECT_EQ(graph.Deduce(4, 5), Deduction::kNonMatching);
   EXPECT_EQ(graph.num_edges(), 1);
+}
+
+// Regression for the "raw roots treated as stable" bug: `ClusterOf` may
+// answer a different id for an untouched query after an unrelated-looking
+// merge, while `CanonicalClusterId` never does.
+TEST(ClusterGraphClusterIds, RawRootsGoStaleAcrossMerges) {
+  ClusterGraph graph(5);
+  graph.Add(0, 1, kM);                       // {0,1}
+  const ObjectId stale_root = graph.ClusterOf(0);
+  ASSERT_EQ(graph.CanonicalClusterId(0), 0);
+
+  graph.Add(2, 3, kM);
+  graph.Add(3, 4, kM);                       // {2,3,4}
+  graph.Add(0, 2, kM);                       // {0,1} absorbed by the larger set
+  // The raw root a caller might have persisted no longer identifies the
+  // cluster: comparing it with a fresh root answers "different cluster"
+  // for 0 itself.
+  EXPECT_NE(graph.ClusterOf(0), stale_root);
+  // The canonical id is still 0, for every member.
+  for (ObjectId x = 0; x < 5; ++x) {
+    EXPECT_EQ(graph.CanonicalClusterId(x), 0) << "x=" << x;
+  }
+}
+
+TEST(ClusterGraphClusterIds, CanonicalIdEqualIffSameCluster) {
+  ClusterGraph graph(6);
+  graph.Add(4, 5, kM);
+  graph.Add(1, 3, kM);
+  for (ObjectId a = 0; a < 6; ++a) {
+    for (ObjectId b = 0; b < 6; ++b) {
+      const bool same_cluster = graph.Deduce(a, b) == Deduction::kMatching ||
+                                a == b;
+      EXPECT_EQ(graph.CanonicalClusterId(a) == graph.CanonicalClusterId(b),
+                same_cluster)
+          << "(" << a << "," << b << ")";
+    }
+  }
+}
+
+// Builds a mixed graph: chains of merges plus non-matching edges.
+ClusterGraph MakeGraph(int32_t num_objects, uint64_t seed) {
+  ClusterGraph graph(num_objects);
+  Rng rng(seed);
+  for (int i = 0; i < num_objects * 3; ++i) {
+    const auto a =
+        static_cast<ObjectId>(rng.Index(static_cast<size_t>(num_objects)));
+    const auto b =
+        static_cast<ObjectId>(rng.Index(static_cast<size_t>(num_objects)));
+    if (a == b) continue;
+    // Group by id range so matches and edges both occur.
+    const bool same_group = a / 8 == b / 8;
+    graph.Add(a, b, same_group ? kM : kN);
+  }
+  return graph;
+}
+
+// Const Deduce/ClusterOf/ClusterSize/CanonicalClusterId on a graph nobody
+// mutates must be safe from any number of threads: the path-compressing
+// reads they replaced were a data race, which TSan catches here.
+TEST(SnapshotConcurrency, ConstReadsOnFrozenGraphAreParallelSafe) {
+  const int32_t n = 64;
+  const ClusterGraph graph = MakeGraph(n, /*seed=*/7);
+
+  // Single-threaded reference answers, via the same const path.
+  std::vector<Deduction> expected;
+  for (ObjectId a = 0; a < n; ++a) {
+    for (ObjectId b = a + 1; b < n; ++b) {
+      expected.push_back(graph.Deduce(a, b));
+    }
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      size_t i = 0;
+      for (ObjectId a = 0; a < n; ++a) {
+        for (ObjectId b = a + 1; b < n; ++b, ++i) {
+          if (graph.Deduce(a, b) != expected[i]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          // Exercise every const read surface.
+          if (graph.ClusterOf(a) == graph.ClusterOf(b) &&
+              graph.CanonicalClusterId(a) != graph.CanonicalClusterId(b)) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (graph.ClusterSize(a) < 1) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

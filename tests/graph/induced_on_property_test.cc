@@ -1,13 +1,10 @@
-// Property suite for the epoch-snapshot machinery and induced graphs: a
-// snapshot must answer exactly like a deep copy of the graph taken at the
-// same moment, and a graph induced on some objects must behave exactly like
-// that copy with further labels over those objects applied — across
-// conflict policies, EnsureObjects growth interleavings, and merge-heavy
+// Property suite for induced graphs: a graph induced on some objects must
+// behave exactly like a deep copy of the whole graph with further labels
+// over those objects applied — across conflict policies and merge-heavy
 // random sequences.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -58,65 +55,8 @@ std::vector<Op> MakeOps(Rng& rng, int32_t num_objects, int32_t num_entities,
   return ops;
 }
 
-void ExpectSameState(const ClusterGraphSnapshot& snapshot,
-                     const ClusterGraph& reference, uint64_t seed,
-                     size_t checkpoint) {
-  ASSERT_EQ(snapshot.num_objects(), reference.num_objects())
-      << "seed=" << seed << " checkpoint=" << checkpoint;
-  EXPECT_EQ(snapshot.num_clusters(), reference.num_clusters());
-  EXPECT_EQ(snapshot.num_edges(), reference.num_edges());
-  EXPECT_EQ(snapshot.num_merges(), reference.num_merges());
-  EXPECT_EQ(snapshot.num_conflicts(), reference.num_conflicts());
-  const int32_t n = reference.num_objects();
-  for (ObjectId a = 0; a < n; ++a) {
-    // Canonical ids must agree exactly (both are min-member ids).
-    ASSERT_EQ(snapshot.CanonicalClusterId(a), reference.CanonicalClusterId(a))
-        << "seed=" << seed << " checkpoint=" << checkpoint << " a=" << a;
-    for (ObjectId b = a + 1; b < n; ++b) {
-      ASSERT_EQ(snapshot.Deduce(a, b), reference.Deduce(a, b))
-          << "seed=" << seed << " checkpoint=" << checkpoint << " pair=(" << a
-          << "," << b << ")";
-    }
-  }
-}
-
-class SnapshotPropertyTest
+class InducedOnPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, ConflictPolicy>> {};
-
-// Snapshots taken at random points — interleaved with EnsureObjects growth
-// — keep answering like deep copies taken at the same points, no matter
-// how far the live graph advances afterwards.
-TEST_P(SnapshotPropertyTest, SnapshotDeduceMatchesDeepCopy) {
-  const auto [seed, policy] = GetParam();
-  Rng rng(seed);
-  const int32_t final_objects = 36;
-  ClusterGraph live(12, policy);
-
-  std::vector<ClusterGraphSnapshot> snapshots;
-  std::vector<std::unique_ptr<ClusterGraph>> references;
-  for (int growth = 0; growth < 3; ++growth) {
-    // Labels over the objects visible so far; each growth phase gets its
-    // own op mix, with the last phase merge-heavy.
-    const int32_t visible = 12 * (growth + 1);
-    const std::vector<Op> ops =
-        MakeOps(rng, visible, /*num_entities=*/5, /*num_ops=*/60,
-                /*noise=*/0.15, /*match_bias=*/growth == 2 ? 3 : 0);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      live.Add(ops[i].a, ops[i].b, ops[i].label);
-      if (i % 17 == 0) {
-        snapshots.push_back(live.Snapshot());
-        references.push_back(std::make_unique<ClusterGraph>(live));
-      }
-    }
-    if (visible < final_objects) live.EnsureObjects(visible + 12);
-    snapshots.push_back(live.Snapshot());
-    references.push_back(std::make_unique<ClusterGraph>(live));
-  }
-
-  for (size_t i = 0; i < snapshots.size(); ++i) {
-    ExpectSameState(snapshots[i], *references[i], seed, i);
-  }
-}
 
 // A random `count` of the objects [0, num_objects), in random order — a
 // round's objects in first-appearance order, often several of one cluster.
@@ -149,15 +89,11 @@ void ExpectInducedDeduce(const ClusterGraph& induced,
   }
 }
 
-// The two cases below keep their names from when streamed round scans ran
-// on an overlay of a snapshot; they now pin the induced graph that
-// replaced it.
-//
 // The graph induced on some objects replays further labels over them
 // exactly like a deep copy of the whole graph would: identical Add
 // outcomes, identical Deduce on every pair, and conflicts counted from
 // zero.
-TEST_P(SnapshotPropertyTest, OverlayMatchesDeepCopyUnderFurtherLabels) {
+TEST_P(InducedOnPropertyTest, InducedOnMatchesDeepCopyUnderFurtherLabels) {
   const auto [seed, policy] = GetParam();
   Rng rng(seed ^ 0x5eed);
   const int32_t num_objects = 30;
@@ -205,7 +141,7 @@ TEST_P(SnapshotPropertyTest, OverlayMatchesDeepCopyUnderFurtherLabels) {
 // Interleaved Deduce/Add on the induced graph (the round scans' actual
 // access pattern) agrees with the deep copy at every step, not just at the
 // end.
-TEST_P(SnapshotPropertyTest, OverlayInterleavedDeduceMatches) {
+TEST_P(InducedOnPropertyTest, InducedOnInterleavedDeduceMatches) {
   const auto [seed, policy] = GetParam();
   Rng rng(seed ^ 0xfeed);
   const int32_t num_objects = 24;
@@ -236,7 +172,7 @@ TEST_P(SnapshotPropertyTest, OverlayInterleavedDeduceMatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RandomSeeds, SnapshotPropertyTest,
+    RandomSeeds, InducedOnPropertyTest,
     ::testing::Combine(::testing::Range<uint64_t>(300, 312),
                        ::testing::Values(ConflictPolicy::kKeepFirst,
                                          ConflictPolicy::kTrustNew)));

@@ -108,7 +108,7 @@ TEST(ResolutionService, QueryDoesNotMutateTheCorpus) {
   }
   const ServeStats after = service.Stats();
   EXPECT_EQ(after.num_records, before.num_records);
-  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.num_labels, before.num_labels);
   // A repeat of the same query answers identically.
   const auto again = service.QueryCandidates("alpha beta gamma delta");
   ASSERT_EQ(again.size(), 1u);
@@ -154,9 +154,22 @@ TEST(ResolutionService, ConflictPolicyFlowsThroughToTheGraph) {
   EXPECT_EQ(service.Stats().num_conflicts, 1);
 }
 
+TEST(ResolutionService, NumLabelsDoesNotDependOnMetrics) {
+  obs::MetricsRegistry registry;
+  registry.SetEnabled(false);
+  ResolutionServiceOptions options = LowThreshold();
+  options.metrics = &registry;
+  ResolutionService service(options);
+  for (int i = 0; i < 4; ++i) service.Ingest("record " + std::to_string(i));
+  service.OnPairLabeled(0, 1, Label::kMatching);
+  service.OnPairLabeled(1, 2, Label::kNonMatching);
+  service.OnPairLabeled(0, 1, Label::kMatching);  // redundant still counts
+  EXPECT_EQ(service.Stats().num_labels, 3);
+}
+
 // Reader threads hammer the query/resolve/deduce surface while the writer
 // ingests and labels — the suite runs under TSan in CI, so a data race in
-// the snapshot/index protocol fails here.
+// the graph/index locking fails here.
 TEST(ResolutionService, ConcurrentReadersSeeConsistentSnapshots) {
   ResolutionService service(LowThreshold());
   const std::vector<std::string> corpus = {
@@ -208,6 +221,55 @@ TEST(ResolutionService, ConcurrentReadersSeeConsistentSnapshots) {
   const ServeStats stats = service.Stats();
   EXPECT_EQ(stats.num_records, 120);
   EXPECT_EQ(stats.num_labels, 60);
+}
+
+// Every write is visible to readers once the writer's call returns: after
+// the writer publishes k (release) behind its k-th OnPairLabeled, a reader
+// that acquires k sees labels 1..k, and an ingested record is spanned as
+// soon as Ingest returns. Label j ties record j to record 0: matching for
+// odd j, non-matching for even j.
+TEST(ResolutionService, ReadersSeeEveryLabelTheWriterReturnedFrom) {
+  constexpr int kLabels = 150;
+  ResolutionService service;
+  service.Ingest("record 0");
+  std::atomic<int> ingested{0};
+  std::atomic<int> labeled{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  auto fail = [&] { failures.fetch_add(1, std::memory_order_relaxed); };
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const int i = ingested.load(std::memory_order_acquire);
+        if (service.Stats().num_records < i + 1) fail();
+        const int k = labeled.load(std::memory_order_acquire);
+        for (int j = 1; j <= k; ++j) {
+          const bool matching = j % 2 == 1;
+          if (service.DeducePair(0, j) !=
+              (matching ? Deduction::kMatching : Deduction::kNonMatching)) {
+            fail();
+          }
+          if (service.ResolveCluster(j) != (matching ? 0 : j)) fail();
+        }
+        if (service.Stats().num_labels < k) fail();
+      }
+    });
+  }
+
+  for (int k = 1; k <= kLabels; ++k) {
+    const ObjectId id = service.Ingest("record " + std::to_string(k)).id;
+    ASSERT_EQ(id, k);
+    ingested.store(k, std::memory_order_release);
+    service.OnPairLabeled(
+        0, k, k % 2 == 1 ? Label::kMatching : Label::kNonMatching);
+    labeled.store(k, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(service.Stats().num_labels, kLabels);
 }
 
 }  // namespace
