@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,9 +45,9 @@ int main(int argc, char** argv) {
     const LabelingReport plain =
         Unwrap(plain_session.Run(pairs, order, oracle1));
     GroundTruthOracle oracle2 = truth;
-    LabelingSession one_to_one_session;  // + the exclusivity rule plug-in
-    one_to_one_session.AddRule(std::make_unique<TransitiveDeductionRule>())
-        .AddRule(std::make_unique<OneToOneDeductionRule>());
+    LabelingSessionOptions options;
+    options.one_to_one = true;  // + the exclusivity rule
+    LabelingSession one_to_one_session(options);
     const LabelingReport one_to_one =
         Unwrap(one_to_one_session.Run(pairs, order, oracle2));
 

@@ -29,14 +29,13 @@ struct LabelingReport {
   /// Outcome per candidate position; `nullopt` for pairs a budget-capped
   /// run could not reach (always engaged when `num_unlabeled == 0`).
   std::vector<std::optional<PairOutcome>> outcomes;
-  /// Candidate pairs consumed (== outcomes.size() unless outcome recording
-  /// was disabled for a large streaming run).
+  /// Candidate pairs consumed (always == outcomes.size()).
   int64_t num_candidates = 0;
   int64_t num_crowdsourced = 0;
   int64_t num_deduced = 0;
   /// Pairs left undecided because the stop policy ran out of budget.
   int64_t num_unlabeled = 0;
-  /// Contradictory labels seen by the transitive rule (noisy oracles only).
+  /// Contradictory labels seen by the cluster graph (noisy oracles only).
   int64_t num_conflicts = 0;
   /// Batch sizes, one entry per publication: all 1s under the sequential
   /// schedule, one entry per round under the round-parallel schedule
@@ -45,10 +44,10 @@ struct LabelingReport {
   /// Candidate-stream rounds consumed (1 for a materialized run).
   int64_t num_stream_rounds = 0;
   /// Pairs decided by the one-to-one exclusivity rule (also counted in
-  /// `num_deduced`); 0 unless the rule is installed.
+  /// `num_deduced`); 0 unless `one_to_one`.
   int64_t num_one_to_one_deduced = 0;
   /// Crowd answers that matched an already-matched object (one-to-one rule
-  /// bookkeeping); 0 unless the rule is installed.
+  /// bookkeeping); 0 unless `one_to_one`.
   int64_t num_exclusivity_violations = 0;
 
   friend bool operator==(const LabelingReport&,

@@ -118,6 +118,52 @@ Status CheckBatchSafe(const LabelOracle& oracle, int num_threads) {
   return Status::OK();
 }
 
+// InvalidArgument unless a checkpoint frontier's counts agree with each
+// other and its budget fits `stop`. A valid checksum only proves the file
+// is what its writer wrote: a frontier one outcome short would shift every
+// later outcome, and a zero budget on an unbounded run would silently stop
+// crowdsourcing.
+Status CheckFrontierCounts(const SessionCheckpointState& state,
+                           const StopPolicy& stop) {
+  const int64_t n = state.num_candidates;
+  const auto in_range = [n](int64_t count) {
+    return count >= 0 && count <= n;
+  };
+  // Crowdsourced pairs the batch sizes leave unaccounted; -1 once a batch
+  // is negative or overshoots.
+  int64_t unbatched = state.num_crowdsourced;
+  for (int64_t batch : state.crowdsourced_per_iteration) {
+    unbatched = batch < 0 || batch > unbatched ? -1 : unbatched - batch;
+  }
+  if (static_cast<int64_t>(state.outcomes.size()) != n ||
+      state.candidates_consumed != n || !in_range(state.num_crowdsourced) ||
+      !in_range(state.num_deduced) || !in_range(state.num_unlabeled) ||
+      state.num_crowdsourced + state.num_deduced + state.num_unlabeled != n ||
+      unbatched != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint counts disagree: %zu outcomes, %lld candidates, %lld "
+        "consumed, %lld crowdsourced (%lld outside the batches), %lld "
+        "deduced, %lld unlabeled",
+        state.outcomes.size(), static_cast<long long>(n),
+        static_cast<long long>(state.candidates_consumed),
+        static_cast<long long>(state.num_crowdsourced),
+        static_cast<long long>(unbatched),
+        static_cast<long long>(state.num_deduced),
+        static_cast<long long>(state.num_unlabeled)));
+  }
+  const bool budget_fits =
+      stop.bounded()
+          ? state.remaining_budget >= 0 && state.remaining_budget <= stop.budget
+          : state.remaining_budget == -1;
+  if (!budget_fits) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint budget %lld does not fit the run's %s stop policy",
+        static_cast<long long>(state.remaining_budget),
+        stop.bounded() ? "bounded" : "unbounded"));
+  }
+  return Status::OK();
+}
+
 // An empty report sized for one materialized run over `n` candidates.
 LabelingReport EmptyReport(size_t n) {
   LabelingReport report;
@@ -167,68 +213,6 @@ Result<CandidateSet> MaterializedCandidateStream::NextRound() {
       pairs_->begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
   cursor_ += take;
   return round;
-}
-
-// ---------------------------------------------------------------------------
-// Deduction rules
-// ---------------------------------------------------------------------------
-
-std::optional<Label> TransitiveDeductionRule::Deduce(ObjectId a, ObjectId b) {
-  const Deduction deduction = graph_.Deduce(a, b);
-  if (deduction == Deduction::kUndeduced) return std::nullopt;
-  return DeductionToLabel(deduction);
-}
-
-void TransitiveDeductionRule::Observe(ObjectId a, ObjectId b, Label label,
-                                      LabelSource /*source*/) {
-  graph_.Add(a, b, label);
-}
-
-void TransitiveDeductionRule::FillReport(LabelingReport* report) const {
-  report->num_conflicts = graph_.num_conflicts();
-}
-
-void OneToOneDeductionRule::Reset(int32_t num_objects) {
-  matched_.assign(static_cast<size_t>(num_objects), false);
-  num_deduced_ = 0;
-  num_violations_ = 0;
-}
-
-void OneToOneDeductionRule::EnsureObjects(int32_t num_objects) {
-  if (static_cast<size_t>(num_objects) > matched_.size()) {
-    matched_.resize(static_cast<size_t>(num_objects), false);
-  }
-}
-
-std::optional<Label> OneToOneDeductionRule::Deduce(ObjectId a, ObjectId b) {
-  // A pair touching an already-matched object is non-matching — sound only
-  // when the workload really is one-to-one. Every successful deduction is
-  // committed by the sequential engine, so counting here is exact.
-  if (matched_[static_cast<size_t>(a)] || matched_[static_cast<size_t>(b)]) {
-    ++num_deduced_;
-    return Label::kNonMatching;
-  }
-  return std::nullopt;
-}
-
-void OneToOneDeductionRule::Observe(ObjectId a, ObjectId b, Label label,
-                                    LabelSource source) {
-  // Only crowd answers claim a partner; deduced matches (which can only
-  // come from transitivity) are ignored, as in the frozen one-to-one
-  // reference, which keeps the outcomes byte-identical to it.
-  if (source != LabelSource::kCrowdsourced || label != Label::kMatching) {
-    return;
-  }
-  if (matched_[static_cast<size_t>(a)] || matched_[static_cast<size_t>(b)]) {
-    ++num_violations_;
-  }
-  matched_[static_cast<size_t>(a)] = true;
-  matched_[static_cast<size_t>(b)] = true;
-}
-
-void OneToOneDeductionRule::FillReport(LabelingReport* report) const {
-  report->num_one_to_one_deduced = num_deduced_;
-  report->num_exclusivity_violations = num_violations_;
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +286,34 @@ std::vector<int32_t> ScanPublish(
   return publish;
 }
 
+// The deduction scan (Algorithm 2, lines 6-8): inserts the labeled pairs in
+// order and hands every unlabeled pair that its prefix decides to
+// `on_deduced(pos, label)`. A deduced label is already implied by the
+// graph, so it is not inserted. Returns the first undecided position, or
+// -1 when every pair is labeled or deduced.
+template <typename OnDeduced>
+int32_t ScanDeduce(ClusterGraph& graph, const CandidateSet& pairs,
+                   const std::vector<int32_t>& order,
+                   const std::vector<std::optional<Label>>& labels,
+                   const OnDeduced& on_deduced) {
+  int32_t first_undecided = -1;
+  for (int32_t pos : order) {
+    const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
+    const std::optional<Label>& label = labels[static_cast<size_t>(pos)];
+    if (label.has_value()) {
+      graph.Add(pair.a, pair.b, *label);
+      continue;
+    }
+    const Deduction deduction = graph.Deduce(pair.a, pair.b);
+    if (deduction != Deduction::kUndeduced) {
+      on_deduced(pos, DeductionToLabel(deduction));
+    } else if (first_undecided < 0) {
+      first_undecided = pos;
+    }
+  }
+  return first_undecided;
+}
+
 // The Algorithm-2 round loop. Every scan runs on a fresh copy of `base`:
 // an empty graph for materialized runs, or the persistent graph induced on
 // a streamed round's objects, with `pairs` renumbered to its local ids.
@@ -360,30 +372,19 @@ Status RunRoundsImpl(const CandidateSet& pairs,
     }
 
     // Deduce every pair that became deducible from its prefix of labeled
-    // pairs (lines 6-8): one ordered scan, cascading deductions.
-    size_t scan_deduced = 0;
+    // pairs: one ordered scan, cascading deductions.
+    const size_t labeled_before = num_labeled;
     ClusterGraph graph = base;
-    for (int32_t pos : order) {
-      const CandidatePair& pair = pairs[static_cast<size_t>(pos)];
-      auto& label = labels[static_cast<size_t>(pos)];
-      if (label.has_value()) {
-        graph.Add(pair.a, pair.b, *label);
-        continue;
-      }
-      const Deduction deduction = graph.Deduce(pair.a, pair.b);
-      if (deduction != Deduction::kUndeduced) {
-        label = DeductionToLabel(deduction);
-        report.outcomes[report_offset + static_cast<size_t>(pos)] =
-            PairOutcome{*label, LabelSource::kDeduced};
-        ++report.num_deduced;
-        ++num_labeled;
-        ++scan_deduced;
-        // The deduced label is already implied by the graph: no Add needed.
-      }
-    }
+    ScanDeduce(graph, pairs, order, labels, [&](int32_t pos, Label label) {
+      labels[static_cast<size_t>(pos)] = label;
+      report.outcomes[report_offset + static_cast<size_t>(pos)] =
+          PairOutcome{label, LabelSource::kDeduced};
+      ++report.num_deduced;
+      ++num_labeled;
+    });
     report.num_conflicts = graph.num_conflicts();
 
-    if (publish.empty() && scan_deduced == 0) {
+    if (publish.empty() && num_labeled == labeled_before) {
       // No batch was affordable and nothing came free: everything left is
       // out of the budget's reach (the unbounded invariant above proves
       // this branch needs an exhausted budget).
@@ -410,28 +411,27 @@ std::vector<int32_t> ParallelCrowdsourcedPairs(
 // ---------------------------------------------------------------------------
 
 LabelingSession::LabelingSession(LabelingSessionOptions options)
-    : options_(options) {}
+    : options_(options), graph_(0, options.conflict_policy) {}
 
 LabelingSession::~LabelingSession() = default;
 LabelingSession::LabelingSession(LabelingSession&&) noexcept = default;
 LabelingSession& LabelingSession::operator=(LabelingSession&&) noexcept =
     default;
 
-LabelingSession& LabelingSession::AddRule(std::unique_ptr<DeductionRule> rule) {
-  rules_.push_back(std::move(rule));
-  return *this;
-}
-
-void LabelingSession::EnsureDefaultRule() {
-  if (rules_.empty()) {
-    rules_.push_back(
-        std::make_unique<TransitiveDeductionRule>(options_.conflict_policy));
+Status LabelingSession::BeginRun(int32_t num_objects, bool checkpointing) {
+  // The round scans and the checkpoint frontier carry the cluster graph
+  // alone, so one-to-one deduction is a sequential, checkpoint-free rule.
+  if (options_.one_to_one &&
+      (options_.schedule != SchedulePolicy::kSequential || checkpointing)) {
+    return Status::InvalidArgument(StrFormat(
+        "one-to-one deduction needs the sequential schedule without "
+        "checkpoints, not the %s schedule%s",
+        std::string(SchedulePolicyToString(options_.schedule)).c_str(),
+        checkpointing ? " with checkpoints" : ""));
   }
-}
-
-void LabelingSession::BeginRun(int32_t num_objects) {
-  EnsureDefaultRule();
-  for (auto& rule : rules_) rule->Reset(num_objects);
+  graph_.Reset(num_objects);
+  graph_.SetEdgeLogEnabled(false);
+  matched_.assign(static_cast<size_t>(num_objects), false);
   remaining_budget_ = options_.stop.bounded() ? options_.stop.budget : -1;
   // Clear the incremental-protocol state so a session can run repeatedly.
   pairs_ = nullptr;
@@ -442,37 +442,32 @@ void LabelingSession::BeginRun(int32_t num_objects) {
   num_crowdsourced_ = 0;
   num_published_ = 0;
   started_ = false;
-}
-
-Result<ConflictPolicy> LabelingSession::RequireTransitiveOnlyChain() const {
-  if (rules_.size() == 1) {
-    if (const auto* transitive =
-            dynamic_cast<const TransitiveDeductionRule*>(rules_[0].get())) {
-      return transitive->policy();
-    }
-  }
-  return Status::InvalidArgument(
-      std::string("the ") +
-      std::string(SchedulePolicyToString(options_.schedule)) +
-      " schedule supports only the transitive deduction rule");
+  return Status::OK();
 }
 
 void LabelingSession::LabelOnePair(const CandidatePair& pair,
                                    size_t report_pos, LabelOracle& oracle,
                                    LabelingReport& report) {
-  // Ask the chain in order; the first rule that deduces wins, and the
-  // rules before it (which could not decide the pair) observe the label.
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    const std::optional<Label> deduced = rules_[i]->Deduce(pair.a, pair.b);
-    if (deduced.has_value()) {
-      report.outcomes[report_pos] =
-          PairOutcome{*deduced, LabelSource::kDeduced};
-      ++report.num_deduced;
-      for (size_t j = 0; j < i; ++j) {
-        rules_[j]->Observe(pair.a, pair.b, *deduced, LabelSource::kDeduced);
-      }
-      return;
-    }
+  const Deduction deduction = graph_.Deduce(pair.a, pair.b);
+  if (deduction != Deduction::kUndeduced) {
+    // Already implied by the graph: nothing to insert.
+    report.outcomes[report_pos] =
+        PairOutcome{DeductionToLabel(deduction), LabelSource::kDeduced};
+    ++report.num_deduced;
+    return;
+  }
+  const size_t a = static_cast<size_t>(pair.a);
+  const size_t b = static_cast<size_t>(pair.b);
+  if (options_.one_to_one && (matched_[a] || matched_[b])) {
+    // A pair touching a claimed object is non-matching — sound only when
+    // the workload really is one-to-one. The graph learns it, so
+    // transitivity can build on it.
+    report.outcomes[report_pos] =
+        PairOutcome{Label::kNonMatching, LabelSource::kDeduced};
+    ++report.num_deduced;
+    ++report.num_one_to_one_deduced;
+    graph_.Add(pair.a, pair.b, Label::kNonMatching);
+    return;
   }
   if (remaining_budget_ == 0) {
     ++report.num_unlabeled;  // money ran out; leave undecided
@@ -488,8 +483,13 @@ void LabelingSession::LabelOnePair(const CandidatePair& pair,
   report.outcomes[report_pos] = PairOutcome{label, LabelSource::kCrowdsourced};
   ++report.num_crowdsourced;
   report.crowdsourced_per_iteration.push_back(1);
-  for (auto& rule : rules_) {
-    rule->Observe(pair.a, pair.b, label, LabelSource::kCrowdsourced);
+  graph_.Add(pair.a, pair.b, label);
+  // Only crowd matches claim a partner; deduced matches (which can only
+  // come from transitivity) claim nothing.
+  if (options_.one_to_one && label == Label::kMatching) {
+    if (matched_[a] || matched_[b]) ++report.num_exclusivity_violations;
+    matched_[a] = true;
+    matched_[b] = true;
   }
 }
 
@@ -500,7 +500,7 @@ Result<LabelingReport> LabelingSession::Run(const CandidateSet& pairs,
   if (options_.schedule != SchedulePolicy::kInstantDecision) {
     CJ_RETURN_IF_ERROR(ValidateOrder(order, pairs.size()));
   }
-  BeginRun(NumObjectsSpanned(pairs));
+  CJ_RETURN_IF_ERROR(BeginRun(NumObjectsSpanned(pairs)));
   switch (options_.schedule) {
     case SchedulePolicy::kSequential: {
       LabelingReport report = EmptyReport(pairs.size());
@@ -508,12 +508,10 @@ Result<LabelingReport> LabelingSession::Run(const CandidateSet& pairs,
         LabelOnePair(pairs[static_cast<size_t>(pos)],
                      static_cast<size_t>(pos), oracle, report);
       }
-      for (const auto& rule : rules_) rule->FillReport(&report);
+      report.num_conflicts = graph_.num_conflicts();
       return report;
     }
     case SchedulePolicy::kRoundParallel: {
-      CJ_ASSIGN_OR_RETURN(const ConflictPolicy policy,
-                          RequireTransitiveOnlyChain());
       CJ_RETURN_IF_ERROR(CheckBatchSafe(oracle, options_.num_threads));
       // One pool shared by every round of this run. Created only when real
       // parallelism was requested: the single-threaded path calls the
@@ -525,8 +523,7 @@ Result<LabelingReport> LabelingSession::Run(const CandidateSet& pairs,
       return RunRounds(
           pairs, order,
           OracleBatchSource(pairs, oracle,
-                            pool.has_value() ? &*pool : nullptr, options_),
-          policy);
+                            pool.has_value() ? &*pool : nullptr, options_));
     }
     case SchedulePolicy::kInstantDecision:
       return RunInstantFifo(pairs, order, oracle);
@@ -536,10 +533,9 @@ Result<LabelingReport> LabelingSession::Run(const CandidateSet& pairs,
 
 Result<LabelingReport> LabelingSession::RunRounds(
     const CandidateSet& pairs, const std::vector<int32_t>& order,
-    const BatchLabelFn& label_batch, ConflictPolicy policy) {
+    const BatchLabelFn& label_batch) {
   LabelingReport report = EmptyReport(pairs.size());
-  const ClusterGraph base(NumObjectsSpanned(pairs), policy);
-  CJ_RETURN_IF_ERROR(RunRoundsImpl(pairs, order, label_batch, base,
+  CJ_RETURN_IF_ERROR(RunRoundsImpl(pairs, order, label_batch, graph_,
                                    remaining_budget_, /*report_offset=*/0,
                                    report));
   return report;
@@ -553,10 +549,8 @@ Result<LabelingReport> LabelingSession::RunWithBatchSource(
         "RunWithBatchSource requires the round-parallel schedule");
   }
   CJ_RETURN_IF_ERROR(ValidateOrder(order, pairs.size()));
-  BeginRun(NumObjectsSpanned(pairs));
-  CJ_ASSIGN_OR_RETURN(const ConflictPolicy policy,
-                      RequireTransitiveOnlyChain());
-  return RunRounds(pairs, order, label_batch, policy);
+  CJ_RETURN_IF_ERROR(BeginRun(NumObjectsSpanned(pairs)));
+  return RunRounds(pairs, order, label_batch);
 }
 
 Result<LabelingReport> LabelingSession::RunStream(
@@ -569,22 +563,11 @@ Result<LabelingReport> LabelingSession::RunStream(
   }
   const bool checkpointing =
       checkpoint != nullptr && !checkpoint->path.empty();
-  BeginRun(/*num_objects=*/0);
-  TransitiveDeductionRule* transitive = nullptr;
-  if (options_.schedule == SchedulePolicy::kRoundParallel) {
-    CJ_RETURN_IF_ERROR(RequireTransitiveOnlyChain().status());
-    CJ_RETURN_IF_ERROR(CheckBatchSafe(oracle, options_.num_threads));
-    transitive = dynamic_cast<TransitiveDeductionRule*>(rules_[0].get());
-  } else if (checkpointing) {
-    // The frontier persists the cluster graph as its Add log, so the
-    // sequential schedule can only checkpoint a transitive-only chain too.
-    CJ_RETURN_IF_ERROR(RequireTransitiveOnlyChain().status());
-    transitive = dynamic_cast<TransitiveDeductionRule*>(rules_[0].get());
-  }
+  CJ_RETURN_IF_ERROR(BeginRun(/*num_objects=*/0, checkpointing));
   std::optional<ThreadPool> pool;
-  if (options_.schedule == SchedulePolicy::kRoundParallel &&
-      options_.num_threads > 1) {
-    pool.emplace(options_.num_threads);
+  if (options_.schedule == SchedulePolicy::kRoundParallel) {
+    CJ_RETURN_IF_ERROR(CheckBatchSafe(oracle, options_.num_threads));
+    if (options_.num_threads > 1) pool.emplace(options_.num_threads);
   }
 
   SessionMetrics& metrics = SessionMetrics::Get();
@@ -598,7 +581,7 @@ Result<LabelingReport> LabelingSession::RunStream(
 
   if (checkpointing) {
     // Record every Add from here on; the log *is* the durable graph.
-    transitive->mutable_graph().SetEdgeLogEnabled(true);
+    graph_.SetEdgeLogEnabled(true);
     if (checkpoint->resume) {
       auto loaded = LoadSessionCheckpoint(checkpoint->path);
       if (loaded.ok()) {
@@ -611,6 +594,7 @@ Result<LabelingReport> LabelingSession::RunStream(
               static_cast<unsigned long long>(state.fingerprint),
               static_cast<unsigned long long>(checkpoint->fingerprint)));
         }
+        CJ_RETURN_IF_ERROR(CheckFrontierCounts(state, options_.stop));
         // Fast-forward first: the stream is deterministic, so the completed
         // rounds re-emit the same candidates; consume and verify them
         // without labeling anything (and without touching the order RNG).
@@ -656,9 +640,9 @@ Result<LabelingReport> LabelingSession::RunStream(
         report.outcomes = state.outcomes;
         remaining_budget_ = state.remaining_budget;
         num_objects = state.num_objects;
-        for (auto& rule : rules_) rule->EnsureObjects(num_objects);
+        graph_.EnsureObjects(num_objects);
         for (const LoggedEdge& edge : state.edge_log) {
-          transitive->mutable_graph().Add(edge.a, edge.b, edge.label);
+          graph_.Add(edge.a, edge.b, edge.label);
         }
         if (state.has_order_rng && order_rng != nullptr) {
           order_rng->RestoreState(state.order_rng);
@@ -701,7 +685,7 @@ Result<LabelingReport> LabelingSession::RunStream(
     state.num_stream_rounds = report.num_stream_rounds;
     state.crowdsourced_per_iteration = report.crowdsourced_per_iteration;
     state.outcomes = report.outcomes;
-    state.edge_log = transitive->graph().edge_log();
+    state.edge_log = graph_.edge_log();
     if (order_rng != nullptr) {
       state.has_order_rng = true;
       state.order_rng = order_rng->SaveState();
@@ -731,7 +715,8 @@ Result<LabelingReport> LabelingSession::RunStream(
     };
     ++report.num_stream_rounds;
     num_objects = std::max(num_objects, NumObjectsSpanned(round));
-    for (auto& rule : rules_) rule->EnsureObjects(num_objects);
+    graph_.EnsureObjects(num_objects);
+    matched_.resize(static_cast<size_t>(num_objects), false);
     CJ_ASSIGN_OR_RETURN(
         const std::vector<int32_t> order,
         MakeLabelingOrder(round, order_kind, truth, order_rng));
@@ -740,8 +725,8 @@ Result<LabelingReport> LabelingSession::RunStream(
     report.num_candidates += static_cast<int64_t>(round.size());
 
     if (options_.schedule == SchedulePolicy::kSequential) {
-      // The persistent rule chain carries deduction state across rounds,
-      // so later rounds ride on earlier clusters for free.
+      // The persistent graph carries deduction state across rounds, so
+      // later rounds ride on earlier clusters for free.
       for (int32_t pos : order) {
         LabelOnePair(round[static_cast<size_t>(pos)],
                      offset + static_cast<size_t>(pos), oracle, report);
@@ -777,7 +762,7 @@ Result<LabelingReport> LabelingSession::RunStream(
       pair.b = to_local(pair.b);
     }
     for (ObjectId x : objects) local_of[static_cast<size_t>(x)] = -1;
-    const ClusterGraph base = transitive->graph().InducedOn(objects);
+    const ClusterGraph base = graph_.InducedOn(objects);
     CJ_RETURN_IF_ERROR(RunRoundsImpl(
         local_round, order,
         OracleBatchSource(round, oracle, pool.has_value() ? &*pool : nullptr,
@@ -789,21 +774,16 @@ Result<LabelingReport> LabelingSession::RunStream(
       if (outcome.has_value() &&
           outcome->source == LabelSource::kCrowdsourced) {
         const CandidatePair& pair = round[static_cast<size_t>(pos)];
-        transitive->Observe(pair.a, pair.b, outcome->label,
-                            LabelSource::kCrowdsourced);
+        graph_.Add(pair.a, pair.b, outcome->label);
       }
     }
     record_round();
     CJ_RETURN_IF_ERROR(after_round(round.size()));
   }
 
-  if (options_.schedule == SchedulePolicy::kSequential) {
-    for (const auto& rule : rules_) rule->FillReport(&report);
-  } else {
-    // Per-round scans counted conflicts on throwaway copies; the stream's
-    // total lives on the persistent graph.
-    report.num_conflicts = transitive->graph().num_conflicts();
-  }
+  // Round-parallel scans counted conflicts on throwaway copies; the
+  // stream's total lives on the persistent graph.
+  report.num_conflicts = graph_.num_conflicts();
   // Conflicts are only final once the stream has drained (per-round values
   // count throwaway scan copies), so the counter gets one stream-total Inc.
   metrics.conflicts_total->Inc(report.num_conflicts);
@@ -816,7 +796,7 @@ Result<LabelingReport> LabelingSession::RunStream(
 
 std::vector<int32_t> LabelingSession::InstantScan() {
   std::vector<int32_t> fresh = ParallelCrowdsourcedPairs(
-      *pairs_, order_, labels_, &published_, instant_policy_);
+      *pairs_, order_, labels_, &published_, options_.conflict_policy);
   for (int32_t pos : fresh) {
     published_[static_cast<size_t>(pos)] = true;
     ++num_published_;
@@ -841,16 +821,13 @@ Result<std::vector<int32_t>> LabelingSession::Start(
   if (started_) {
     return Status::FailedPrecondition("Start() called twice");
   }
-  EnsureDefaultRule();
-  CJ_ASSIGN_OR_RETURN(instant_policy_, RequireTransitiveOnlyChain());
   CJ_RETURN_IF_ERROR(ValidateOrder(order, pairs->size()));
+  // Finish() sizes the graph for its own scan.
+  CJ_RETURN_IF_ERROR(BeginRun(/*num_objects=*/0));
   pairs_ = pairs;
   order_ = std::move(order);
   labels_.assign(pairs->size(), std::nullopt);
   published_.assign(pairs->size(), false);
-  num_available_ = 0;
-  num_crowdsourced_ = 0;
-  num_published_ = 0;
   started_ = true;
   return InstantScan();
 }
@@ -891,33 +868,25 @@ Result<LabelingReport> LabelingSession::Finish() {
   }
   LabelingReport report = EmptyReport(pairs_->size());
   report.num_crowdsourced = num_crowdsourced_;
-
-  ClusterGraph graph(NumObjectsSpanned(*pairs_), instant_policy_);
-  for (int32_t pos : order_) {
-    const CandidatePair& pair = (*pairs_)[static_cast<size_t>(pos)];
-    auto& label = labels_[static_cast<size_t>(pos)];
-    auto& outcome = report.outcomes[static_cast<size_t>(pos)];
-    if (label.has_value()) {
-      if (published_[static_cast<size_t>(pos)]) {
-        outcome = PairOutcome{*label, LabelSource::kCrowdsourced};
-      } else {
-        // Deduced on an earlier Finish() call (Finish is idempotent).
-        outcome = PairOutcome{*label, LabelSource::kDeduced};
-        ++report.num_deduced;
-      }
-      graph.Add(pair.a, pair.b, *label);
-      continue;
+  for (size_t pos = 0; pos < labels_.size(); ++pos) {
+    if (labels_[pos].has_value()) {
+      report.outcomes[pos] =
+          PairOutcome{*labels_[pos], LabelSource::kCrowdsourced};
     }
-    const Deduction deduction = graph.Deduce(pair.a, pair.b);
-    if (deduction == Deduction::kUndeduced) {
-      return Status::Internal(StrFormat(
-          "pair at position %d is neither labeled nor deducible", pos));
-    }
-    label = DeductionToLabel(deduction);
-    outcome = PairOutcome{*label, LabelSource::kDeduced};
-    ++report.num_deduced;
   }
-  report.num_conflicts = graph.num_conflicts();
+  // The scan reads the crowd answers only, so Finish is idempotent.
+  graph_.Reset(NumObjectsSpanned(*pairs_));
+  const int32_t undecided = ScanDeduce(
+      graph_, *pairs_, order_, labels_, [&](int32_t pos, Label label) {
+        report.outcomes[static_cast<size_t>(pos)] =
+            PairOutcome{label, LabelSource::kDeduced};
+        ++report.num_deduced;
+      });
+  if (undecided >= 0) {
+    return Status::Internal(StrFormat(
+        "pair at position %d is neither labeled nor deducible", undecided));
+  }
+  report.num_conflicts = graph_.num_conflicts();
   return report;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -61,110 +60,13 @@ class MaterializedCandidateStream : public CandidateStream {
 };
 
 // ---------------------------------------------------------------------------
-// Deduction rules
-// ---------------------------------------------------------------------------
-
-/// \brief A pluggable deduction policy: decides pair labels for free from
-/// the labels observed so far.
-///
-/// Rules form an ordered chain. For each pair the session asks the rules in
-/// chain order; the first one that deduces wins. A deduced label is then
-/// fed back (`Observe`) only to the rules *before* the deducing one — they
-/// could not decide the pair, so the label is new information to them,
-/// while the deducing rule already implies it. Crowdsourced labels are fed
-/// to every rule. With the chain [transitive, one-to-one] this reproduces
-/// the frozen one-to-one reference of the session equivalence suite byte
-/// for byte: a one-to-one deduction lands in the cluster graph (so
-/// transitivity can build on it), while a transitive deduction leaves the
-/// one-to-one matched-flags untouched.
-class DeductionRule {
- public:
-  virtual ~DeductionRule() = default;
-
-  /// Stable rule name ("transitive", "one-to-one"), for diagnostics.
-  virtual std::string_view name() const = 0;
-
-  /// Drops all accumulated knowledge; the rule restarts over objects
-  /// `[0, num_objects)`.
-  virtual void Reset(int32_t num_objects) = 0;
-
-  /// Grows the object space without dropping knowledge (streaming rounds
-  /// widen the id range as records arrive). No-op when already spanned.
-  virtual void EnsureObjects(int32_t num_objects) = 0;
-
-  /// Attempts to decide (a, b) from the labels observed so far.
-  virtual std::optional<Label> Deduce(ObjectId a, ObjectId b) = 0;
-
-  /// Records a finalized label. `source` distinguishes crowd answers from
-  /// deductions (some rules, like one-to-one, only trust crowd answers).
-  virtual void Observe(ObjectId a, ObjectId b, Label label,
-                       LabelSource source) = 0;
-
-  /// Contributes rule-specific counters to the finished report.
-  virtual void FillReport(LabelingReport* report) const = 0;
-};
-
-/// \brief The paper's core rule: transitive deduction over a ClusterGraph
-/// (Section 3.2). Counts conflicting labels per the configured policy.
-class TransitiveDeductionRule : public DeductionRule {
- public:
-  explicit TransitiveDeductionRule(
-      ConflictPolicy policy = ConflictPolicy::kKeepFirst)
-      : policy_(policy), graph_(0, policy) {}
-
-  std::string_view name() const override { return "transitive"; }
-  void Reset(int32_t num_objects) override { graph_.Reset(num_objects); }
-  void EnsureObjects(int32_t num_objects) override {
-    graph_.EnsureObjects(num_objects);
-  }
-  std::optional<Label> Deduce(ObjectId a, ObjectId b) override;
-  void Observe(ObjectId a, ObjectId b, Label label,
-               LabelSource source) override;
-  void FillReport(LabelingReport* report) const override;
-
-  ConflictPolicy policy() const { return policy_; }
-  const ClusterGraph& graph() const { return graph_; }
-  /// Direct graph access for the streaming drive (edge log, checkpoint
-  /// replay).
-  ClusterGraph& mutable_graph() { return graph_; }
-
- private:
-  ConflictPolicy policy_;
-  ClusterGraph graph_;
-};
-
-/// \brief The one-to-one exclusivity rule (Section 8 future work): when
-/// every entity has at most one record per collection, a crowd-confirmed
-/// match (a, b) implies every other pair touching a or b is non-matching.
-///
-/// Chain it *after* the transitive rule so transitivity takes precedence
-/// (the semantics the frozen one-to-one reference pins). Only crowd answers
-/// set the matched flags; `num_exclusivity_violations` counts crowd matches
-/// that contradict the assumption.
-class OneToOneDeductionRule : public DeductionRule {
- public:
-  std::string_view name() const override { return "one-to-one"; }
-  void Reset(int32_t num_objects) override;
-  void EnsureObjects(int32_t num_objects) override;
-  std::optional<Label> Deduce(ObjectId a, ObjectId b) override;
-  void Observe(ObjectId a, ObjectId b, Label label,
-               LabelSource source) override;
-  void FillReport(LabelingReport* report) const override;
-
- private:
-  std::vector<bool> matched_;
-  int64_t num_deduced_ = 0;
-  int64_t num_violations_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Schedule / stop policies
 // ---------------------------------------------------------------------------
 
 /// \brief How crowdsourced pairs are published and resolved.
 enum class SchedulePolicy : uint8_t {
   /// One pair at a time, in labeling order (Section 3.2). The only
-  /// schedule that supports arbitrary deduction-rule chains.
+  /// schedule that supports one-to-one deduction.
   kSequential = 0,
   /// Round-based batches (Algorithm 2): publish every must-crowdsource
   /// pair of a round at once, resolve them (fanned over `num_threads`
@@ -202,9 +104,16 @@ struct StopPolicy {
 struct LabelingSessionOptions {
   SchedulePolicy schedule = SchedulePolicy::kSequential;
   StopPolicy stop;
-  /// Conflict handling of the default transitive rule. Ignored when rules
-  /// are installed explicitly via `AddRule` (the rule carries its own).
+  /// Conflict handling of the session's cluster graph.
   ConflictPolicy conflict_policy = ConflictPolicy::kKeepFirst;
+  /// One-to-one exclusivity (Section 8 future work): when every entity has
+  /// at most one record per collection, a crowd-confirmed match (a, b)
+  /// makes every other pair touching a or b non-matching. Transitivity is
+  /// asked first; a one-to-one deduction is added to the cluster graph so
+  /// transitivity builds on it; only crowd matches claim a partner, and a
+  /// crowd match on an already-claimed object counts an exclusivity
+  /// violation. Sequential schedule without checkpoints only.
+  bool one_to_one = false;
   /// Worker threads for the round-parallel schedule's oracle fan-out;
   /// <= 1 keeps every oracle call on the calling thread, in batch order.
   int num_threads = 1;
@@ -233,22 +142,23 @@ using BatchLabelFn =
 // The session
 // ---------------------------------------------------------------------------
 
-/// \brief The single labeling engine: transitive deduction interleaved
-/// with crowdsourcing, decomposed into independent, mixable policies —
-/// candidate input (materialized or streaming), deduction-rule chain,
-/// schedule, and stop condition — all producing one `LabelingReport`.
+/// \brief The single labeling engine: transitive deduction over one owned
+/// `ClusterGraph`, interleaved with crowdsourcing, under independent,
+/// mixable policies — candidate input (materialized or streaming),
+/// one-to-one deduction, schedule, and stop condition — all producing one
+/// `LabelingReport`.
 ///
-/// Policy matrix (✓ supported, — rejected with InvalidArgument):
+/// Policy matrix (anything else is rejected with InvalidArgument):
 ///
-///   schedule         rule chains          stop        input
-///   sequential       any                  any         materialized/stream
-///   round-parallel   transitive only      any         materialized/stream
-///   instant          transitive only      unbounded   materialized
+///   schedule         one_to_one           stop        input
+///   sequential       either               any         materialized/stream
+///   round-parallel   off                  any         materialized/stream
+///   instant          off                  unbounded   materialized
 ///
 /// The paper's algorithms are cells of this matrix: sequential/unbounded
 /// (Section 3.2), round-parallel/unbounded (Algorithm 2), instant/unbounded
 /// (Section 5.2), sequential/budget (the Whang et al. [27] setting), and
-/// sequential/unbounded with the one-to-one rule (Section 8). Each cell is
+/// sequential/unbounded with one-to-one deduction (Section 8). Each cell is
 /// byte-identical to a frozen port of the original engine, pinned by the
 /// session equivalence suite.
 ///
@@ -262,14 +172,9 @@ class LabelingSession {
   LabelingSession(LabelingSession&&) noexcept;
   LabelingSession& operator=(LabelingSession&&) noexcept;
 
-  /// Appends `rule` to the deduction chain. When no rule is installed by
-  /// the first run, a `TransitiveDeductionRule(options.conflict_policy)`
-  /// is installed automatically. Returns *this for chaining.
-  LabelingSession& AddRule(std::unique_ptr<DeductionRule> rule);
-
   /// Labels `pairs` following `order` (a permutation of positions into
   /// `pairs`, validated once here — the session boundary), querying
-  /// `oracle` for every pair no rule can deduce, under the configured
+  /// `oracle` for every pair it cannot deduce, under the configured
   /// schedule and stop policies.
   Result<LabelingReport> Run(const CandidateSet& pairs,
                              const std::vector<int32_t>& order,
@@ -306,7 +211,7 @@ class LabelingSession {
   /// file every `checkpoint->every_rounds` rounds, and (with `resume`) a
   /// prior run's frontier is restored first — the stream is fast-forwarded
   /// past the completed rounds and the final report is byte-identical to
-  /// an uninterrupted run. Requires a transitive-only rule chain.
+  /// an uninterrupted run. Rejects `one_to_one`.
   Result<LabelingReport> RunStream(
       CandidateStream& stream, OrderKind order_kind, LabelOracle& oracle,
       const GroundTruthOracle* truth = nullptr, Rng* order_rng = nullptr,
@@ -343,25 +248,19 @@ class LabelingSession {
   const LabelingSessionOptions& options() const { return options_; }
 
  private:
-  // Installs the default transitive rule if the chain is empty.
-  void EnsureDefaultRule();
-  // Ensures the default rule, resets every rule over `num_objects`, and
-  // resets the budget and protocol state.
-  void BeginRun(int32_t num_objects);
-  // The conflict policy of a transitive-only chain; InvalidArgument when
-  // the chain holds anything else (round-parallel/instant requirement).
-  Result<ConflictPolicy> RequireTransitiveOnlyChain() const;
-  // Labels one pair through the rule chain (sequential schedule); writes
-  // the outcome at `report.outcomes[report_pos]`.
+  // InvalidArgument for `one_to_one` outside the sequential schedule or
+  // under `checkpointing`; otherwise resets the graph and one-to-one state
+  // over `num_objects`, the budget and the protocol state.
+  Status BeginRun(int32_t num_objects, bool checkpointing = false);
+  // Labels one pair (sequential schedule): transitivity, then one-to-one,
+  // then the crowd; writes the outcome at `report.outcomes[report_pos]`.
   void LabelOnePair(const CandidatePair& pair, size_t report_pos,
                     LabelOracle& oracle, LabelingReport& report);
-  // Round-parallel engine over a materialized candidate set, fresh graphs
-  // per scan, labels from `label_batch`; `policy` is the transitive
-  // chain's conflict policy.
+  // Round-parallel engine over a materialized candidate set, each scan on
+  // a copy of the fresh graph, labels from `label_batch`.
   Result<LabelingReport> RunRounds(const CandidateSet& pairs,
                                    const std::vector<int32_t>& order,
-                                   const BatchLabelFn& label_batch,
-                                   ConflictPolicy policy);
+                                   const BatchLabelFn& label_batch);
   // Instant-decision FIFO self-drive (Run with kInstantDecision).
   Result<LabelingReport> RunInstantFifo(const CandidateSet& pairs,
                                         const std::vector<int32_t>& order,
@@ -370,13 +269,17 @@ class LabelingSession {
   std::vector<int32_t> InstantScan();
 
   LabelingSessionOptions options_;
-  std::vector<std::unique_ptr<DeductionRule>> rules_;
+  // The deduction state: the persistent graph of the sequential schedule
+  // and of streams, the base every round-parallel scan copies, and the
+  // instant protocol's Finish() scan.
+  ClusterGraph graph_;
+  // Objects a crowd match has claimed (`one_to_one` only).
+  std::vector<bool> matched_;
   int64_t remaining_budget_ = -1;
 
-  // Instant-protocol state.
+  // Instant-protocol state. `labels_` holds crowd answers only.
   const CandidateSet* pairs_ = nullptr;
   std::vector<int32_t> order_;
-  ConflictPolicy instant_policy_ = ConflictPolicy::kKeepFirst;
   std::vector<std::optional<Label>> labels_;
   std::vector<bool> published_;
   int64_t num_available_ = 0;

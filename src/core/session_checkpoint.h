@@ -28,9 +28,9 @@ namespace crowdjoin {
 /// continues — producing a final report byte-identical to an uninterrupted
 /// run.
 ///
-/// Checkpointing requires a transitive-only rule chain: the cluster graph
-/// is persisted as its `Add` log (see `LoggedEdge`), and replay of that
-/// log is what reconstructs the deduction state.
+/// Checkpointing rejects `LabelingSessionOptions::one_to_one`: the cluster
+/// graph is persisted as its `Add` log (see `LoggedEdge`), and replay of
+/// that log is what reconstructs the deduction state.
 struct SessionCheckpointOptions {
   /// Checkpoint file. Empty disables checkpointing entirely.
   std::string path;
@@ -76,7 +76,7 @@ struct SessionCheckpointState {
   std::vector<int64_t> crowdsourced_per_iteration;
   std::vector<std::optional<PairOutcome>> outcomes;
 
-  /// The transitive rule's graph, as the full `Add` log.
+  /// The session's cluster graph, as the full `Add` log.
   std::vector<LoggedEdge> edge_log;
 
   /// Order-RNG state (random labeling orders), absent when no RNG drives

@@ -8,7 +8,6 @@
 #include <climits>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -338,6 +337,29 @@ TEST(CheckpointResume, InflatedObjectCountIsRefusedBeforeSizingTheGraph) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
 }
 
+TEST(CheckpointResume, FrontierMissingAnOutcomeIsAnError) {
+  // Restored, it would land every later outcome one position off.
+  const auto instance = MakeRandomInstance(42, 30, 6, 120);
+  const Status status = ResumeFromEditedFrontier(
+      instance, ::testing::TempDir() + "cj_resume_outcomes.ckpt",
+      [](SessionCheckpointState& state) {
+        ASSERT_FALSE(state.outcomes.empty());
+        state.outcomes.pop_back();
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST(CheckpointResume, BudgetOnAnUnboundedRunIsAnError) {
+  // Restored, it would silently stop the run's crowdsourcing.
+  const auto instance = MakeRandomInstance(43, 30, 6, 120);
+  const Status status = ResumeFromEditedFrontier(
+      instance, ::testing::TempDir() + "cj_resume_budget_edit.ckpt",
+      [](SessionCheckpointState& state) { state.remaining_budget = 0; });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+// The frontier persists the cluster graph alone, so a checkpointed stream
+// rejects one-to-one deduction.
 TEST(CheckpointResume, CheckpointRequiresTransitiveOnlyChain) {
   const auto instance = MakeRandomInstance(38, 20, 4, 60);
   const std::string path = ::testing::TempDir() + "cj_resume_chain.ckpt";
@@ -346,9 +368,9 @@ TEST(CheckpointResume, CheckpointRequiresTransitiveOnlyChain) {
   SessionCheckpointOptions checkpoint;
   checkpoint.path = path;
   checkpoint.fingerprint = kFingerprint;
-  LabelingSession session(Options(SchedulePolicy::kSequential));
-  session.AddRule(std::make_unique<TransitiveDeductionRule>())
-      .AddRule(std::make_unique<OneToOneDeductionRule>());
+  LabelingSessionOptions options = Options(SchedulePolicy::kSequential);
+  options.one_to_one = true;
+  LabelingSession session(options);
   MaterializedCandidateStream stream(&instance.pairs, kRoundSize);
   ThreadSafeCountingOracle oracle(instance.entity_of);
   EXPECT_EQ(session

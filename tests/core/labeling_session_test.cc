@@ -1,5 +1,5 @@
 // Unit tests for the unified LabelingSession: the policy matrix (schedule ×
-// stop × rules × input), the streaming drive, and the report invariants.
+// stop × one-to-one × input), the streaming drive, and the report invariants.
 // Byte-level equivalence against frozen ports of the original engines
 // lives in session_equivalence_test.cc.
 
@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <functional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/labeling_order.h"
 #include "tests/core/test_fixtures.h"
@@ -32,16 +35,45 @@ LabelingSession MakeSession(SchedulePolicy schedule, int num_threads = 1,
 
 // --- Policy matrix gating -------------------------------------------------
 
-TEST(LabelingSession, RoundParallelRejectsNonTransitiveChains) {
+TEST(LabelingSession, OneToOneIsRejectedOutsideTheSequentialSchedule) {
   const CandidateSet pairs = Figure3Pairs();
+  const std::vector<int32_t> order = IdentityOrder(pairs.size());
   GroundTruthOracle oracle = Figure3Truth();
-  LabelingSession session = MakeSession(SchedulePolicy::kRoundParallel);
-  session.AddRule(std::make_unique<TransitiveDeductionRule>())
-      .AddRule(std::make_unique<OneToOneDeductionRule>());
-  EXPECT_EQ(session.Run(pairs, IdentityOrder(pairs.size()), oracle)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  const BatchLabelFn label_all = [](const std::vector<int32_t>& batch)
+      -> Result<std::vector<Label>> {
+    return std::vector<Label>(batch.size(), Label::kMatching);
+  };
+  using EntryPoint = std::function<Status(LabelingSession&)>;
+  const std::vector<std::tuple<std::string, SchedulePolicy, EntryPoint>>
+      entry_points = {
+          {"Run/round-parallel", SchedulePolicy::kRoundParallel,
+           [&](LabelingSession& s) {
+             return s.Run(pairs, order, oracle).status();
+           }},
+          {"Run/instant", SchedulePolicy::kInstantDecision,
+           [&](LabelingSession& s) {
+             return s.Run(pairs, order, oracle).status();
+           }},
+          {"RunWithBatchSource", SchedulePolicy::kRoundParallel,
+           [&](LabelingSession& s) {
+             return s.RunWithBatchSource(pairs, order, label_all).status();
+           }},
+          {"Start", SchedulePolicy::kInstantDecision,
+           [&](LabelingSession& s) { return s.Start(&pairs, order).status(); }},
+          {"RunStream/round-parallel", SchedulePolicy::kRoundParallel,
+           [&](LabelingSession& s) {
+             MaterializedCandidateStream stream(&pairs);
+             return s.RunStream(stream, OrderKind::kExpected, oracle).status();
+           }},
+      };
+  for (const auto& [name, schedule, call] : entry_points) {
+    LabelingSessionOptions options;
+    options.schedule = schedule;
+    options.one_to_one = true;
+    LabelingSession session(options);
+    EXPECT_EQ(call(session).code(), StatusCode::kInvalidArgument) << name;
+  }
+  EXPECT_EQ(oracle.num_queries(), 0);
 }
 
 TEST(LabelingSession, InstantScheduleRejectsBudget) {
@@ -219,16 +251,16 @@ TEST(LabelingSession, LargeBudgetMatchesUnbounded) {
   }
 }
 
-// --- Rule chains ----------------------------------------------------------
+// --- One-to-one deduction --------------------------------------------------
 
 TEST(LabelingSession, OneToOneRulePluginSavesCrowdsourcing) {
   // Bipartite: left {0,1}, right {2,3}; truth pairs 0-2 and 1-3.
   const CandidateSet pairs = {
       {0, 2, 0.9}, {0, 3, 0.8}, {1, 2, 0.7}, {1, 3, 0.6}};
   GroundTruthOracle oracle({0, 1, 0, 1});
-  LabelingSession session;
-  session.AddRule(std::make_unique<TransitiveDeductionRule>())
-      .AddRule(std::make_unique<OneToOneDeductionRule>());
+  LabelingSessionOptions options;
+  options.one_to_one = true;
+  LabelingSession session(options);
   const LabelingReport report =
       session.Run(pairs, IdentityOrder(pairs.size()), oracle).value();
   EXPECT_EQ(report.num_crowdsourced, 2);
@@ -242,13 +274,13 @@ TEST(LabelingSession, OneToOneRulePluginSavesCrowdsourcing) {
 
 TEST(LabelingSession, OneToOneDeductionsFeedTransitivity) {
   // 0 matches 1; one-to-one rules out (0,2); transitivity must then deduce
-  // (1,2) as non-matching without crowdsourcing it — the rule-feedback
-  // contract of the chain.
+  // (1,2) as non-matching without crowdsourcing it: one-to-one deductions
+  // land in the cluster graph.
   const CandidateSet pairs = {{0, 1, 0.9}, {0, 2, 0.8}, {1, 2, 0.7}};
   GroundTruthOracle oracle({0, 0, 1});
-  LabelingSession session;
-  session.AddRule(std::make_unique<TransitiveDeductionRule>())
-      .AddRule(std::make_unique<OneToOneDeductionRule>());
+  LabelingSessionOptions options;
+  options.one_to_one = true;
+  LabelingSession session(options);
   const LabelingReport report =
       session.Run(pairs, IdentityOrder(pairs.size()), oracle).value();
   EXPECT_EQ(report.num_crowdsourced, 1);

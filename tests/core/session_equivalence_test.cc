@@ -421,9 +421,9 @@ TEST_F(SessionEquivalence, OneToOneChainMatchesReference) {
         const ReferenceOneToOneResult expected =
             ReferenceOneToOne(instance.pairs, order, *ref_oracle);
 
-        LabelingSession session;
-        session.AddRule(std::make_unique<TransitiveDeductionRule>())
-            .AddRule(std::make_unique<OneToOneDeductionRule>());
+        LabelingSessionOptions options;
+        options.one_to_one = true;
+        LabelingSession session(options);
         auto oracle = oracles.Make();
         const LabelingReport actual =
             session.Run(instance.pairs, order, *oracle).value();

@@ -1,12 +1,10 @@
 // The sequential schedule of LabelingSession under a budget stop policy
-// (the Whang et al. [27] setting) and with the one-to-one rule chained
+// (the Whang et al. [27] setting) and with one-to-one deduction asked
 // after transitivity (the paper's Section 8 future work). Suite names keep
 // the names of the engines these cells grew out of, so the test IDs stay
 // stable.
 
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "core/labeling_session.h"
 #include "tests/core/test_fixtures.h"
@@ -29,13 +27,13 @@ LabelingReport RunBudget(const CandidateSet& pairs, int64_t budget,
       .value();
 }
 
-// A sequential run over `pairs` in identity order with the rule chain
-// [transitive, one-to-one].
+// A sequential run over `pairs` in identity order with one-to-one
+// deduction on.
 LabelingReport RunOneToOne(const CandidateSet& pairs, LabelOracle& oracle) {
-  LabelingSession session;
-  session.AddRule(std::make_unique<TransitiveDeductionRule>())
-      .AddRule(std::make_unique<OneToOneDeductionRule>());
-  return session.Run(pairs, IdentityOrder(pairs.size()), oracle).value();
+  LabelingSessionOptions options;
+  options.one_to_one = true;
+  return RunSession(options, pairs, IdentityOrder(pairs.size()), oracle)
+      .value();
 }
 
 // --- Budget stop policy ---------------------------------------------------
@@ -113,7 +111,7 @@ TEST(StopPolicy, NegativeBudgetClampsToZero) {
   EXPECT_TRUE(negative == RunBudget(pairs, 0, zero_oracle));
 }
 
-// --- One-to-one rule chain ------------------------------------------------
+// --- One-to-one deduction -------------------------------------------------
 
 TEST(OneToOneLabeler, MatchExcludesOtherPartners) {
   // Bipartite: left {0,1}, right {2,3}; truth pairs 0-2 and 1-3.
@@ -137,7 +135,7 @@ TEST(OneToOneLabeler, MatchExcludesOtherPartners) {
 TEST(OneToOneLabeler, TransitiveDeductionTakesPrecedence) {
   // Left {0,1}, right {2,3}; truth: 0<->2 match, 1 and 3 are singletons.
   // (2,3) is decidable by *both* rules once (0,3)=N and (0,2)=M are known;
-  // the chain must attribute it to transitivity, not one-to-one.
+  // the session must attribute it to transitivity, not one-to-one.
   const CandidateSet pairs = {{0, 3, 0.9}, {0, 2, 0.8}, {2, 3, 0.7}};
   GroundTruthOracle oracle({0, 1, 0, 2});
   const LabelingReport report = RunOneToOne(pairs, oracle);
