@@ -110,6 +110,43 @@ void BM_PaperWorkbenchCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperWorkbenchCandidates)->Unit(benchmark::kMillisecond);
 
+// The join of the machine step alone: the seed-42 paper workbench's
+// documents (ingested once, outside the loop) self-joined at its token
+// threshold (t = 0.08), inline (arg 0) or on the shared pool (arg 1), as
+// `GenerateCandidates` runs it: prepare, probe, and the per-run sorts into
+// sorted runs, unmerged.
+void BM_PaperWorkbenchJoin(benchmark::State& state) {
+  constexpr uint64_t kSeed = 42;
+  PaperDatasetConfig config;
+  config.seed = kSeed;
+  const Dataset dataset = GeneratePaperDataset(config).value();
+  const SimilarityMeasure& measure =
+      SimilarityMeasure::Get(MeasureKind::kJaccard);
+  TokenDictionary dictionary;
+  ShardedSelfJoiner joiner;
+  for (const Record& record : dataset.records) {
+    std::string text;
+    for (const std::string& field : record.fields) text += field + ' ';
+    joiner.Add(measure.MakeDoc(text, dictionary));
+  }
+  const double threshold =
+      WorkbenchGeneratorOptions(kSeed).token_join_threshold;
+  ThreadPool* pool = state.range(0) != 0 ? &SharedPool() : nullptr;
+  for (auto _ : state) {
+    ShardedJoinCursor cursor =
+        joiner.MakeCursor(dictionary, measure, threshold, pool).value();
+    auto runs = cursor.NextBatchRuns(cursor.num_tasks(), pool);
+    benchmark::DoNotOptimize(runs);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(dataset.records.size()));
+}
+BENCHMARK(BM_PaperWorkbenchJoin)
+    ->ArgName("pooled")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 // The scoring kernel of the machine step: the seed-42 paper workbench's
 // joined pairs (t = 0.08, in join order) scored one thread, per pair
 // through `PreparedRecords::Score` (arg 0) or through one

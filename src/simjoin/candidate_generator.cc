@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "simjoin/similarity_measure.h"
 #include "simjoin/token_dictionary.h"
+#include "text/normalize.h"
 
 namespace crowdjoin {
 
@@ -30,6 +31,62 @@ std::string RecordText(const Record& record) {
     all += ' ';
   }
   return all;
+}
+
+// Writes `NormalizeText(RecordText(record))` to `out`, which must have room
+// for `RecordText(record).size()` chars; returns its length. Normalizing
+// the fields one by one and joining the non-empty results with single
+// spaces is the same text.
+size_t NormalizeRecordInto(const Record& record, char* out) {
+  size_t len = 0;
+  for (const auto& field : record.fields) {
+    const size_t start = len == 0 ? 0 : len + 1;
+    const size_t field_len = NormalizeTextInto(field, out + start);
+    if (field_len == 0) continue;
+    if (len > 0) out[len] = ' ';
+    len = start + field_len;
+  }
+  return len;
+}
+
+// Every record's normalized text, in one buffer.
+struct NormalizedTexts {
+  std::string buffer;
+  std::vector<size_t> begin;  // record i's text starts at begin[i]
+  std::vector<size_t> len;
+
+  std::string_view Get(size_t i) const {
+    return std::string_view(buffer.data() + begin[i], len[i]);
+  }
+};
+
+// Normalizes `records` on `pool`, one task per record range. The buffer is
+// sized on the caller (normalizing never lengthens text), so the workers
+// allocate nothing: memory they grew would stay in their malloc arenas.
+NormalizedTexts NormalizeRecords(const RecordSet& records, ThreadPool* pool) {
+  const size_t n = records.size();
+  NormalizedTexts texts;
+  texts.begin.assign(n + 1, 0);
+  texts.len.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t room = 0;
+    for (const auto& field : records[i].fields) room += field.size() + 1;
+    texts.begin[i + 1] = texts.begin[i] + room;
+  }
+  texts.buffer.resize(texts.begin[n]);
+  const int workers = pool == nullptr ? 0 : pool->num_threads();
+  const size_t num_ranges = std::clamp<size_t>(static_cast<size_t>(workers),
+                                               1, std::max<size_t>(n, 1));
+  ParallelMap(pool, static_cast<int64_t>(num_ranges), [&](int64_t r) {
+    const auto range = static_cast<size_t>(r);
+    for (size_t i = n * range / num_ranges; i < n * (range + 1) / num_ranges;
+         ++i) {
+      texts.len[i] = NormalizeRecordInto(
+          records[i], texts.buffer.data() + texts.begin[i]);
+    }
+    return 0;
+  });
+  return texts;
 }
 
 // Records routed into a sharded joiner, self or bipartite (only the joiner
@@ -269,8 +326,11 @@ Result<CandidateSet> GenerateCandidates(
   ingest.bipartite_joiner = &bipartite_joiner;
   ingest.bipartite = side_of != nullptr;
   ingest.keep_positions = true;
+  // Record text is normalized on the pool, then tokenized and interned in
+  // record order, so token ids and frequencies are those of a serial pass.
+  const NormalizedTexts texts = NormalizeRecords(records, pool);
   for (size_t i = 0; i < records.size(); ++i) {
-    ingest.Add(measure.MakeDoc(RecordText(records[i]), dictionary),
+    ingest.Add(measure.MakeNormalizedDoc(texts.Get(i), dictionary),
                side_of == nullptr ? 0 : (*side_of)[i], records[i].id, i);
   }
   return JoinScoreEmit(ingest, dictionary, measure, &prepared, options, pool);

@@ -62,10 +62,13 @@ struct JaccardPolicy {
                     size_t /*size*/) const {
     return false;
   }
+  /// Resumes the merge just past the last shared prefix token, at `a_pos`
+  /// in `a` and `b_pos` in `b`, with the `seed_overlap` shared tokens
+  /// ranked at or below it banked (`JoinCandidate`).
   double Verify(const MeasureDocRef& a, const MeasureDocRef& b, size_t a_pos,
-                size_t b_pos, double threshold) const {
+                size_t b_pos, size_t seed_overlap, double threshold) const {
     return BoundedJaccardSeeded(a.ranks, a.tok_len, b.ranks, b.tok_len,
-                                a_pos + 1, b_pos + 1, 1, threshold);
+                                a_pos + 1, b_pos + 1, seed_overlap, threshold);
   }
   double Exact(const MeasureDocRef& a, const MeasureDocRef& b) const {
     return JaccardSimilarity(a.ranks, a.tok_len, b.ranks, b.tok_len);
@@ -123,7 +126,8 @@ struct EditDistancePolicy {
     return tok_len > 0 && tok_len <= q * MaxEdits(threshold, size);
   }
   double Verify(const MeasureDocRef& a, const MeasureDocRef& b,
-                size_t /*a_pos*/, size_t /*b_pos*/, double threshold) const {
+                size_t /*a_pos*/, size_t /*b_pos*/, size_t /*seed_overlap*/,
+                double threshold) const {
     const size_t longest = std::max(a.size, b.size);
     const size_t budget = PairEdits(threshold, a.size, b.size);
     const size_t distance = BoundedLevenshtein(a.payload, b.payload, budget);
@@ -220,7 +224,7 @@ struct CosineTfIdfPolicy {
     return dot / (std::sqrt(norm2_a) * std::sqrt(norm2_b));
   }
   double Verify(const MeasureDocRef& a, const MeasureDocRef& b,
-                size_t /*a_pos*/, size_t /*b_pos*/,
+                size_t /*a_pos*/, size_t /*b_pos*/, size_t /*seed_overlap*/,
                 double /*threshold*/) const {
     return Exact(a, b);
   }

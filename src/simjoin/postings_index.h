@@ -136,20 +136,34 @@ inline void BuildLengthOrderedPostings(PostingsArena& index,
 }
 
 /// A candidate that survived the length window and the positional filter,
-/// plus the seed for resumed verification: the first shared prefix token
-/// sits at `probe_pos` in the probe document and `index_pos` in the
-/// candidate — verification restarts just past it with one overlap
-/// banked instead of re-merging the matched prefixes.
+/// plus the seed for resumed verification. `overlap` counts the prefix
+/// tokens the two documents share, and the last of them sits at
+/// `probe_pos` in the probe document and `index_pos` in the candidate.
+/// Every common token ranked at or below that one lies inside both
+/// prefixes (prefixes are leading slices of the ascending rank order), so
+/// `overlap` is exactly the merge's count up to it: verification resumes
+/// just past it with `overlap` banked instead of re-merging the prefixes.
 struct JoinCandidate {
   int32_t doc = 0;
   int32_t probe_pos = 0;
   int32_t index_pos = 0;
+  int32_t overlap = 0;
+};
+
+/// One indexed document's gather state within a probe task: `mark` is the
+/// last probe document that visited it (-1: none yet), `candidate` its
+/// index in that probe's candidate list, or -1 when a filter dropped it.
+/// Only a first visit writes it.
+struct GatherSlot {
+  int32_t mark = -1;
+  int32_t candidate = -1;
 };
 
 /// \brief The candidate-gather loop shared by every join path: probe one
-/// document's prefix against a postings arena, deduplicate via
-/// `last_seen`, window by measure size, and prune with the PPJoin
-/// positional filter.
+/// document's prefix against a postings arena, window by measure size,
+/// prune with the PPJoin positional filter on the first visit, and
+/// accumulate the shared prefix tokens of the survivors. Returns the
+/// number of postings visited (the windows' total length).
 ///
 /// Measure-generic via three accessors. `size_of(doc)` is the candidate's
 /// measure size — the dimension the size window cuts on (token count for
@@ -159,30 +173,34 @@ struct JoinCandidate {
 /// maps a candidate size to the measure's minimum signature overlap for
 /// this probe (the caller closes over the threshold and the probe's own
 /// dimensions). `skip(doc)` is an extra reject (the sharded self-join's
-/// same-shard ordering rule) that still marks `last_seen`. `probe_mark`
-/// must be unique per probe document against a given `last_seen` array
-/// (initialized to -1).
+/// same-shard ordering rule) that still claims the slot. `probe_mark`
+/// must be unique per probe document against a given `slots` array (one
+/// slot per indexed document, default-initialized).
 ///
 /// Size window: postings lists must be sorted ascending by
 /// `size_of(doc)`; the `[min_size, max_size]` window is then located by
 /// binary search, with O(1) endpoint pre-checks so fully qualifying lists
 /// (the common case) skip the searches.
 ///
-/// Positional filter: `last_seen` dedupe means a candidate is visited at
-/// the *first* shared prefix token — no smaller-rank token is common,
-/// because prefixes are leading slices of the ascending rank order, so a
-/// smaller common token would sit inside both prefixes and would have
-/// matched earlier. The total signature overlap is therefore at most this
-/// token plus everything after it on both sides; candidates whose bound
-/// cannot reach `required_of` are dropped before verification ever
-/// touches them — exactly the pairs bounded verification would have
-/// rejected, so join output is unchanged.
+/// First visit: a candidate is first met at the *first* shared prefix
+/// token — no smaller-rank token is common, because prefixes are leading
+/// slices of the ascending rank order, so a smaller common token would sit
+/// inside both prefixes and would have matched earlier. The total
+/// signature overlap is therefore at most this token plus everything after
+/// it on both sides; candidates whose bound cannot reach `required_of` are
+/// dropped before verification ever touches them — exactly the pairs
+/// bounded verification would have rejected, so join output is unchanged.
+///
+/// Revisit: the document's size is in this probe's window for every
+/// token, so each later shared prefix token visits it again. A surviving
+/// candidate then counts one more shared token and moves its seed
+/// positions to this token (`JoinCandidate`); a dropped one stays dropped.
 template <typename SizeOf, typename TokLenOf, typename RequiredOf,
           typename Skip>
-inline void GatherPositionalCandidates(
+inline size_t GatherPositionalCandidates(
     const PostingsArena& index, const int32_t* probe_prefix,
     size_t prefix_len, size_t probe_tok_len, size_t min_size,
-    size_t max_size, int32_t probe_mark, std::vector<int32_t>& last_seen,
+    size_t max_size, int32_t probe_mark, std::vector<GatherSlot>& slots,
     SizeOf size_of, TokLenOf tok_len_of, RequiredOf required_of, Skip skip,
     std::vector<JoinCandidate>& out) {
   // Within one probe the required overlap depends only on the candidate
@@ -191,6 +209,7 @@ inline void GatherPositionalCandidates(
   // posting. Same function, same arguments: bit-identical results.
   size_t memo_size = std::numeric_limits<size_t>::max();
   size_t memo_required = 0;
+  size_t visits = 0;
   for (size_t p = 0; p < prefix_len; ++p) {
     const int32_t token = probe_prefix[p];
     const Posting* begin = index.begin(token);
@@ -206,10 +225,21 @@ inline void GatherPositionalCandidates(
         return size_of(e.doc) <= max_size;
       });
     }
+    visits += static_cast<size_t>(end - begin);
     for (const Posting* it = begin; it != end; ++it) {
       const int32_t doc = it->doc;
-      if (last_seen[static_cast<size_t>(doc)] == probe_mark) continue;
-      last_seen[static_cast<size_t>(doc)] = probe_mark;
+      GatherSlot& slot = slots[static_cast<size_t>(doc)];
+      if (slot.mark == probe_mark) {
+        if (slot.candidate >= 0) {
+          JoinCandidate& cand = out[static_cast<size_t>(slot.candidate)];
+          ++cand.overlap;
+          cand.probe_pos = static_cast<int32_t>(p);
+          cand.index_pos = it->pos;
+        }
+        continue;
+      }
+      slot.mark = probe_mark;
+      slot.candidate = -1;
       if (skip(doc)) continue;
       const size_t size = size_of(doc);
       if (size != memo_size) {
@@ -220,9 +250,11 @@ inline void GatherPositionalCandidates(
           1 + std::min(probe_tok_len - p - 1,
                        tok_len_of(doc) - static_cast<size_t>(it->pos) - 1);
       if (upper_bound < memo_required) continue;
-      out.push_back({doc, static_cast<int32_t>(p), it->pos});
+      slot.candidate = static_cast<int32_t>(out.size());
+      out.push_back({doc, static_cast<int32_t>(p), it->pos, 1});
     }
   }
+  return visits;
 }
 
 /// \brief Size-windowed sweep of a measure's fallback bucket — the indexed
@@ -235,15 +267,15 @@ inline void GatherPositionalCandidates(
 /// window does. Only unfilterable *probes* scan the bucket — a filterable
 /// probe's qualifying pairs are already complete through the postings (an
 /// unfilterable indexed document's prefix is its whole signature).
-/// Candidates carry no seed positions (`{doc, 0, 0}`); fallback-using
-/// measures verify from scratch. Shares `last_seen`/`probe_mark` with
+/// Candidates carry no seed (`{doc, 0, 0, 0}`); fallback-using measures
+/// verify from scratch. Shares `slots`/`probe_mark` with
 /// `GatherPositionalCandidates`, so a document already gathered through a
 /// shared token is not re-emitted — call this *after* the postings gather
 /// for the same probe.
 template <typename SizeOf, typename Skip>
 inline void GatherFallbackCandidates(
     const std::vector<int32_t>& docs, size_t min_size, size_t max_size,
-    int32_t probe_mark, std::vector<int32_t>& last_seen, SizeOf size_of,
+    int32_t probe_mark, std::vector<GatherSlot>& slots, SizeOf size_of,
     Skip skip, std::vector<JoinCandidate>& out) {
   const int32_t* begin = docs.data();
   const int32_t* end = begin + docs.size();
@@ -258,10 +290,12 @@ inline void GatherFallbackCandidates(
   }
   for (const int32_t* it = begin; it != end; ++it) {
     const int32_t doc = *it;
-    if (last_seen[static_cast<size_t>(doc)] == probe_mark) continue;
-    last_seen[static_cast<size_t>(doc)] = probe_mark;
+    GatherSlot& slot = slots[static_cast<size_t>(doc)];
+    if (slot.mark == probe_mark) continue;
+    slot.mark = probe_mark;
+    slot.candidate = -1;
     if (skip(doc)) continue;
-    out.push_back({doc, 0, 0});
+    out.push_back({doc, 0, 0, 0});
   }
 }
 

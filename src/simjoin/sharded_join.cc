@@ -1,6 +1,7 @@
 #include "simjoin/sharded_join.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 
@@ -22,12 +23,15 @@ constexpr int kDefaultNumShards = 16;
 // candidate) so the hot gather/verify loops stay metric-free.
 struct JoinMetrics {
   obs::Counter* probe_tasks_total;
+  obs::Counter* posting_visits_total;
   obs::Counter* prefilter_candidates_total;
   obs::Counter* pairs_emitted_total;
 
   static JoinMetrics& Get() {
     static JoinMetrics metrics{
         obs::MetricsRegistry::Global().GetCounter("simjoin.probe_tasks_total"),
+        obs::MetricsRegistry::Global().GetCounter(
+            "simjoin.posting_visits_total"),
         obs::MetricsRegistry::Global().GetCounter(
             "simjoin.prefilter_candidates_total"),
         obs::MetricsRegistry::Global().GetCounter(
@@ -79,6 +83,51 @@ int64_t LeftIdWithRankBelow(const internal::SortedRuns& runs, size_t target,
 }  // namespace
 
 namespace internal {
+
+std::vector<ScoredPair> RadixSortedCopy(std::vector<ScoredPair>& pairs) {
+  const size_t n = pairs.size();
+  std::vector<ScoredPair> sorted(n);
+  if (n == 0) return sorted;
+  // Only the key bytes that differ somewhere in the run need a pass.
+  uint64_t varying = 0;
+  const uint64_t first_key = PairKey(pairs.front());
+  for (const ScoredPair& pair : pairs) varying |= PairKey(pair) ^ first_key;
+  constexpr int kBytes = 8;
+  int digits[kBytes];
+  int num_digits = 0;
+  for (int d = 0; d < kBytes; ++d) {
+    if (((varying >> (8 * d)) & 0xFF) != 0) digits[num_digits++] = d;
+  }
+  // Histograms on the stack: a worker's heap growth would stay resident.
+  std::array<size_t, 256> counts[kBytes];
+  for (int k = 0; k < num_digits; ++k) counts[k].fill(0);
+  for (const ScoredPair& pair : pairs) {
+    const uint64_t key = PairKey(pair);
+    for (int k = 0; k < num_digits; ++k) {
+      ++counts[k][(key >> (8 * digits[k])) & 0xFF];
+    }
+  }
+  // Stable scatter passes, least significant byte first, alternating
+  // between the two buffers.
+  ScoredPair* from = pairs.data();
+  ScoredPair* to = sorted.data();
+  for (int k = 0; k < num_digits; ++k) {
+    std::array<size_t, 256>& next = counts[k];
+    size_t offset = 0;
+    for (size_t& count : next) {
+      const size_t bucket = count;
+      count = offset;
+      offset += bucket;
+    }
+    const int shift = 8 * digits[k];
+    for (size_t i = 0; i < n; ++i) {
+      to[next[(PairKey(from[i]) >> shift) & 0xFF]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != sorted.data()) std::copy(from, from + n, sorted.data());
+  return sorted;
+}
 
 std::vector<std::vector<size_t>> CutRunsByLeftId(const SortedRuns& runs,
                                                  ThreadPool* pool) {
@@ -265,9 +314,10 @@ void ShardedSelfJoiner::ProbeTaskT(const Policy& policy,
                                    const Prepared& probe, bool same_shard,
                                    bool bipartite_emit, double threshold,
                                    std::vector<ScoredPair>& out) {
-  std::vector<int32_t> last_seen(target_raw.size(), -1);
+  std::vector<GatherSlot> slots(target_raw.size());
   std::vector<JoinCandidate> candidates;  // scratch, reused across probes
   const size_t out_before = out.size();
+  size_t num_visits = 0;     // postings in the probes' size windows
   int64_t num_gathered = 0;  // candidates entering verification, this task
   const auto size_of = [&target](int32_t doc) {
     return target.sizes[static_cast<size_t>(doc)];
@@ -296,16 +346,16 @@ void ShardedSelfJoiner::ProbeTaskT(const Policy& policy,
                               size_j](size_t cand_size) {
       return policy.Required(threshold, tok_len_j, size_j, cand_size);
     };
-    GatherPositionalCandidates(target.index, probe_ranks, prefix_j, tok_len_j,
-                               min_size, max_size, static_cast<int32_t>(j),
-                               last_seen, size_of, tok_len_of, required_of,
-                               skip, candidates);
+    num_visits += GatherPositionalCandidates(
+        target.index, probe_ranks, prefix_j, tok_len_j, min_size, max_size,
+        static_cast<int32_t>(j), slots, size_of, tok_len_of, required_of, skip,
+        candidates);
     if constexpr (Policy::kUsesFallback) {
       // Unfilterable probes also sweep the target shard's fallback bucket;
-      // shared last_seen keeps postings-found partners from re-emitting.
+      // shared slots keep postings-found partners from re-emitting.
       if (policy.Unfilterable(threshold, tok_len_j, size_j)) {
         GatherFallbackCandidates(target.fallback, min_size, max_size,
-                                 static_cast<int32_t>(j), last_seen, size_of,
+                                 static_cast<int32_t>(j), slots, size_of,
                                  skip, candidates);
       }
     }
@@ -321,7 +371,8 @@ void ShardedSelfJoiner::ProbeTaskT(const Policy& policy,
                                                target_raw.payload(i)};
       const double score = policy.Verify(
           target_ref, probe_ref, static_cast<size_t>(cand.index_pos),
-          static_cast<size_t>(cand.probe_pos), threshold);
+          static_cast<size_t>(cand.probe_pos),
+          static_cast<size_t>(cand.overlap), threshold);
       if (score + 1e-12 >= threshold) {
         const int32_t gi = target_raw.doc_ids[i];
         const int32_t gj = probe_raw.doc_ids[j];
@@ -334,6 +385,7 @@ void ShardedSelfJoiner::ProbeTaskT(const Policy& policy,
     }
   }
   JoinMetrics& metrics = JoinMetrics::Get();
+  metrics.posting_visits_total->Inc(static_cast<int64_t>(num_visits));
   metrics.prefilter_candidates_total->Inc(num_gathered);
   metrics.pairs_emitted_total->Inc(
       static_cast<int64_t>(out.size() - out_before));
@@ -411,10 +463,10 @@ Result<internal::SortedRuns> ShardedJoinCursor::NextBatchRuns(
                 /*bipartite_emit=*/impl.bipartite, impl.threshold, out);
           });
     }
-    SortByPairOrder(out);
-    // An exact-size copy: the run outlives the task on the caller's side,
-    // and growth slack left in a worker's malloc arena stays resident.
-    return std::vector<ScoredPair>(out.begin(), out.end());
+    // Sorted into an exact-size copy: the run outlives the task on the
+    // caller's side, and growth slack left in a worker's malloc arena stays
+    // resident.
+    return internal::RadixSortedCopy(out);
   });
 }
 

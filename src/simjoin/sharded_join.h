@@ -240,12 +240,25 @@ namespace internal {
 /// key in two runs.
 using SortedRuns = std::vector<std::vector<ScoredPair>>;
 
+/// A pair's (left, right) packed into one integer. Join indexes are
+/// non-negative, so the keys order exactly as `PairOrderLess` does.
+inline uint64_t PairKey(const ScoredPair& pair) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(pair.left)) << 32) |
+         static_cast<uint32_t>(pair.right);
+}
+
+/// \brief `pairs` sorted by `PairOrderLess` into an exact-size vector, for
+/// pairs with non-negative indexes: an LSD radix sort on `PairKey`, one
+/// stable pass per key byte that varies across the pairs. The passes
+/// alternate between the result and `pairs`, whose contents are
+/// unspecified afterwards, so the sort needs no buffer beyond its result.
+std::vector<ScoredPair> RadixSortedCopy(std::vector<ScoredPair>& pairs);
+
 /// Calls `fn(pair)` for the pairs of every slice runs[k][begin[k], end[k])
 /// in (left, right) order, until `fn` returns false: a k-way merge over a
-/// min-heap of run cursors, each keyed by its next pair's (left, right)
-/// packed into one integer (join indexes are non-negative, so the packing
-/// keeps their order). `fn` takes a `ScoredPair&` when `runs` is mutable,
-/// so a pass may rewrite each score in place.
+/// min-heap of run cursors, each keyed by its next pair's `PairKey`. `fn`
+/// takes a `ScoredPair&` when `runs` is mutable, so a pass may rewrite each
+/// score in place.
 template <typename Runs, typename Fn>
 void ForEachInPairOrder(Runs& runs, const std::vector<size_t>& begin,
                         const std::vector<size_t>& end, Fn&& fn) {
@@ -255,15 +268,11 @@ void ForEachInPairOrder(Runs& runs, const std::vector<size_t>& begin,
     Pair* next;
     Pair* end;
   };
-  const auto key_of = [](const ScoredPair& pair) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(pair.left)) << 32) |
-           static_cast<uint32_t>(pair.right);
-  };
   std::vector<Cursor> heap;
   for (size_t k = 0; k < runs.size(); ++k) {
     if (begin[k] < end[k]) {
       Pair* next = runs[k].data() + begin[k];
-      heap.push_back({key_of(*next), next, runs[k].data() + end[k]});
+      heap.push_back({PairKey(*next), next, runs[k].data() + end[k]});
     }
   }
   const auto sift_down = [&heap](size_t at) {
@@ -289,7 +298,7 @@ void ForEachInPairOrder(Runs& runs, const std::vector<size_t>& begin,
       heap.pop_back();
       if (heap.empty()) break;
     } else {
-      top.key = key_of(*top.next);
+      top.key = PairKey(*top.next);
     }
     sift_down(0);
   }

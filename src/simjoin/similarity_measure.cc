@@ -61,19 +61,28 @@ const char* SimilarityMeasure::name() const {
 
 MeasureDoc SimilarityMeasure::MakeDoc(std::string_view text,
                                       TokenDictionary& dictionary) const {
+  return MakeNormalizedDoc(NormalizeText(text), dictionary);
+}
+
+MeasureDoc SimilarityMeasure::MakeNormalizedDoc(
+    std::string_view normalized, TokenDictionary& dictionary) const {
   MeasureDoc doc;
+  std::vector<std::string_view> tokens;
   if (kind_ == MeasureKind::kEditDistance) {
     // Signature: deduplicated character q-grams of the normalized string;
     // size and payload are the normalized string itself, which is what the
     // banded-DP verifier compares. Empty/whitespace-only text normalizes
     // to "" and yields no grams — the shared empty-doc contract.
-    doc.payload = NormalizeText(text);
-    doc.tokens = dictionary.AddDocument(QGrams(doc.payload, qgram_));
+    std::string padded;
+    AppendNormalizedQGrams(normalized, qgram_, padded, tokens);
+    doc.tokens = dictionary.AddDocumentViews(tokens);
+    doc.payload = std::string(normalized);
     doc.size = static_cast<int32_t>(doc.payload.size());
     return doc;
   }
   // Set measures: word-token signature, size = distinct token count.
-  doc.tokens = dictionary.AddDocument(WordTokens(text));
+  AppendNormalizedWords(normalized, tokens);
+  doc.tokens = dictionary.AddDocumentViews(tokens);
   doc.size = static_cast<int32_t>(doc.tokens.size());
   return doc;
 }

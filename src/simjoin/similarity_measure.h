@@ -78,6 +78,11 @@ class SimilarityMeasure {
   /// `TokenDictionary::AddDocument` does).
   MeasureDoc MakeDoc(std::string_view text, TokenDictionary& dictionary) const;
 
+  /// `MakeDoc` of text that is already normalized (`NormalizeText`'s
+  /// output), for callers that normalize elsewhere, e.g. on a pool.
+  MeasureDoc MakeNormalizedDoc(std::string_view normalized,
+                               TokenDictionary& dictionary) const;
+
  private:
   explicit SimilarityMeasure(MeasureKind kind, int qgram)
       : kind_(kind), qgram_(qgram) {}

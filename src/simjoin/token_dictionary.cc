@@ -6,29 +6,41 @@
 
 namespace crowdjoin {
 
-int32_t TokenDictionary::Intern(const std::string& token) {
-  auto [it, inserted] =
-      ids_.try_emplace(token, static_cast<int32_t>(frequency_.size()));
-  if (inserted) frequency_.push_back(0);
-  return it->second;
+int32_t TokenDictionary::Intern(std::string_view token) {
+  const int32_t id = InternToken(ids_, token);
+  if (static_cast<size_t>(id) == frequency_.size()) frequency_.push_back(0);
+  return id;
 }
 
-std::vector<int32_t> TokenDictionary::AddDocument(
-    const std::vector<std::string>& tokens) {
-  std::vector<int32_t> doc = Encode(tokens);
-  for (int32_t id : doc) ++frequency_[static_cast<size_t>(id)];
-  ++num_documents_;
-  return doc;
-}
-
-std::vector<int32_t> TokenDictionary::Encode(
-    const std::vector<std::string>& tokens) {
+template <typename Tokens>
+std::vector<int32_t> TokenDictionary::EncodeTokens(const Tokens& tokens) {
   std::vector<int32_t> doc;
   doc.reserve(tokens.size());
   for (const auto& token : tokens) doc.push_back(Intern(token));
   std::sort(doc.begin(), doc.end());
   doc.erase(std::unique(doc.begin(), doc.end()), doc.end());
   return doc;
+}
+
+std::vector<int32_t> TokenDictionary::CountDocument(std::vector<int32_t> doc) {
+  for (int32_t id : doc) ++frequency_[static_cast<size_t>(id)];
+  ++num_documents_;
+  return doc;
+}
+
+std::vector<int32_t> TokenDictionary::AddDocument(
+    const std::vector<std::string>& tokens) {
+  return CountDocument(EncodeTokens(tokens));
+}
+
+std::vector<int32_t> TokenDictionary::AddDocumentViews(
+    std::span<const std::string_view> tokens) {
+  return CountDocument(EncodeTokens(tokens));
+}
+
+std::vector<int32_t> TokenDictionary::Encode(
+    const std::vector<std::string>& tokens) {
+  return EncodeTokens(tokens);
 }
 
 std::vector<int32_t> TokenDictionary::Lookup(

@@ -2,9 +2,12 @@
 #define CROWDJOIN_SIMJOIN_TOKEN_DICTIONARY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
+
+#include "text/tokenize.h"
 
 namespace crowdjoin {
 
@@ -19,6 +22,10 @@ class TokenDictionary {
   /// and increments their document frequencies once per document.
   /// Returns the document as a deduplicated token-id vector.
   std::vector<int32_t> AddDocument(const std::vector<std::string>& tokens);
+
+  /// `AddDocument` over token views: the same ids and frequencies.
+  std::vector<int32_t> AddDocumentViews(
+      std::span<const std::string_view> tokens);
 
   /// Interns without affecting document frequencies (for query-side docs).
   std::vector<int32_t> Encode(const std::vector<std::string>& tokens);
@@ -69,9 +76,13 @@ class TokenDictionary {
   int64_t num_documents() const { return num_documents_; }
 
  private:
-  int32_t Intern(const std::string& token);
+  int32_t Intern(std::string_view token);
+  template <typename Tokens>
+  std::vector<int32_t> EncodeTokens(const Tokens& tokens);
+  /// Counts one document's deduplicated ids into the frequencies.
+  std::vector<int32_t> CountDocument(std::vector<int32_t> doc);
 
-  std::unordered_map<std::string, int32_t> ids_;
+  TokenIdMap ids_;
   std::vector<int64_t> frequency_;
   int64_t num_documents_ = 0;
 };

@@ -11,21 +11,17 @@ namespace crowdjoin {
 namespace {
 
 // Myers' bit-parallel Levenshtein distance in Hyyrö's formulation, for a
-// pattern `b` of 1..64 bytes: bit i of the vertical delta vectors holds
+// pattern of 1..64 bytes given by its table `peq` (bit i of peq[c] set iff
+// pattern[i] == c): bit i of the vertical delta vectors holds
 // D[i+1][j] - D[i][j] for the current text column j. One column costs a
 // handful of word operations and nothing is allocated.
-size_t BitParallelLevenshtein(std::string_view a, std::string_view b) {
-  // peq[c]: bit i set iff b[i] == c. The table is all zeros between calls:
-  // each call clears only its pattern's bytes, not all 2 KiB.
-  thread_local uint64_t peq[256] = {};
-  for (size_t i = 0; i < b.size(); ++i) {
-    peq[static_cast<unsigned char>(b[i])] |= uint64_t{1} << i;
-  }
-  const uint64_t last = uint64_t{1} << (b.size() - 1);
+size_t MyersDistance(const uint64_t* peq, size_t pattern_len,
+                     std::string_view text) {
+  const uint64_t last = uint64_t{1} << (pattern_len - 1);
   uint64_t pv = ~uint64_t{0};  // D[i][0] = i: every vertical delta is +1
   uint64_t mv = 0;
-  size_t distance = b.size();
-  for (char c : a) {
+  size_t distance = pattern_len;
+  for (char c : text) {
     const uint64_t eq = peq[static_cast<unsigned char>(c)];
     const uint64_t xv = eq | mv;
     const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
@@ -39,6 +35,18 @@ size_t BitParallelLevenshtein(std::string_view a, std::string_view b) {
     pv = mh | ~(xv | ph);
     mv = ph & xv;
   }
+  return distance;
+}
+
+// `MyersDistance` with pattern `b`, whose table is built per call. The
+// table is all zeros between calls: each call clears only its pattern's
+// bytes, not all 2 KiB.
+size_t BitParallelLevenshtein(std::string_view a, std::string_view b) {
+  thread_local uint64_t peq[256] = {};
+  for (size_t i = 0; i < b.size(); ++i) {
+    peq[static_cast<unsigned char>(b[i])] |= uint64_t{1} << i;
+  }
+  const size_t distance = MyersDistance(peq, b.size(), a);
   for (char c : b) peq[static_cast<unsigned char>(c)] = 0;
   return distance;
 }
@@ -102,6 +110,33 @@ size_t BoundedLevenshtein(std::string_view a, std::string_view b,
     if (best >= inf) return inf;    // the whole band exceeded the bound
   }
   return row[m];
+}
+
+void LevenshteinPattern::Reset(std::string_view pattern) {
+  if (pattern_.size() <= kMaxBitParallel) {
+    for (char c : pattern_) peq_[static_cast<unsigned char>(c)] = 0;
+  }
+  pattern_ = pattern;
+  if (pattern_.size() <= kMaxBitParallel) {
+    for (size_t i = 0; i < pattern_.size(); ++i) {
+      peq_[static_cast<unsigned char>(pattern_[i])] |= uint64_t{1} << i;
+    }
+  }
+}
+
+size_t LevenshteinPattern::Distance(std::string_view text) const {
+  if (pattern_.empty()) return text.size();
+  if (pattern_.size() > kMaxBitParallel) {
+    return LevenshteinDistance(pattern_, text);
+  }
+  return MyersDistance(peq_.data(), pattern_.size(), text);
+}
+
+double LevenshteinPattern::Similarity(std::string_view text) const {
+  const size_t longest = std::max(pattern_.size(), text.size());
+  if (longest == 0) return 1.0;
+  return 1.0 - static_cast<double>(Distance(text)) /
+                   static_cast<double>(longest);
 }
 
 double LevenshteinSimilarity(std::string_view a, std::string_view b) {

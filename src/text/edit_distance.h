@@ -1,7 +1,9 @@
 #ifndef CROWDJOIN_TEXT_EDIT_DISTANCE_H_
 #define CROWDJOIN_TEXT_EDIT_DISTANCE_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace crowdjoin {
@@ -27,6 +29,30 @@ size_t BoundedLevenshtein(std::string_view a, std::string_view b,
 
 /// 1 - distance / max(|a|, |b|); 1.0 for two empty strings.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
+
+/// \brief One string's Myers pattern table, kept to measure it against
+/// many others: `Distance(text)` is `LevenshteinDistance(pattern, text)`
+/// and `Similarity(text)` is `LevenshteinSimilarity(pattern, text)`.
+///
+/// A pattern of at most 64 bytes runs the bit-parallel kernel as the
+/// pattern whatever the text's length, so its table is built once per
+/// `Reset` instead of once per pair; a longer one falls back to
+/// `LevenshteinDistance`. The pattern's bytes are not copied and must
+/// outlive their use.
+class LevenshteinPattern {
+ public:
+  /// Makes `pattern` the string measured from.
+  void Reset(std::string_view pattern);
+
+  size_t Distance(std::string_view text) const;
+  double Similarity(std::string_view text) const;
+
+ private:
+  static constexpr size_t kMaxBitParallel = 64;
+
+  std::string_view pattern_;
+  std::array<uint64_t, 256> peq_{};  ///< bit i of peq_[c]: pattern_[i] == c
+};
 
 /// Jaro similarity in [0, 1].
 double JaroSimilarity(std::string_view a, std::string_view b);

@@ -10,20 +10,25 @@ bool IsTokenChar(char c) {
 }
 
 std::string NormalizeText(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
+  std::string out(input.size(), '\0');
+  out.resize(NormalizeTextInto(input, out.data()));
+  return out;
+}
+
+size_t NormalizeTextInto(std::string_view input, char* out) {
+  size_t len = 0;
   bool pending_space = false;
   for (char c : input) {
     if (IsTokenChar(c)) {
-      if (pending_space && !out.empty()) out.push_back(' ');
+      if (pending_space && len > 0) out[len++] = ' ';
       pending_space = false;
-      out.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+      out[len++] =
+          static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     } else {
       pending_space = true;
     }
   }
-  return out;
+  return len;
 }
 
 }  // namespace crowdjoin

@@ -1,6 +1,7 @@
 #ifndef CROWDJOIN_TEXT_NORMALIZE_H_
 #define CROWDJOIN_TEXT_NORMALIZE_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -13,6 +14,11 @@ namespace crowdjoin {
 /// Digits and letters are kept; everything else becomes a separator, so
 /// "iPad-2nd  Gen." and "ipad 2nd gen" normalize identically.
 std::string NormalizeText(std::string_view input);
+
+/// `NormalizeText(input)` written to `out`, which must have room for
+/// `input.size()` chars (normalizing never lengthens text); returns the
+/// normalized length.
+size_t NormalizeTextInto(std::string_view input, char* out);
 
 /// True iff `c` survives normalization as a token character.
 bool IsTokenChar(char c);

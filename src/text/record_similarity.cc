@@ -32,12 +32,11 @@ Status ValidateSpec(const FieldSimilaritySpec& spec) {
 }
 
 // Appends `tokens` to `out` as a sorted, deduplicated id set.
-void AppendTokenSet(const std::vector<std::string>& tokens, TokenIdMap& ids,
-                    std::vector<int32_t>& out) {
+void AppendTokenSet(const std::vector<std::string_view>& tokens,
+                    TokenIdMap& ids, std::vector<int32_t>& out) {
   const auto begin = static_cast<std::ptrdiff_t>(out.size());
-  for (const std::string& token : tokens) {
-    const auto next_id = static_cast<int32_t>(ids.size());
-    out.push_back(ids.try_emplace(token, next_id).first->second);
+  for (const std::string_view token : tokens) {
+    out.push_back(InternToken(ids, token));
   }
   std::sort(out.begin() + begin, out.end());
   out.erase(std::unique(out.begin() + begin, out.end()), out.end());
@@ -180,6 +179,16 @@ Result<PreparedRecords> RecordScorer::Prepare(const RecordSet& records,
     const auto f = static_cast<size_t>(spec.field_index);
     PreparedRecords::Column& column = prepared.columns_[s];
     RangeTokens* tokens = ranges[s].empty() ? nullptr : &ranges[s][r];
+    // Scratch reused across the range's records: one field's normalized
+    // text, its padded form for q-grams, and its tokens as views.
+    std::string normalized;
+    std::string padded;
+    std::vector<std::string_view> views;
+    const auto normalize = [&normalized](const std::string& field) {
+      normalized.resize(field.size());
+      normalized.resize(NormalizeTextInto(field, normalized.data()));
+      return std::string_view(normalized);
+    };
     for (size_t i = range_begin(r); i < range_begin(r + 1); ++i) {
       const Record& record = records[i];
       if (f >= record.fields.size()) continue;
@@ -189,10 +198,14 @@ Result<PreparedRecords> RecordScorer::Prepare(const RecordSet& records,
       const size_t set_begin = tokens == nullptr ? 0 : tokens->set_ids.size();
       switch (spec.measure) {
         case FieldMeasure::kJaccardWords:
-          AppendTokenSet(WordTokens(field), tokens->ids, tokens->set_ids);
+          views.clear();
+          AppendNormalizedWords(normalize(field), views);
+          AppendTokenSet(views, tokens->ids, tokens->set_ids);
           break;
         case FieldMeasure::kQGramJaccard:
-          AppendTokenSet(QGrams(field, spec.q), tokens->ids, tokens->set_ids);
+          views.clear();
+          AppendNormalizedQGrams(normalize(field), spec.q, padded, views);
+          AppendTokenSet(views, tokens->ids, tokens->set_ids);
           break;
         case FieldMeasure::kLevenshtein:
         case FieldMeasure::kJaroWinkler:
@@ -286,9 +299,10 @@ Result<double> RecordScorer::Score(const Record& a, const Record& b) const {
   return prepared.Score(0, 1);
 }
 
-template <typename Overlap>
+template <typename Overlap, typename Edit>
 Result<double> PreparedRecords::ScoreWith(size_t i, size_t j,
-                                          Overlap&& overlap) const {
+                                          Overlap&& overlap,
+                                          Edit&& edit) const {
   if (specs_.empty()) {
     return Status::FailedPrecondition("RecordScorer has no field specs");
   }
@@ -328,7 +342,7 @@ Result<double> PreparedRecords::ScoreWith(size_t i, size_t j,
         break;
       }
       case FieldMeasure::kLevenshtein:
-        sim = LevenshteinSimilarity(column.text[i], column.text[j]);
+        sim = edit(s, i, j);
         break;
       case FieldMeasure::kJaroWinkler:
         sim = JaroWinklerSimilarity(column.text[i], column.text[j]);
@@ -352,22 +366,30 @@ Result<double> PreparedRecords::ScoreWith(size_t i, size_t j,
 }
 
 Result<double> PreparedRecords::Score(size_t i, size_t j) const {
-  return ScoreWith(i, j, [this](size_t s, size_t a, size_t b) {
-    const Column& column = columns_[s];
-    const uint32_t* offsets = column.set_offsets.data();
-    const int32_t* ids = column.set_ids.data();
-    return OverlapSize(ids + offsets[a], offsets[a + 1] - offsets[a],
-                       ids + offsets[b], offsets[b + 1] - offsets[b]);
-  });
+  return ScoreWith(
+      i, j,
+      [this](size_t s, size_t a, size_t b) {
+        const Column& column = columns_[s];
+        const uint32_t* offsets = column.set_offsets.data();
+        const int32_t* ids = column.set_ids.data();
+        return OverlapSize(ids + offsets[a], offsets[a + 1] - offsets[a],
+                           ids + offsets[b], offsets[b + 1] - offsets[b]);
+      },
+      [this](size_t s, size_t a, size_t b) {
+        return LevenshteinSimilarity(columns_[s].text[a], columns_[s].text[b]);
+      });
 }
 
 PreparedRecords::RowCursor::RowCursor(const PreparedRecords& prepared)
     : prepared_(&prepared),
       row_(std::string::npos),
-      marks_(prepared.specs_.size()) {
+      marks_(prepared.specs_.size()),
+      patterns_(prepared.specs_.size()) {
   for (size_t s = 0; s < marks_.size(); ++s) {
     if (IsSetMeasure(prepared.specs_[s].measure)) {
       marks_[s].assign(prepared.columns_[s].num_tokens, 0);
+    } else if (prepared.specs_[s].measure == FieldMeasure::kLevenshtein) {
+      patterns_[s] = std::make_unique<LevenshteinPattern>();
     }
   }
 }
@@ -375,8 +397,13 @@ PreparedRecords::RowCursor::RowCursor(const PreparedRecords& prepared)
 Result<double> PreparedRecords::RowCursor::Score(size_t i, size_t j) {
   const PreparedRecords& prepared = *prepared_;
   if (i != row_ && i < prepared.num_records_) {
-    // Unmark the old row's sets and mark the new one's.
+    // Unmark the old row's sets and mark the new one's; the new row's texts
+    // become the edit patterns.
     for (size_t s = 0; s < marks_.size(); ++s) {
+      if (patterns_[s] != nullptr) {
+        patterns_[s]->Reset(prepared.columns_[s].text[i]);
+        continue;
+      }
       if (marks_[s].empty()) continue;
       const Column& column = prepared.columns_[s];
       const int32_t* ids = column.set_ids.data();
@@ -393,17 +420,22 @@ Result<double> PreparedRecords::RowCursor::Score(size_t i, size_t j) {
     }
     row_ = i;
   }
-  return prepared.ScoreWith(i, j, [this](size_t s, size_t, size_t b) {
-    const Column& column = prepared_->columns_[s];
-    const int32_t* ids = column.set_ids.data();
-    const uint8_t* marks = marks_[s].data();
-    size_t shared = 0;
-    for (uint32_t k = column.set_offsets[b]; k < column.set_offsets[b + 1];
-         ++k) {
-      shared += marks[static_cast<size_t>(ids[k])];
-    }
-    return shared;
-  });
+  return prepared.ScoreWith(
+      i, j,
+      [this](size_t s, size_t, size_t b) {
+        const Column& column = prepared_->columns_[s];
+        const int32_t* ids = column.set_ids.data();
+        const uint8_t* marks = marks_[s].data();
+        size_t shared = 0;
+        for (uint32_t k = column.set_offsets[b];
+             k < column.set_offsets[b + 1]; ++k) {
+          shared += marks[static_cast<size_t>(ids[k])];
+        }
+        return shared;
+      },
+      [this](size_t s, size_t, size_t b) {
+        return patterns_[s]->Similarity(prepared_->columns_[s].text[b]);
+      });
 }
 
 }  // namespace crowdjoin

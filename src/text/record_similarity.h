@@ -2,10 +2,12 @@
 #define CROWDJOIN_TEXT_RECORD_SIMILARITY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "text/edit_distance.h"
 #include "text/record.h"
 #include "text/tfidf.h"
 
@@ -47,15 +49,17 @@ class PreparedRecords {
 
   /// \brief Scores pairs row by row: consecutive calls that share the first
   /// record `i` mark its token sets once, and each partner's ids are only
-  /// counted against the marks. The machine step scores its joined pairs
-  /// in join order, where every left record's partners come together.
+  /// counted against the marks; likewise the row's text is the kept
+  /// `LevenshteinPattern` of each edit spec. The machine step scores its
+  /// joined pairs in join order, where every left record's partners come
+  /// together.
   ///
   /// `Score` and the cursor run one body (specs in order, the skip rule,
   /// the weight renormalization and clamp, the errors); they differ only in
-  /// how a set overlap is counted, and the overlap is exact either way, so
-  /// the scores are bit-identical. A cursor holds one byte per interned
-  /// token of each set spec; use one per thread. The prepared records must
-  /// outlive it.
+  /// how a set overlap and an edit distance are computed, and both are
+  /// exact either way, so the scores are bit-identical. A cursor holds one
+  /// byte per interned token of each set spec and 2 KiB per edit spec; use
+  /// one per thread. The prepared records must outlive it.
   class RowCursor {
    public:
     explicit RowCursor(const PreparedRecords& prepared);
@@ -67,6 +71,8 @@ class PreparedRecords {
     const PreparedRecords* prepared_;
     size_t row_;                               // marked record, or npos
     std::vector<std::vector<uint8_t>> marks_;  // per set spec, by token id
+    // Per kLevenshtein spec, the row's text; null for other specs.
+    std::vector<std::unique_ptr<LevenshteinPattern>> patterns_;
   };
 
  private:
@@ -88,9 +94,11 @@ class PreparedRecords {
   };
 
   // The body of both scorers; `overlap(s, i, j)` counts the token ids
-  // spec s's sets of records i and j share.
-  template <typename Overlap>
-  Result<double> ScoreWith(size_t i, size_t j, Overlap&& overlap) const;
+  // spec s's sets of records i and j share, and `edit(s, i, j)` is the
+  // `LevenshteinSimilarity` of their spec-s texts.
+  template <typename Overlap, typename Edit>
+  Result<double> ScoreWith(size_t i, size_t j, Overlap&& overlap,
+                           Edit&& edit) const;
 
   std::vector<FieldSimilaritySpec> specs_;
   std::vector<Column> columns_;  // indexed like specs_

@@ -66,8 +66,10 @@ inline double BoundedJaccard(const std::vector<int32_t>& a,
 /// the split is order-aligned — every element of a[0..a_pos) compares
 /// `<=` every element of b[b_pos..) and vice versa, with equal elements
 /// only inside the consumed prefixes (counted by `seed_overlap`). The
-/// prefix-filter joins satisfy this by seeding at the first shared prefix
-/// token: positions before it hold strictly smaller tokens on both sides.
+/// prefix-filter joins satisfy this by seeding just past the last shared
+/// prefix token with the count of shared tokens up to it: positions up to
+/// it hold tokens no larger than it on both sides, and positions after it
+/// strictly larger ones.
 /// Returns the exact Jaccard of the *full* sets, or -1.0 under the same
 /// early-exit contract as `BoundedJaccard`.
 double BoundedJaccardSeeded(const int32_t* a, size_t na, const int32_t* b,

@@ -6,11 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
-namespace crowdjoin {
+#include "text/tokenize.h"
 
-/// Token -> dense id; every vector compared with another must be weighed
-/// through the same map.
-using TokenIdMap = std::unordered_map<std::string, int32_t>;
+namespace crowdjoin {
 
 /// \brief One token list as tf-idf weights, ready for repeated cosines.
 ///

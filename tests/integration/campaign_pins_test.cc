@@ -130,14 +130,29 @@ size_t CountOccurrences(std::string_view haystack, std::string_view needle) {
 }
 
 TEST(CampaignPins, Sf10JoinEmitsPinnedCandidates) {
-  // The campaign's machine step alone, materialized.
-  const StreamingCampaignConfig config =
-      RoundByRound(MeasureKind::kJaccard, 0.7);
-  StreamingPaperSource source(PaperConfig(), kCampaignScale);
-  const auto candidates = GenerateCandidatesStreaming(
-      source, /*scorer=*/nullptr, config.candidates, config.sharding);
-  ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
-  EXPECT_EQ(static_cast<int64_t>(candidates->size()), kCandidates);
+  // The campaign's machine step alone, materialized, on one worker and on
+  // four. Its work counters are functions of the input alone: each repeats
+  // exactly, and every candidate was first met as a posting.
+  StreamingCampaignConfig config = RoundByRound(MeasureKind::kJaccard, 0.7);
+  std::vector<int64_t> visits;
+  std::vector<int64_t> gathered;
+  for (const int threads : {1, kThreads}) {
+    config.sharding.num_threads = threads;
+    StreamingPaperSource source(PaperConfig(), kCampaignScale);
+    MetricsDelta delta;
+    const auto candidates = GenerateCandidatesStreaming(
+        source, /*scorer=*/nullptr, config.candidates, config.sharding);
+    delta.Stop();
+    ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(candidates->size()), kCandidates);
+    EXPECT_EQ(delta.Counter("simjoin.pairs_emitted_total"), kCandidates);
+    visits.push_back(delta.Counter("simjoin.posting_visits_total"));
+    gathered.push_back(delta.Counter("simjoin.prefilter_candidates_total"));
+    EXPECT_GE(visits.back(), gathered.back()) << threads << " threads";
+    EXPECT_GE(gathered.back(), kCandidates) << threads << " threads";
+  }
+  EXPECT_EQ(visits[0], visits[1]);
+  EXPECT_EQ(gathered[0], gathered[1]);
 }
 
 TEST(CampaignPins, Sf10RoundByRoundCampaignExportsPinnedCountersAndTrace) {

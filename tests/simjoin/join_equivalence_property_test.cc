@@ -20,7 +20,7 @@
 namespace crowdjoin {
 namespace {
 
-constexpr double kThresholds[] = {0.3, 0.5, 0.7, 0.9};
+constexpr double kThresholds[] = {0.05, 0.08, 0.3, 0.5, 0.7, 0.9};
 
 struct Corpus {
   TokenDictionary dictionary;

@@ -28,7 +28,7 @@
 namespace crowdjoin {
 namespace {
 
-constexpr double kThresholds[] = {0.3, 0.5, 0.7, 0.9};
+constexpr double kThresholds[] = {0.05, 0.08, 0.3, 0.5, 0.7, 0.9};
 
 // Shard x thread grids the sharded path must reproduce byte-identically.
 constexpr std::pair<int, int> kShardingGrid[] = {

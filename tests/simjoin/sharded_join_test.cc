@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -357,6 +358,92 @@ TEST(MergeSortedRuns, OneLeftIdHoldsMostPairs) {
   }
   for (auto& run : runs) SortByPairOrder(run);
   ExpectMergeExact(runs, "skewed");
+}
+
+// ---------------------------------------------------------------------------
+// The per-run sort: RadixSortedCopy == SortByPairOrder
+// ---------------------------------------------------------------------------
+
+void ExpectRadixExact(const std::vector<ScoredPair>& pairs,
+                      const std::string& label) {
+  std::vector<ScoredPair> expected = pairs;
+  SortByPairOrder(expected);
+  std::vector<ScoredPair> scratch = pairs;
+  EXPECT_EQ(internal::RadixSortedCopy(scratch), expected) << label;
+}
+
+// `count` distinct keys, left in [0, max_left] and right in
+// [0, max_right], shuffled; self-join shape (left < right) when `self`.
+std::vector<ScoredPair> RandomDistinctPairs(uint64_t seed, size_t count,
+                                            int64_t max_left,
+                                            int64_t max_right, bool self) {
+  Rng rng(seed);
+  std::vector<ScoredPair> pairs;
+  while (pairs.size() < count) {
+    auto left = static_cast<int32_t>(
+        rng.Index(static_cast<uint64_t>(max_left) + 1));
+    auto right = static_cast<int32_t>(
+        rng.Index(static_cast<uint64_t>(max_right) + 1));
+    if (self) {
+      if (left == right) continue;
+      if (left > right) std::swap(left, right);
+    }
+    pairs.push_back({left, right, 0.0});
+  }
+  SortByPairOrder(pairs);
+  pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                          [](const ScoredPair& x, const ScoredPair& y) {
+                            return x.left == y.left && x.right == y.right;
+                          }),
+              pairs.end());
+  for (size_t i = pairs.size(); i > 1; --i) {
+    std::swap(pairs[i - 1], pairs[rng.Index(i)]);
+  }
+  // Distinct scores, so a misplaced pair cannot compare equal.
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    pairs[i].score = static_cast<double>(i);
+  }
+  return pairs;
+}
+
+TEST(RadixSortedCopy, MatchesSortByPairOrderAcrossIdRanges) {
+  constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+  const int64_t max_ids[] = {1, 255, 997, (int64_t{1} << 16) - 1,
+                             (int64_t{1} << 16) + 4000, int64_t{1} << 24,
+                             kMax};
+  for (const int64_t max_id : max_ids) {
+    ExpectRadixExact(
+        RandomDistinctPairs(static_cast<uint64_t>(max_id), 5000, max_id,
+                            max_id, /*self=*/true),
+        StrFormat("self, ids <= %lld", static_cast<long long>(max_id)));
+  }
+  // Bipartite key ranges: the sides' id ranges differ, and a left id may
+  // exceed its right partner.
+  ExpectRadixExact(RandomDistinctPairs(7, 8000, 300, kMax, false),
+                   "bipartite, narrow left");
+  ExpectRadixExact(RandomDistinctPairs(8, 8000, kMax, 300, false),
+                   "bipartite, narrow right");
+  ExpectRadixExact(RandomDistinctPairs(9, 8000, 70000, 70000, false),
+                   "bipartite, ids above 2^16");
+}
+
+TEST(RadixSortedCopy, EmptyOneAndExtremeRuns) {
+  ExpectRadixExact({}, "empty");
+  ExpectRadixExact({{3, 9, 0.5}}, "one pair");
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  ExpectRadixExact({{kMax, kMax, 1.0}, {0, kMax, 2.0}, {kMax, 0, 3.0},
+                    {0, 0, 4.0}, {kMax - 1, kMax, 5.0}, {1, 0, 6.0}},
+                   "extreme ids");
+  // Keys differing only in the top byte of each side.
+  ExpectRadixExact({{1 << 24, 5, 1.0}, {0, 5, 2.0}, {0, 5 + (1 << 24), 3.0},
+                    {1 << 30, 0, 4.0}},
+                   "high bytes only");
+  // One left id, so only the right side's bytes vary.
+  std::vector<ScoredPair> row;
+  for (int32_t right = 40000; right > 0; right -= 7) {
+    row.push_back({12, right, 1.0 * right});
+  }
+  ExpectRadixExact(row, "one left id");
 }
 
 // Joins whose pairs all come from one probe task: every doc whose id is a

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "simjoin/similarity_measure.h"
+#include "text/normalize.h"
+#include "text/tokenize.h"
+
 namespace crowdjoin {
 namespace {
 
@@ -14,6 +22,58 @@ TEST(TokenDictionary, InternsStableIds) {
   // "b" must map to the same id in both documents.
   EXPECT_EQ(doc1[1], doc2[0]);
   EXPECT_EQ(dict.size(), 3u);
+}
+
+TEST(TokenDictionary, ViewDocumentsMatchStringDocuments) {
+  TokenDictionary strings;
+  TokenDictionary views;
+  const std::vector<std::vector<std::string>> docs = {
+      {"b", "a", "b"}, {}, {"c", "a"}, {"d", "d", "b", "e"}};
+  for (const auto& doc : docs) {
+    const std::vector<std::string_view> doc_views(doc.begin(), doc.end());
+    EXPECT_EQ(views.AddDocumentViews(doc_views), strings.AddDocument(doc));
+  }
+  ASSERT_EQ(views.size(), strings.size());
+  for (size_t id = 0; id < strings.size(); ++id) {
+    EXPECT_EQ(views.Frequency(static_cast<int32_t>(id)),
+              strings.Frequency(static_cast<int32_t>(id)));
+  }
+  EXPECT_EQ(views.num_documents(), strings.num_documents());
+  EXPECT_EQ(views.Lookup({"e", "a", "zz"}), strings.Lookup({"e", "a", "zz"}));
+}
+
+// Every measure builds the same document, ids and frequencies from raw
+// text as from its normalized form, and as from the string tokens
+// (`WordTokens`, `QGrams` of the normalized text) it has always interned.
+TEST(SimilarityMeasure, NormalizedDocsMatchRawTextDocs) {
+  const std::vector<std::string> texts = {
+      "Sony BRAVIA-tv 55\"", "", "  ...  ", "sony tv", "a b a", "x",
+      "The Quick brown fox; the LAZY dog."};
+  for (const MeasureKind kind :
+       {MeasureKind::kJaccard, MeasureKind::kEditDistance,
+        MeasureKind::kCosineTfIdf}) {
+    const SimilarityMeasure& measure = SimilarityMeasure::Get(kind);
+    TokenDictionary raw;
+    TokenDictionary normalized;
+    TokenDictionary strings;
+    for (const std::string& text : texts) {
+      const MeasureDoc a = measure.MakeDoc(text, raw);
+      const MeasureDoc b =
+          measure.MakeNormalizedDoc(NormalizeText(text), normalized);
+      EXPECT_EQ(a.tokens,
+                strings.AddDocument(
+                    kind == MeasureKind::kEditDistance
+                        ? QGrams(NormalizeText(text), measure.qgram())
+                        : WordTokens(text)))
+          << measure.name() << " text=" << text;
+      EXPECT_EQ(a.tokens, b.tokens) << measure.name() << " text=" << text;
+      EXPECT_EQ(a.size, b.size) << measure.name() << " text=" << text;
+      EXPECT_EQ(a.payload, b.payload) << measure.name() << " text=" << text;
+    }
+    EXPECT_EQ(raw.size(), normalized.size()) << measure.name();
+    EXPECT_EQ(raw.RarityRanks(), normalized.RarityRanks()) << measure.name();
+    EXPECT_EQ(raw.RarityRanks(), strings.RarityRanks()) << measure.name();
+  }
 }
 
 TEST(TokenDictionary, DocumentsAreDeduplicatedAndSorted) {

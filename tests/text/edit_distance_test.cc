@@ -130,6 +130,33 @@ TEST(LevenshteinDistance, AlternatingPatternsMatchTheDynamicProgram) {
   }
 }
 
+// A kept pattern measures like the free functions against texts shorter
+// and longer than itself, across resets to patterns that share bytes, on
+// both sides of the 64-byte word.
+TEST(LevenshteinPattern, MatchesTheFreeFunctionsAcrossResets) {
+  Rng rng(6464);
+  const std::vector<std::string_view> alphabets = {"ab", "acgt",
+                                                   "\x80\xc3\xff" "a"};
+  std::vector<std::string> strings = {""};
+  for (const size_t length : {1u, 7u, 40u, 63u, 64u, 65u, 90u}) {
+    for (std::string_view alphabet : alphabets) {
+      strings.push_back(RandomBytes(rng, length, alphabet));
+      strings.push_back(Mutate(rng, strings.back(), alphabet));
+    }
+  }
+  LevenshteinPattern pattern;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& p : strings) {
+      pattern.Reset(p);
+      for (const std::string& text : strings) {
+        ASSERT_EQ(pattern.Distance(text), ReferenceLevenshtein(p, text))
+            << "pattern " << p.size() << " bytes, text " << text.size();
+        ASSERT_EQ(pattern.Similarity(text), LevenshteinSimilarity(p, text));
+      }
+    }
+  }
+}
+
 TEST(LevenshteinSimilarity, NormalizedToUnitInterval) {
   EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
   EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);

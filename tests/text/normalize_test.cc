@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace crowdjoin {
 namespace {
 
@@ -26,6 +28,16 @@ TEST(NormalizeText, EmptyAndPunctuationOnly) {
 
 TEST(NormalizeText, KeepsDigits) {
   EXPECT_EQ(NormalizeText("KX-200b ver.2"), "kx 200b ver 2");
+}
+
+TEST(NormalizeTextInto, WritesNormalizeTextIntoARoomOfTheInputSize) {
+  for (const char* text : {"", "   ", "iPad-2nd  Gen.", "  x  ", "a b",
+                           "KX-200b ver.2", "\xc3\xa9t\xc3\xa9 !x!"}) {
+    const std::string input = text;
+    std::string out(input.size(), '#');
+    const size_t len = NormalizeTextInto(input, out.data());
+    EXPECT_EQ(out.substr(0, len), NormalizeText(input)) << "text=" << text;
+  }
 }
 
 TEST(IsTokenChar, AlnumOnly) {

@@ -317,6 +317,33 @@ TEST(PreparedScorerBitEquality, EdgeCaseFields) {
   EXPECT_EQ(scorer.Score(records[0], records[1]).value(), 0.0);
 }
 
+// The row cursor keeps each row's text as its edit pattern, whatever the
+// partner's length: rows shorter and longer than their partners, on both
+// sides of the 64-byte bit-parallel word, and empty rows.
+TEST(PreparedScorerBitEquality, LevenshteinRowsAcrossThe64ByteWord) {
+  RecordSet records;
+  Rng rng(64);
+  const size_t lengths[] = {0, 1, 5, 31, 63, 64, 65, 80, 128, 200};
+  for (const size_t length : lengths) {
+    for (int copy = 0; copy < 3; ++copy) {
+      std::string text(length, ' ');
+      for (char& c : text) c = "abcde"[rng.Index(5)];
+      records.push_back(MakeRecord(static_cast<ObjectId>(records.size()),
+                                   {text, std::to_string(length)}));
+    }
+  }
+  RecordScorer scorer({
+      {0, FieldMeasure::kLevenshtein, 0.6},
+      {0, FieldMeasure::kQGramJaccard, 0.3, 2},
+      {1, FieldMeasure::kNumeric, 0.1},
+  });
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < records.size(); ++i) {
+    for (size_t j = 0; j < records.size(); ++j) pairs.emplace_back(i, j);
+  }
+  ExpectBitEqual(scorer, records, pairs);
+}
+
 // Prepare on a pool of each size (one record range per worker) scores
 // every joined pair of both workbenches exactly as the inline Prepare does.
 TEST(PreparedScorer, PrepareOnAPoolMatchesInline) {

@@ -174,6 +174,48 @@ TEST(BoundedJaccardSeeded, AgreesWithExactJaccardOnRandomPairs) {
   }
 }
 
+TEST(BoundedJaccardSeeded, LastSharedTokenSeedIsBitIdentical) {
+  // The joins' gather counts every shared prefix token and seeds verify
+  // just past the last one with that count. Seeding at any shared token
+  // with the number of shared tokens up to it must give JaccardSimilarity
+  // bit for bit, or -1 only for a pair that provably misses the threshold.
+  Rng rng(2008);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t la = 1 + rng.Index(40);
+    const size_t lb = (trial % 4 == 0) ? la + 100 + rng.Index(300)
+                                       : 1 + rng.Index(40);
+    const Ids a = RandomSortedSet(rng, la, 60);
+    const Ids b = RandomSortedSet(rng, lb, 200);
+    const double exact = JaccardSimilarity(a, b);
+    size_t i = 0;
+    size_t j = 0;
+    size_t shared = 0;
+    while (i < a.size() && j < b.size()) {
+      if (a[i] < b[j]) {
+        ++i;
+      } else if (a[i] > b[j]) {
+        ++j;
+      } else {
+        ++shared;
+        for (const double threshold : {0.0, 0.05, 0.08, 0.3, 0.7}) {
+          const double seeded =
+              BoundedJaccardSeeded(a.data(), a.size(), b.data(), b.size(),
+                                   i + 1, j + 1, shared, threshold);
+          if (seeded != -1.0) {
+            EXPECT_EQ(seeded, exact)
+                << "trial=" << trial << " shared=" << shared;
+          } else {
+            EXPECT_GT(threshold, 0.0);
+            EXPECT_LT(exact + 1e-12, threshold) << "trial=" << trial;
+          }
+        }
+        ++i;
+        ++j;
+      }
+    }
+  }
+}
+
 TEST(MergeVerifyKernels, AllVariantsAgree) {
   // The dispatcher picks between these by shape; they must be
   // interchangeable wherever the entry guard admits them.

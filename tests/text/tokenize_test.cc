@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "text/normalize.h"
+
 namespace crowdjoin {
 namespace {
 
@@ -50,6 +56,39 @@ TEST(EmptyTextContract, WhitespaceOnlyYieldsNoTokensOrGrams) {
     EXPECT_TRUE(QGrams(text, 2).empty()) << "text=" << text;
     EXPECT_TRUE(QGrams(text, 3).empty()) << "text=" << text;
   }
+}
+
+// The view forms over normalized text give the string forms' tokens, in
+// the same order (interning order decides token ids).
+TEST(NormalizedTokenViews, MatchWordTokensAndQGrams) {
+  for (const char* text :
+       {"", " ", "iPad 2nd-Gen", "  a  b\tc ", "x", "Sony BRAVIA-tv 55\"",
+        "r\xc3\xa9sum\xc3\xa9 of O'Neil", "...a...b..."}) {
+    const std::string normalized = NormalizeText(text);
+    std::vector<std::string_view> words;
+    AppendNormalizedWords(normalized, words);
+    EXPECT_EQ(std::vector<std::string>(words.begin(), words.end()),
+              WordTokens(text))
+        << "text=" << text;
+    for (int q = 1; q <= 4; ++q) {
+      std::string padded;
+      std::vector<std::string_view> grams;
+      AppendNormalizedQGrams(normalized, q, padded, grams);
+      EXPECT_EQ(std::vector<std::string>(grams.begin(), grams.end()),
+                QGrams(text, q))
+          << "text=" << text << " q=" << q;
+    }
+  }
+}
+
+TEST(InternToken, AssignsFirstAppearanceIdsToViews) {
+  TokenIdMap ids;
+  const std::string text = "b a b c";
+  EXPECT_EQ(InternToken(ids, std::string_view(text).substr(0, 1)), 0);
+  EXPECT_EQ(InternToken(ids, std::string_view(text).substr(2, 1)), 1);
+  EXPECT_EQ(InternToken(ids, std::string_view(text).substr(4, 1)), 0);
+  EXPECT_EQ(InternToken(ids, "c"), 2);
+  EXPECT_EQ(ids.size(), 3u);
 }
 
 TEST(SortUnique, SortsAndDeduplicates) {
