@@ -326,12 +326,15 @@ Result<CandidateSet> GenerateCandidates(
   ingest.bipartite_joiner = &bipartite_joiner;
   ingest.bipartite = side_of != nullptr;
   ingest.keep_positions = true;
-  // Record text is normalized on the pool, then tokenized and interned in
-  // record order, so token ids and frequencies are those of a serial pass.
-  const NormalizedTexts texts = NormalizeRecords(records, pool);
-  for (size_t i = 0; i < records.size(); ++i) {
-    ingest.Add(measure.MakeNormalizedDoc(texts.Get(i), dictionary),
-               side_of == nullptr ? 0 : (*side_of)[i], records[i].id, i);
+  {
+    // Record text is normalized on the pool, then tokenized and interned in
+    // record order, so token ids and frequencies are those of a serial
+    // pass. The texts are freed before the join.
+    const NormalizedTexts texts = NormalizeRecords(records, pool);
+    for (size_t i = 0; i < records.size(); ++i) {
+      ingest.Add(measure.MakeNormalizedDoc(texts.Get(i), dictionary),
+                 side_of == nullptr ? 0 : (*side_of)[i], records[i].id, i);
+    }
   }
   return JoinScoreEmit(ingest, dictionary, measure, &prepared, options, pool);
 }
