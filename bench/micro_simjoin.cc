@@ -57,21 +57,26 @@ void BM_BruteForceSelfJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteForceSelfJoin)->Args({1000, 5})->Args({1000, 8});
 
-// The sharded parallel join at {num_docs, threshold*10, threads}: ingest
-// happens once, each iteration re-runs the prepare + probe phases over a
-// persistent pool (threads=0 runs inline; byte-identical output to
-// BM_BruteForceSelfJoin's at every thread count).
+// The sharded parallel join at {num_docs, threshold*10, threads}: the
+// corpus is ingested once as Jaccard measure documents, each iteration
+// re-runs the prepare + probe phases over a persistent pool (threads=0 runs
+// inline; byte-identical output to BM_BruteForceSelfJoin's at every thread
+// count).
 void BM_ShardedSelfJoin(benchmark::State& state) {
   const auto num_docs = static_cast<size_t>(state.range(0));
   const double threshold = static_cast<double>(state.range(1)) / 10.0;
   const int num_threads = static_cast<int>(state.range(2));
   Corpus corpus = MakeCorpus(num_docs, 12, 4096);
   ShardedSelfJoiner joiner(/*num_shards=*/16);
-  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (const auto& doc : corpus.docs) {
+    joiner.Add(MeasureDoc{doc, static_cast<int32_t>(doc.size()), {}});
+  }
   ThreadPool pool(num_threads);
   ThreadPool* pool_ptr = pool.num_threads() > 0 ? &pool : nullptr;
   for (auto _ : state) {
-    auto result = joiner.Finish(corpus.dictionary, threshold, pool_ptr);
+    auto result = joiner.Finish(corpus.dictionary,
+                                SimilarityMeasure::Jaccard(), threshold,
+                                pool_ptr);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *

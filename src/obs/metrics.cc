@@ -33,14 +33,6 @@ void AppendInt(std::string* out, int64_t value) {
   out->append(buf);
 }
 
-std::string PrometheusName(std::string_view name) {
-  std::string out = "crowdjoin_";
-  for (const char c : name) {
-    out.push_back(c == '.' || c == '-' ? '_' : c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int64_t NowNs() {
@@ -226,45 +218,6 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += histograms.empty() ? "}\n" : "\n  }\n";
   out += "}\n";
-  return out;
-}
-
-std::string MetricsSnapshot::ToPrometheusText() const {
-  std::string out;
-  for (const CounterSample& c : counters) {
-    const std::string name = PrometheusName(c.name);
-    out += "# TYPE " + name + " counter\n" + name + " ";
-    AppendInt(&out, c.value);
-    out += "\n";
-  }
-  for (const GaugeSample& g : gauges) {
-    const std::string name = PrometheusName(g.name);
-    out += "# TYPE " + name + " gauge\n" + name + " ";
-    AppendInt(&out, g.value);
-    out += "\n";
-  }
-  for (const HistogramSample& h : histograms) {
-    const std::string name = PrometheusName(h.name);
-    out += "# TYPE " + name + " histogram\n";
-    int64_t cumulative = 0;
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      const int64_t n = h.buckets[static_cast<size_t>(b)];
-      if (n == 0) continue;
-      cumulative += n;
-      out += name + "_bucket{le=\"";
-      AppendInt(&out, Histogram::BucketUpperBound(b));
-      out += "\"} ";
-      AppendInt(&out, cumulative);
-      out += "\n";
-    }
-    out += name + "_bucket{le=\"+Inf\"} ";
-    AppendInt(&out, h.count);
-    out += "\n" + name + "_sum ";
-    AppendInt(&out, h.sum);
-    out += "\n" + name + "_count ";
-    AppendInt(&out, h.count);
-    out += "\n";
-  }
   return out;
 }
 

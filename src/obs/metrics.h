@@ -21,7 +21,7 @@
 ///  2. A disabled registry costs one relaxed load + branch per write.
 ///  3. Reads are rare and may be slow: `Snapshot()` walks every handle
 ///     under the registration mutex and returns a consistent, name-sorted
-///     view exportable as JSON or Prometheus text.
+///     view exportable as JSON.
 ///
 /// `obs` sits below `common` in the module order (common links obs so the
 /// ThreadPool can be instrumented), so nothing here may include common
@@ -212,11 +212,6 @@ struct MetricsSnapshot {
   /// Histogram buckets are emitted sparsely (non-empty only), with
   /// inclusive upper bounds.
   std::string ToJson() const;
-
-  /// Prometheus text exposition format. Metric names are prefixed with
-  /// "crowdjoin_" and sanitized ('.' and '-' become '_'); histogram buckets
-  /// become the cumulative `le`-labelled series Prometheus expects.
-  std::string ToPrometheusText() const;
 };
 
 /// Owns named metric handles. Registration (GetCounter etc.) takes a mutex

@@ -89,16 +89,18 @@ NormalizedTexts NormalizeRecords(const RecordSet& records, ThreadPool* pool) {
   return texts;
 }
 
-// Records routed into a sharded joiner, self or bipartite (only the joiner
-// of the input's shape is touched; the other pointer may be null), with
-// each side-local join index mapped back to its record — the ingest half
-// shared by the materializing machine step, its streaming form and the
-// round-by-round feed, so side routing and id/entity bookkeeping exist
-// exactly once.
+// Records routed into the sharded joiners, self or bipartite, with each
+// side-local join index mapped back to its record — the ingest half shared
+// by the materializing machine step, its streaming form and the
+// round-by-round feed, so side routing, id/entity bookkeeping and the
+// join's shape exist exactly once.
 struct JoinIngest {
-  ShardedSelfJoiner* self_joiner = nullptr;
-  ShardedBipartiteJoiner* bipartite_joiner = nullptr;
-  bool bipartite = false;
+  explicit JoinIngest(bool bipartite, int num_shards = 0)
+      : bipartite(bipartite), left(num_shards), right(num_shards) {}
+
+  bool bipartite;
+  ShardedSelfJoiner left;           // the self-join's or left side's docs
+  ShardedSelfJoiner right;          // the right side's docs (bipartite)
   bool keep_positions = false;      // fill left_pos/right_pos (scorer path)
   std::vector<ObjectId> left_ids;   // record id by left/self local position
   std::vector<ObjectId> right_ids;  // record id by right local position
@@ -109,18 +111,23 @@ struct JoinIngest {
   // Adds the document of the record at position `pos` to its side.
   void Add(const MeasureDoc& doc, uint8_t side, ObjectId id, size_t pos) {
     if (!bipartite || side == 0) {
-      if (bipartite) {
-        bipartite_joiner->AddLeft(doc);
-      } else {
-        self_joiner->Add(doc);
-      }
+      left.Add(doc);
       left_ids.push_back(id);
       if (keep_positions) left_pos.push_back(pos);
     } else {
-      bipartite_joiner->AddRight(doc);
+      right.Add(doc);
       right_ids.push_back(id);
       if (keep_positions) right_pos.push_back(pos);
     }
+  }
+
+  // The join of everything added, self or bipartite.
+  Result<ShardedJoinCursor> MakeCursor(const TokenDictionary& dictionary,
+                                       const SimilarityMeasure& measure,
+                                       double threshold,
+                                       ThreadPool* pool) const {
+    return left.MakeCursor(dictionary, measure, threshold, pool,
+                           bipartite ? &right : nullptr);
   }
 };
 
@@ -194,14 +201,10 @@ Result<internal::SortedRuns> JoinIngested(const JoinIngest& ingest,
                                           const TokenDictionary& dictionary,
                                           const SimilarityMeasure& measure,
                                           double threshold, ThreadPool* pool) {
-  Result<ShardedJoinCursor> cursor =
-      ingest.bipartite ? ingest.bipartite_joiner->MakeCursor(
-                             dictionary, measure, threshold, pool)
-                       : ingest.self_joiner->MakeCursor(dictionary, measure,
-                                                        threshold, pool);
-  CJ_RETURN_IF_ERROR(cursor.status());
-  return cursor.value().NextBatchRuns(
-      std::max<int64_t>(cursor.value().num_tasks(), 1), pool);
+  CJ_ASSIGN_OR_RETURN(
+      ShardedJoinCursor cursor,
+      ingest.MakeCursor(dictionary, measure, threshold, pool));
+  return cursor.NextBatchRuns(std::max<int64_t>(cursor.num_tasks(), 1), pool);
 }
 
 // Join -> score -> noise -> cut, shared by both materializing paths, as
@@ -319,12 +322,7 @@ Result<CandidateSet> GenerateCandidates(
   TokenDictionary dictionary;
   dictionary.Reserve(records.size());
   // The default shard count: 8, 16 and 32 shards timed alike here.
-  ShardedSelfJoiner self_joiner;
-  ShardedBipartiteJoiner bipartite_joiner;
-  JoinIngest ingest;
-  ingest.self_joiner = &self_joiner;
-  ingest.bipartite_joiner = &bipartite_joiner;
-  ingest.bipartite = side_of != nullptr;
+  JoinIngest ingest(/*bipartite=*/side_of != nullptr);
   ingest.keep_positions = true;
   {
     // Record text is normalized on the pool, then tokenized and interned in
@@ -345,16 +343,11 @@ Result<CandidateSet> GenerateCandidatesStreaming(
     const ShardedJoinOptions& sharding,
     std::vector<int32_t>* entity_of_out) {
   TokenDictionary dictionary;
-  ShardedSelfJoiner self_joiner(sharding.num_shards);
-  ShardedBipartiteJoiner bipartite_joiner(sharding.num_shards);
   const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
 
   // Records are retained only when a scorer needs the text back for the
   // likelihood blend.
-  JoinIngest ingest;
-  ingest.self_joiner = &self_joiner;
-  ingest.bipartite_joiner = &bipartite_joiner;
-  ingest.bipartite = source.meta().bipartite;
+  JoinIngest ingest(source.meta().bipartite, sharding.num_shards);
   ingest.keep_positions = scorer != nullptr;
   RecordSet retained;
   CJ_RETURN_IF_ERROR(IngestStreamIntoJoiner(
@@ -392,15 +385,7 @@ StreamingCandidateFeed::StreamingCandidateFeed(const Options& options,
                                                    : kDefaultTasksPerRound),
       pool_(options.sharding.num_threads > 0 ? options.sharding.num_threads
                                              : 0),
-      noise_rng_(options.candidates.noise_seed) {
-  if (bipartite) {
-    bipartite_joiner_ =
-        std::make_unique<ShardedBipartiteJoiner>(options.sharding.num_shards);
-  } else {
-    self_joiner_ =
-        std::make_unique<ShardedSelfJoiner>(options.sharding.num_shards);
-  }
-}
+      noise_rng_(options.candidates.noise_seed) {}
 
 StreamingCandidateFeed::~StreamingCandidateFeed() = default;
 
@@ -412,17 +397,15 @@ Result<std::unique_ptr<StreamingCandidateFeed>> StreamingCandidateFeed::Open(
       new StreamingCandidateFeed(options, bipartite));
 
   // Shared ingest, scorer-free: nothing but token docs and ids is
-  // retained. (Only the joiner matching the source's shape exists here;
-  // the helper never touches the other side.)
+  // retained.
   const SimilarityMeasure& measure =
       SimilarityMeasure::Get(options.candidates.measure);
-  JoinIngest ingest;
-  ingest.self_joiner = feed->self_joiner_.get();
-  ingest.bipartite_joiner = feed->bipartite_joiner_.get();
-  ingest.bipartite = bipartite;
+  JoinIngest ingest(bipartite, options.sharding.num_shards);
   CJ_RETURN_IF_ERROR(IngestStreamIntoJoiner(
       source, measure, /*collect_entities=*/true, feed->dictionary_,
       /*retained=*/nullptr, ingest));
+  feed->left_joiner_ = std::move(ingest.left);
+  feed->right_joiner_ = std::move(ingest.right);
   feed->left_ids_ = std::move(ingest.left_ids);
   feed->right_ids_ = std::move(ingest.right_ids);
   feed->entity_of_ = std::move(ingest.entity_of);
@@ -430,20 +413,12 @@ Result<std::unique_ptr<StreamingCandidateFeed>> StreamingCandidateFeed::Open(
   // Prepare the join (phase 1) and park the task cursor. The measure
   // singleton outlives the cursor by construction.
   ThreadPool* pool = feed->pool_.num_threads() > 0 ? &feed->pool_ : nullptr;
-  const double threshold = options.candidates.token_join_threshold;
-  if (bipartite) {
-    CJ_ASSIGN_OR_RETURN(
-        ShardedJoinCursor cursor,
-        feed->bipartite_joiner_->MakeCursor(feed->dictionary_, measure,
-                                            threshold, pool));
-    feed->cursor_.emplace(std::move(cursor));
-  } else {
-    CJ_ASSIGN_OR_RETURN(
-        ShardedJoinCursor cursor,
-        feed->self_joiner_->MakeCursor(feed->dictionary_, measure, threshold,
-                                       pool));
-    feed->cursor_.emplace(std::move(cursor));
-  }
+  CJ_ASSIGN_OR_RETURN(
+      ShardedJoinCursor cursor,
+      feed->left_joiner_.MakeCursor(
+          feed->dictionary_, measure, options.candidates.token_join_threshold,
+          pool, bipartite ? &feed->right_joiner_ : nullptr));
+  feed->cursor_.emplace(std::move(cursor));
   return feed;
 }
 

@@ -59,8 +59,8 @@ struct CandidateGeneratorOptions {
 /// 1081 x 1092 setting); any other side value is an InvalidArgument.
 /// Candidate pairs reference `Record::id`.
 ///
-/// Pool: the scorer's `Prepare`, the join (`ShardedSelfJoiner` /
-/// `ShardedBipartiteJoiner`) and one pass over its survivors run on the
+/// Pool: the scorer's `Prepare`, the join (`ShardedSelfJoiner`, bipartite
+/// with a second joiner) and one pass over its survivors run on the
 /// process-wide `SharedPool()` (inline on a 1-core host); there is no
 /// thread option. Per that pool's rule, do not call this from a task
 /// running on the shared pool.
@@ -96,9 +96,9 @@ Result<CandidateSet> GenerateCandidates(
 /// join — the entry point for 100k-1M-record workloads.
 ///
 /// Records are pulled from `source` one at a time (after a `Reset`),
-/// tokenized, interned, and fed straight into a `ShardedSelfJoiner` /
-/// `ShardedBipartiteJoiner` (chosen by `source.meta().bipartite`); the
-/// join then fans across `sharding.num_threads` pool workers.
+/// tokenized, interned, and fed straight into a `ShardedSelfJoiner` (one
+/// per side when `source.meta().bipartite`); the join then fans across
+/// `sharding.num_threads` pool workers.
 ///
 /// `scorer` may be null: likelihoods are then the join's similarity
 /// scores (under `options.measure`) and **no record text is retained** —
@@ -176,9 +176,10 @@ class StreamingCandidateFeed : public CandidateStream {
   bool bipartite_;
   int64_t tasks_per_round_;
   TokenDictionary dictionary_;
-  // Joiners are stable on the heap: the cursor points into them.
-  std::unique_ptr<ShardedSelfJoiner> self_joiner_;
-  std::unique_ptr<ShardedBipartiteJoiner> bipartite_joiner_;
+  // The cursor points into the joiners; the feed is never moved (`Open`
+  // returns it on the heap).
+  ShardedSelfJoiner left_joiner_;   // the self-join's or left side's docs
+  ShardedSelfJoiner right_joiner_;  // the right side's docs (bipartite)
   ThreadPool pool_;
   std::optional<ShardedJoinCursor> cursor_;
   std::vector<ObjectId> left_ids_;   // record id by left/self local position

@@ -201,32 +201,22 @@ std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool) {
 // ---------------------------------------------------------------------------
 
 void ShardedSelfJoiner::Shard::Append(int32_t global_id,
-                                      const std::vector<int32_t>& doc,
-                                      int32_t size, std::string_view payload) {
+                                      const MeasureDoc& doc) {
   doc_ids.push_back(global_id);
-  tokens.insert(tokens.end(), doc.begin(), doc.end());
+  tokens.insert(tokens.end(), doc.tokens.begin(), doc.tokens.end());
   offsets.push_back(static_cast<int64_t>(tokens.size()));
-  sizes.push_back(size);
-  payloads.insert(payloads.end(), payload.begin(), payload.end());
+  sizes.push_back(doc.size);
+  payloads.insert(payloads.end(), doc.payload.begin(), doc.payload.end());
   payload_offsets.push_back(static_cast<int64_t>(payloads.size()));
 }
 
 ShardedSelfJoiner::ShardedSelfJoiner(int num_shards)
     : shards_(static_cast<size_t>(ResolveShardCount(num_shards))) {}
 
-void ShardedSelfJoiner::Add(const std::vector<int32_t>& doc) {
-  const auto shard = static_cast<size_t>(
-      num_docs_ % static_cast<int64_t>(shards_.size()));
-  shards_[shard].Append(static_cast<int32_t>(num_docs_), doc,
-                        static_cast<int32_t>(doc.size()), std::string_view());
-  ++num_docs_;
-}
-
 void ShardedSelfJoiner::Add(const MeasureDoc& doc) {
   const auto shard = static_cast<size_t>(
       num_docs_ % static_cast<int64_t>(shards_.size()));
-  shards_[shard].Append(static_cast<int32_t>(num_docs_), doc.tokens, doc.size,
-                        doc.payload);
+  shards_[shard].Append(static_cast<int32_t>(num_docs_), doc);
   ++num_docs_;
 }
 
@@ -397,21 +387,23 @@ void ShardedSelfJoiner::ProbeTaskT(const Policy& policy,
 
 struct ShardedJoinCursor::Impl {
   double threshold = 0.0;
-  bool bipartite = false;
   /// The measure this cursor's tasks run under; the policy dispatch
   /// happens per task, so one cursor type serves every measure.
   const SimilarityMeasure* measure = nullptr;
   /// Per-rank idf weights, populated for the cosine measure only; the
   /// cosine policy holds a pointer into this for the cursor's lifetime.
   std::vector<double> cosine_weights;
-  // Self-join: both sides point at the same joiner/prepared set.
-  const ShardedSelfJoiner* target_joiner = nullptr;
-  const ShardedSelfJoiner* probe_joiner = nullptr;
-  std::vector<ShardedSelfJoiner::Prepared> target_prepared;
-  std::vector<ShardedSelfJoiner::Prepared> probe_prepared;  // bipartite only
+  // The left joiner's shards carry the prefix index; the right joiner's
+  // documents probe it. A self-join has one joiner on both sides.
+  const ShardedSelfJoiner* left = nullptr;
+  const ShardedSelfJoiner* right = nullptr;
+  std::vector<ShardedSelfJoiner::Prepared> left_prepared;
+  std::vector<ShardedSelfJoiner::Prepared> right_prepared;  // bipartite only
   // Fixed task order, identical to the one-shot drivers'.
   std::vector<std::pair<int32_t, int32_t>> tasks;
   int64_t next_task = 0;
+
+  bool bipartite() const { return left != right; }
 };
 
 ShardedJoinCursor::ShardedJoinCursor(std::unique_ptr<Impl> impl)
@@ -443,24 +435,25 @@ Result<internal::SortedRuns> ShardedJoinCursor::NextBatchRuns(
   const int workers = pool == nullptr ? 0 : pool->num_threads();
   const int64_t num_runs =
       std::min<int64_t>(batch_tasks, workers > 1 ? workers * 4 : 1);
+  const bool bipartite = impl.bipartite();
+  const auto& right_prepared =
+      bipartite ? impl.right_prepared : impl.left_prepared;
   return ParallelMap(pool, num_runs, [&](int64_t r) {
     std::vector<ScoredPair> out;
     const int64_t run_end = begin + batch_tasks * (r + 1) / num_runs;
     for (int64_t t = begin + batch_tasks * r / num_runs; t < run_end; ++t) {
       const auto [a, b] = impl.tasks[static_cast<size_t>(t)];
-      const auto& probe_prepared =
-          impl.bipartite ? impl.probe_prepared : impl.target_prepared;
       obs::Span span("simjoin.probe_task", "simjoin");
       JoinMetrics::Get().probe_tasks_total->Inc();
       internal::DispatchMeasure(
           *impl.measure, &impl.cosine_weights, [&](auto policy) {
             ShardedSelfJoiner::ProbeTaskT(
-                policy, impl.target_joiner->shards_[static_cast<size_t>(a)],
-                impl.target_prepared[static_cast<size_t>(a)],
-                impl.probe_joiner->shards_[static_cast<size_t>(b)],
-                probe_prepared[static_cast<size_t>(b)],
-                /*same_shard=*/!impl.bipartite && a == b,
-                /*bipartite_emit=*/impl.bipartite, impl.threshold, out);
+                policy, impl.left->shards_[static_cast<size_t>(a)],
+                impl.left_prepared[static_cast<size_t>(a)],
+                impl.right->shards_[static_cast<size_t>(b)],
+                right_prepared[static_cast<size_t>(b)],
+                /*same_shard=*/!bipartite && a == b,
+                /*bipartite_emit=*/bipartite, impl.threshold, out);
           });
     }
     // Sorted into an exact-size copy: the run outlives the task on the
@@ -478,14 +471,20 @@ Result<std::vector<ScoredPair>> ShardedJoinCursor::NextBatch(
 }
 
 // ---------------------------------------------------------------------------
-// Self-join driver
+// Self and bipartite joins
 // ---------------------------------------------------------------------------
 
 Result<ShardedJoinCursor> ShardedSelfJoiner::MakeCursor(
     const TokenDictionary& dictionary, const SimilarityMeasure& measure,
-    double threshold, ThreadPool* pool) const {
+    double threshold, ThreadPool* pool,
+    const ShardedSelfJoiner* right) const {
+  if (right == this) {
+    return Status::InvalidArgument(
+        "a bipartite join needs two joiners; join one joiner with itself "
+        "as a self-join (right = nullptr)");
+  }
   CJ_RETURN_IF_ERROR(ValidateJoinThreshold(threshold));
-  const auto num_shards = static_cast<int64_t>(shards_.size());
+  const bool bipartite = right != nullptr;
 
   // The rarity permutation is dictionary-wide: compute it once, share it
   // with every per-shard preparation task.
@@ -493,171 +492,54 @@ Result<ShardedJoinCursor> ShardedSelfJoiner::MakeCursor(
 
   auto impl = std::make_unique<ShardedJoinCursor::Impl>();
   impl->threshold = threshold;
-  impl->bipartite = false;
   impl->measure = &measure;
   // Cosine prefixes are weight-driven, so the weights must exist before
   // phase 1 runs.
   if (measure.kind() == MeasureKind::kCosineTfIdf) {
     impl->cosine_weights = CosineRankWeights(dictionary, ranks);
   }
-  impl->target_joiner = this;
-  impl->probe_joiner = this;
-  // Phase 1: every shard's rank order + prefix postings, in parallel.
-  impl->target_prepared = ParallelMap(pool, num_shards, [&](int64_t s) {
-    return internal::DispatchMeasure(
-        measure, &impl->cosine_weights, [&](auto policy) {
-          return PrepareT(policy, shards_[static_cast<size_t>(s)], ranks,
-                          threshold, /*build_index=*/true);
+  impl->left = this;
+  impl->right = bipartite ? right : this;
+  // Phase 1: every shard's rank order + prefix postings, in parallel. Only
+  // the left shards need an index; a bipartite right side needs prefixes.
+  const auto prepare = [&](const ShardedSelfJoiner& joiner, bool index) {
+    return ParallelMap(
+        pool, static_cast<int64_t>(joiner.shards_.size()), [&](int64_t s) {
+          return internal::DispatchMeasure(
+              measure, &impl->cosine_weights, [&](auto policy) {
+                return PrepareT(policy, joiner.shards_[static_cast<size_t>(s)],
+                                ranks, threshold, index);
+              });
         });
-  });
-  // Phase 2's plan: one task per unordered shard pairing (a <= b): probe
-  // shard b's documents against shard a's prefix index.
-  impl->tasks.reserve(static_cast<size_t>(num_shards * (num_shards + 1) / 2));
-  for (int32_t a = 0; a < num_shards; ++a) {
-    for (int32_t b = a; b < num_shards; ++b) impl->tasks.push_back({a, b});
+  };
+  impl->left_prepared = prepare(*this, /*index=*/true);
+  if (bipartite) impl->right_prepared = prepare(*right, /*index=*/false);
+  // Phase 2's plan: task (a, b) probes right shard b's documents against
+  // left shard a's prefix index. A self-join takes each unordered shard
+  // pairing once (a <= b); a bipartite join takes every pairing.
+  const auto left_shards = static_cast<int32_t>(shards_.size());
+  const auto right_shards = static_cast<int32_t>(impl->right->shards_.size());
+  for (int32_t a = 0; a < left_shards; ++a) {
+    for (int32_t b = bipartite ? 0 : a; b < right_shards; ++b) {
+      impl->tasks.push_back({a, b});
+    }
   }
   return ShardedJoinCursor(std::move(impl));
 }
 
-Result<ShardedJoinCursor> ShardedSelfJoiner::MakeCursor(
-    const TokenDictionary& dictionary, double threshold,
-    ThreadPool* pool) const {
-  return MakeCursor(dictionary, SimilarityMeasure::Jaccard(), threshold, pool);
-}
-
 Result<std::vector<ScoredPair>> ShardedSelfJoiner::Finish(
     const TokenDictionary& dictionary, const SimilarityMeasure& measure,
-    double threshold, ThreadPool* pool) const {
+    double threshold, ThreadPool* pool,
+    const ShardedSelfJoiner* right) const {
   CJ_ASSIGN_OR_RETURN(ShardedJoinCursor cursor,
-                      MakeCursor(dictionary, measure, threshold, pool));
+                      MakeCursor(dictionary, measure, threshold, pool, right));
   // Draining every task in one batch is exactly the one-shot join.
   return cursor.NextBatch(std::max<int64_t>(cursor.num_tasks(), 1), pool);
-}
-
-Result<std::vector<ScoredPair>> ShardedSelfJoiner::Finish(
-    const TokenDictionary& dictionary, double threshold,
-    ThreadPool* pool) const {
-  return Finish(dictionary, SimilarityMeasure::Jaccard(), threshold, pool);
-}
-
-// ---------------------------------------------------------------------------
-// Bipartite driver
-// ---------------------------------------------------------------------------
-
-ShardedBipartiteJoiner::ShardedBipartiteJoiner(int num_shards)
-    : left_(num_shards), right_(num_shards) {}
-
-void ShardedBipartiteJoiner::AddLeft(const std::vector<int32_t>& doc) {
-  left_.Add(doc);
-}
-
-void ShardedBipartiteJoiner::AddRight(const std::vector<int32_t>& doc) {
-  right_.Add(doc);
-}
-
-void ShardedBipartiteJoiner::AddLeft(const MeasureDoc& doc) {
-  left_.Add(doc);
-}
-
-void ShardedBipartiteJoiner::AddRight(const MeasureDoc& doc) {
-  right_.Add(doc);
-}
-
-Result<ShardedJoinCursor> ShardedBipartiteJoiner::MakeCursor(
-    const TokenDictionary& dictionary, const SimilarityMeasure& measure,
-    double threshold, ThreadPool* pool) const {
-  CJ_RETURN_IF_ERROR(ValidateJoinThreshold(threshold));
-  const auto left_shards = static_cast<int64_t>(left_.shards_.size());
-  const auto right_shards = static_cast<int64_t>(right_.shards_.size());
-
-  const std::vector<int32_t> ranks = dictionary.RarityRanks();
-
-  auto impl = std::make_unique<ShardedJoinCursor::Impl>();
-  impl->threshold = threshold;
-  impl->bipartite = true;
-  impl->measure = &measure;
-  if (measure.kind() == MeasureKind::kCosineTfIdf) {
-    impl->cosine_weights = CosineRankWeights(dictionary, ranks);
-  }
-  impl->target_joiner = &left_;
-  impl->probe_joiner = &right_;
-  // Left shards carry the index; right shards only need prefixes.
-  impl->target_prepared = ParallelMap(pool, left_shards, [&](int64_t s) {
-    return internal::DispatchMeasure(
-        measure, &impl->cosine_weights, [&](auto policy) {
-          return ShardedSelfJoiner::PrepareT(
-              policy, left_.shards_[static_cast<size_t>(s)], ranks, threshold,
-              /*build_index=*/true);
-        });
-  });
-  impl->probe_prepared = ParallelMap(pool, right_shards, [&](int64_t s) {
-    return internal::DispatchMeasure(
-        measure, &impl->cosine_weights, [&](auto policy) {
-          return ShardedSelfJoiner::PrepareT(
-              policy, right_.shards_[static_cast<size_t>(s)], ranks, threshold,
-              /*build_index=*/false);
-        });
-  });
-
-  // One task per left-shard x right-shard pairing.
-  impl->tasks.reserve(static_cast<size_t>(left_shards * right_shards));
-  for (int32_t a = 0; a < left_shards; ++a) {
-    for (int32_t b = 0; b < right_shards; ++b) impl->tasks.push_back({a, b});
-  }
-  return ShardedJoinCursor(std::move(impl));
-}
-
-Result<ShardedJoinCursor> ShardedBipartiteJoiner::MakeCursor(
-    const TokenDictionary& dictionary, double threshold,
-    ThreadPool* pool) const {
-  return MakeCursor(dictionary, SimilarityMeasure::Jaccard(), threshold, pool);
-}
-
-Result<std::vector<ScoredPair>> ShardedBipartiteJoiner::Finish(
-    const TokenDictionary& dictionary, const SimilarityMeasure& measure,
-    double threshold, ThreadPool* pool) const {
-  CJ_ASSIGN_OR_RETURN(ShardedJoinCursor cursor,
-                      MakeCursor(dictionary, measure, threshold, pool));
-  return cursor.NextBatch(std::max<int64_t>(cursor.num_tasks(), 1), pool);
-}
-
-Result<std::vector<ScoredPair>> ShardedBipartiteJoiner::Finish(
-    const TokenDictionary& dictionary, double threshold,
-    ThreadPool* pool) const {
-  return Finish(dictionary, SimilarityMeasure::Jaccard(), threshold, pool);
 }
 
 // ---------------------------------------------------------------------------
 // Convenience wrappers
 // ---------------------------------------------------------------------------
-
-Result<std::vector<ScoredPair>> ShardedSelfJoin(
-    const std::vector<std::vector<int32_t>>& docs,
-    const TokenDictionary& dictionary, double threshold,
-    const ShardedJoinOptions& options) {
-  ShardedSelfJoiner joiner(options.num_shards);
-  for (const auto& doc : docs) joiner.Add(doc);
-  if (options.num_threads > 0) {
-    ThreadPool pool(options.num_threads);
-    return joiner.Finish(dictionary, threshold, &pool);
-  }
-  return joiner.Finish(dictionary, threshold, nullptr);
-}
-
-Result<std::vector<ScoredPair>> ShardedBipartiteJoin(
-    const std::vector<std::vector<int32_t>>& left,
-    const std::vector<std::vector<int32_t>>& right,
-    const TokenDictionary& dictionary, double threshold,
-    const ShardedJoinOptions& options) {
-  ShardedBipartiteJoiner joiner(options.num_shards);
-  for (const auto& doc : left) joiner.AddLeft(doc);
-  for (const auto& doc : right) joiner.AddRight(doc);
-  if (options.num_threads > 0) {
-    ThreadPool pool(options.num_threads);
-    return joiner.Finish(dictionary, threshold, &pool);
-  }
-  return joiner.Finish(dictionary, threshold, nullptr);
-}
 
 Result<std::vector<ScoredPair>> ShardedMeasureSelfJoin(
     const std::vector<MeasureDoc>& docs, const TokenDictionary& dictionary,
@@ -665,25 +547,23 @@ Result<std::vector<ScoredPair>> ShardedMeasureSelfJoin(
     const ShardedJoinOptions& options) {
   ShardedSelfJoiner joiner(options.num_shards);
   for (const auto& doc : docs) joiner.Add(doc);
-  if (options.num_threads > 0) {
-    ThreadPool pool(options.num_threads);
-    return joiner.Finish(dictionary, measure, threshold, &pool);
-  }
-  return joiner.Finish(dictionary, measure, threshold, nullptr);
+  ThreadPool pool(options.num_threads);
+  return joiner.Finish(dictionary, measure, threshold,
+                       pool.num_threads() > 0 ? &pool : nullptr);
 }
 
 Result<std::vector<ScoredPair>> ShardedMeasureBipartiteJoin(
     const std::vector<MeasureDoc>& left, const std::vector<MeasureDoc>& right,
     const TokenDictionary& dictionary, const SimilarityMeasure& measure,
     double threshold, const ShardedJoinOptions& options) {
-  ShardedBipartiteJoiner joiner(options.num_shards);
-  for (const auto& doc : left) joiner.AddLeft(doc);
-  for (const auto& doc : right) joiner.AddRight(doc);
-  if (options.num_threads > 0) {
-    ThreadPool pool(options.num_threads);
-    return joiner.Finish(dictionary, measure, threshold, &pool);
-  }
-  return joiner.Finish(dictionary, measure, threshold, nullptr);
+  ShardedSelfJoiner left_joiner(options.num_shards);
+  ShardedSelfJoiner right_joiner(options.num_shards);
+  for (const auto& doc : left) left_joiner.Add(doc);
+  for (const auto& doc : right) right_joiner.Add(doc);
+  ThreadPool pool(options.num_threads);
+  return left_joiner.Finish(dictionary, measure, threshold,
+                            pool.num_threads() > 0 ? &pool : nullptr,
+                            &right_joiner);
 }
 
 }  // namespace crowdjoin

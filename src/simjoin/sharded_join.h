@@ -29,8 +29,8 @@ struct ShardedJoinOptions {
   int num_threads = 0;
 };
 
-/// \brief Sharded, pool-parallel similarity self-join with streaming
-/// ingestion — the scale path of the machine step.
+/// \brief Sharded, pool-parallel similarity join with streaming ingestion
+/// — the scale path of the machine step.
 ///
 /// Documents are `Add`ed one at a time (round-robin across shards, O(1)
 /// amortized per document, flat arena storage per shard) as records stream
@@ -40,19 +40,20 @@ struct ShardedJoinOptions {
 /// merges the sorted outputs on the pool into one (left, right)-sorted
 /// result.
 ///
-/// The join runs under any `SimilarityMeasure`; the measure-less overloads
-/// are the token-set Jaccard path. Measure documents (`Add(MeasureDoc)`)
-/// carry their signature tokens, measure size, and verification payload
-/// into the shard arenas.
+/// One joiner holds one collection. `Finish` and `MakeCursor` self-join it
+/// by default; given a second joiner `right`, they run the bipartite
+/// (cross-catalog) join instead: this joiner's documents are the left side
+/// and carry the prefix index, `right`'s documents probe it, and every
+/// left-shard x right-shard pairing becomes one probe task. The join runs
+/// under any `SimilarityMeasure`; measure documents carry their signature
+/// tokens, measure size, and verification payload into the shard arenas.
 ///
 /// Determinism contract: the returned pairs are **byte-identical** to the
-/// brute-force reference (`BruteForceSelfJoin` /
-/// `BruteForceMeasureSelfJoin`) over the same documents — same pair set,
-/// same scores, same order — for every shard count and thread count,
-/// including the inline (0-thread) pool. (Documents with an empty
-/// signature join nothing, where `BruteForceSelfJoin` pairs two of them at
-/// 1.0.) Each qualifying pair is produced by exactly one task and scored
-/// with the measure's exact kernel.
+/// brute-force reference (`BruteForceMeasureSelfJoin` /
+/// `BruteForceMeasureBipartiteJoin`) over the same documents — same pair
+/// set, same scores, same order — for every shard count and thread count,
+/// including the inline (0-thread) pool. Each qualifying pair is produced
+/// by exactly one task and scored with the measure's exact kernel.
 ///
 /// A joiner may be `Finish`ed repeatedly (e.g. at several thresholds); the
 /// ingested documents are immutable once added. Not thread-safe for
@@ -61,49 +62,38 @@ class ShardedSelfJoiner {
  public:
   explicit ShardedSelfJoiner(int num_shards = 0);
 
-  /// Ingests one document (deduplicated token ids, sorted ascending). The
+  /// Ingests one measure document (`SimilarityMeasure::MakeDoc`). The
   /// document's global id is its `Add` order, matching the doc indexing of
-  /// `BruteForceSelfJoin`. Joins over documents added this way must use
-  /// the Jaccard measure (size = token count, no payload).
-  void Add(const std::vector<int32_t>& doc);
-
-  /// Ingests one measure document (`SimilarityMeasure::MakeDoc`).
+  /// the brute-force references.
   void Add(const MeasureDoc& doc);
 
   int64_t num_docs() const { return num_docs_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Runs the Jaccard join at `threshold` over everything added so far,
-  /// fanning work across `pool` (nullptr = inline). `dictionary` must
-  /// contain every token id that was added and be fully populated
-  /// (frequencies final): the prefixes follow its rarity order.
-  Result<std::vector<ScoredPair>> Finish(const TokenDictionary& dictionary,
-                                         double threshold,
-                                         ThreadPool* pool) const;
+  /// Runs the join at `threshold` under `measure` over everything added so
+  /// far, fanning work across `pool` (nullptr = inline): a self-join, or
+  /// with `right` the bipartite join of this joiner's documents (left)
+  /// with `right`'s. `dictionary` must contain every token id that was
+  /// added and be fully populated (frequencies final): the prefixes follow
+  /// its rarity order. `right == this` is an InvalidArgument: that join
+  /// would pair each document with itself and emit every other pair twice,
+  /// where the self-join emits each once.
+  Result<std::vector<ScoredPair>> Finish(
+      const TokenDictionary& dictionary, const SimilarityMeasure& measure,
+      double threshold, ThreadPool* pool,
+      const ShardedSelfJoiner* right = nullptr) const;
 
-  /// Measure-generic `Finish`.
-  Result<std::vector<ScoredPair>> Finish(const TokenDictionary& dictionary,
-                                         const SimilarityMeasure& measure,
-                                         double threshold,
-                                         ThreadPool* pool) const;
-
-  /// Prepares the Jaccard join (phase 1, fanned across `pool`) and returns
-  /// a cursor that drains the shard-vs-shard probe tasks incrementally —
-  /// the round-by-round feed of the streaming labeling path. The joiner
-  /// and dictionary must outlive the cursor; `Finish` is equivalent to
-  /// draining a fresh cursor in one batch.
-  Result<ShardedJoinCursor> MakeCursor(const TokenDictionary& dictionary,
-                                       double threshold,
-                                       ThreadPool* pool) const;
-
-  /// Measure-generic `MakeCursor`.
-  Result<ShardedJoinCursor> MakeCursor(const TokenDictionary& dictionary,
-                                       const SimilarityMeasure& measure,
-                                       double threshold,
-                                       ThreadPool* pool) const;
+  /// Prepares the join (phase 1, fanned across `pool`) and returns a
+  /// cursor that drains the shard-vs-shard probe tasks incrementally — the
+  /// round-by-round feed of the streaming labeling path. The joiners,
+  /// dictionary and measure must outlive the cursor; `Finish` is
+  /// equivalent to draining a fresh cursor in one batch.
+  Result<ShardedJoinCursor> MakeCursor(
+      const TokenDictionary& dictionary, const SimilarityMeasure& measure,
+      double threshold, ThreadPool* pool,
+      const ShardedSelfJoiner* right = nullptr) const;
 
  private:
-  friend class ShardedBipartiteJoiner;
   friend class ShardedJoinCursor;
 
   /// Flat arena of one shard's documents.
@@ -115,8 +105,7 @@ class ShardedSelfJoiner {
     std::vector<char> payloads;    ///< concatenated verification payloads
     std::vector<int64_t> payload_offsets = {0};
 
-    void Append(int32_t global_id, const std::vector<int32_t>& doc,
-                int32_t size, std::string_view payload);
+    void Append(int32_t global_id, const MeasureDoc& doc);
     size_t size() const { return doc_ids.size(); }
     std::string_view payload(size_t d) const {
       return std::string_view(
@@ -143,48 +132,6 @@ class ShardedSelfJoiner {
 
   std::vector<Shard> shards_;
   int64_t num_docs_ = 0;
-};
-
-/// \brief Bipartite (cross-catalog) variant: left and right documents are
-/// ingested separately; every left-shard x right-shard pairing becomes one
-/// probe task. Output is byte-identical to the brute-force bipartite
-/// reference at every shard and thread count, for every measure.
-class ShardedBipartiteJoiner {
- public:
-  explicit ShardedBipartiteJoiner(int num_shards = 0);
-
-  /// Ingests one left/right document; its global id within that side is
-  /// the ingestion order, matching `BruteForceBipartiteJoin` indexing.
-  void AddLeft(const std::vector<int32_t>& doc);
-  void AddRight(const std::vector<int32_t>& doc);
-  void AddLeft(const MeasureDoc& doc);
-  void AddRight(const MeasureDoc& doc);
-
-  int64_t num_left() const { return left_.num_docs(); }
-  int64_t num_right() const { return right_.num_docs(); }
-
-  Result<std::vector<ScoredPair>> Finish(const TokenDictionary& dictionary,
-                                         double threshold,
-                                         ThreadPool* pool) const;
-  Result<std::vector<ScoredPair>> Finish(const TokenDictionary& dictionary,
-                                         const SimilarityMeasure& measure,
-                                         double threshold,
-                                         ThreadPool* pool) const;
-
-  /// Bipartite counterpart of `ShardedSelfJoiner::MakeCursor`.
-  Result<ShardedJoinCursor> MakeCursor(const TokenDictionary& dictionary,
-                                       double threshold,
-                                       ThreadPool* pool) const;
-  Result<ShardedJoinCursor> MakeCursor(const TokenDictionary& dictionary,
-                                       const SimilarityMeasure& measure,
-                                       double threshold,
-                                       ThreadPool* pool) const;
-
- private:
-  friend class ShardedJoinCursor;
-
-  ShardedSelfJoiner left_;
-  ShardedSelfJoiner right_;
 };
 
 /// \brief Incremental driver over a prepared sharded join: instead of one
@@ -227,7 +174,6 @@ class ShardedJoinCursor {
 
  private:
   friend class ShardedSelfJoiner;
-  friend class ShardedBipartiteJoiner;
 
   struct Impl;
   explicit ShardedJoinCursor(std::unique_ptr<Impl> impl);
@@ -330,23 +276,9 @@ std::vector<ScoredPair> MergeSortedRuns(SortedRuns runs, ThreadPool* pool);
 
 }  // namespace internal
 
-/// Convenience wrapper: sharded Jaccard self-join over an in-memory
-/// corpus. Owns a pool of `options.num_threads` workers for the duration
-/// of the call.
-Result<std::vector<ScoredPair>> ShardedSelfJoin(
-    const std::vector<std::vector<int32_t>>& docs,
-    const TokenDictionary& dictionary, double threshold,
-    const ShardedJoinOptions& options);
-
-/// Convenience wrapper: sharded Jaccard bipartite join over in-memory
-/// collections.
-Result<std::vector<ScoredPair>> ShardedBipartiteJoin(
-    const std::vector<std::vector<int32_t>>& left,
-    const std::vector<std::vector<int32_t>>& right,
-    const TokenDictionary& dictionary, double threshold,
-    const ShardedJoinOptions& options);
-
 /// Convenience wrapper: sharded measure self-join over measure documents.
+/// Owns a pool of `options.num_threads` workers for the duration of the
+/// call.
 Result<std::vector<ScoredPair>> ShardedMeasureSelfJoin(
     const std::vector<MeasureDoc>& docs, const TokenDictionary& dictionary,
     const SimilarityMeasure& measure, double threshold,

@@ -1,7 +1,6 @@
 #include "text/set_similarity.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "text/tokenize.h"
 
@@ -161,33 +160,6 @@ double BoundedJaccardSeeded(const int32_t* a, size_t na, const int32_t* b,
 double BoundedJaccard(const int32_t* a, size_t na, const int32_t* b,
                       size_t nb, double threshold) {
   return BoundedJaccardSeeded(a, na, b, nb, 0, 0, 0, threshold);
-}
-
-double DiceSimilarity(const std::vector<int32_t>& a,
-                      const std::vector<int32_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const size_t overlap = OverlapSize(a, b);
-  return 2.0 * static_cast<double>(overlap) /
-         static_cast<double>(a.size() + b.size());
-}
-
-double CosineSimilarity(const std::vector<int32_t>& a,
-                        const std::vector<int32_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t overlap = OverlapSize(a, b);
-  return static_cast<double>(overlap) /
-         std::sqrt(static_cast<double>(a.size()) *
-                   static_cast<double>(b.size()));
-}
-
-double OverlapCoefficient(const std::vector<int32_t>& a,
-                          const std::vector<int32_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t overlap = OverlapSize(a, b);
-  return static_cast<double>(overlap) /
-         static_cast<double>(std::min(a.size(), b.size()));
 }
 
 namespace {

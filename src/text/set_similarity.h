@@ -109,18 +109,6 @@ inline constexpr size_t kGallopSkew = 8;
 
 }  // namespace internal
 
-/// Dice coefficient 2|A∩B| / (|A|+|B|).
-double DiceSimilarity(const std::vector<int32_t>& a,
-                      const std::vector<int32_t>& b);
-
-/// Set cosine |A∩B| / sqrt(|A||B|).
-double CosineSimilarity(const std::vector<int32_t>& a,
-                        const std::vector<int32_t>& b);
-
-/// Overlap coefficient |A∩B| / min(|A|, |B|).
-double OverlapCoefficient(const std::vector<int32_t>& a,
-                          const std::vector<int32_t>& b);
-
 /// Convenience: Jaccard over word-token *string* sets (sorts + dedups
 /// internally). Useful for tests and one-off scoring.
 double JaccardOfTokenSets(std::vector<std::string> a,

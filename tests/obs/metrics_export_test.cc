@@ -1,6 +1,6 @@
-// Golden tests for the two export formats. The exact strings are part of
-// the contract: CI parses the JSON with python and Prometheus scrapes the
-// text format, so formatting drift is a real break, not cosmetics.
+// Golden tests for the JSON export. The exact string is part of the
+// contract: CI parses the JSON with python, so formatting drift is a real
+// break, not cosmetics.
 
 #include <gtest/gtest.h>
 
@@ -46,34 +46,6 @@ TEST(JsonExport, EmptyRegistry) {
   EXPECT_EQ(registry.Snapshot().ToJson(),
             "{\n  \"counters\": {},\n  \"gauges\": {},\n"
             "  \"histograms\": {}\n}\n");
-}
-
-TEST(PrometheusExport, GoldenOutput) {
-  MetricsRegistry registry;
-  FillFixture(registry);
-  const std::string expected =
-      "# TYPE crowdjoin_session_oracle_calls_total counter\n"
-      "crowdjoin_session_oracle_calls_total 42\n"
-      "# TYPE crowdjoin_pool_queue_depth gauge\n"
-      "crowdjoin_pool_queue_depth 3\n"
-      "# TYPE crowdjoin_serve_query_latency_us histogram\n"
-      "crowdjoin_serve_query_latency_us_bucket{le=\"1\"} 1\n"
-      "crowdjoin_serve_query_latency_us_bucket{le=\"7\"} 3\n"
-      "crowdjoin_serve_query_latency_us_bucket{le=\"+Inf\"} 3\n"
-      "crowdjoin_serve_query_latency_us_sum 12\n"
-      "crowdjoin_serve_query_latency_us_count 3\n";
-  EXPECT_EQ(registry.Snapshot().ToPrometheusText(), expected);
-}
-
-TEST(PrometheusExport, BucketSeriesIsCumulative) {
-  MetricsRegistry registry;
-  Histogram* hist = registry.GetHistogram("h");
-  for (int i = 0; i < 10; ++i) hist->Observe(1 << i);
-  const std::string text = registry.Snapshot().ToPrometheusText();
-  // The +Inf bucket must equal the total count.
-  EXPECT_NE(text.find("crowdjoin_h_bucket{le=\"+Inf\"} 10\n"),
-            std::string::npos)
-      << text;
 }
 
 }  // namespace

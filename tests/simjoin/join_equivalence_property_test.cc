@@ -16,16 +16,16 @@
 #include "simjoin/sharded_join.h"
 #include "simjoin/similarity_join.h"
 #include "simjoin/token_dictionary.h"
+#include "tests/simjoin/join_test_corpus.h"
 
 namespace crowdjoin {
 namespace {
 
 constexpr double kThresholds[] = {0.05, 0.08, 0.3, 0.5, 0.7, 0.9};
 
-struct Corpus {
-  TokenDictionary dictionary;
-  std::vector<std::vector<int32_t>> docs;
-};
+using join_testing::Corpus;
+using join_testing::Jaccard;
+using join_testing::JaccardDocs;
 
 void AddDoc(Corpus& corpus, const std::vector<std::string>& tokens) {
   corpus.docs.push_back(corpus.dictionary.AddDocument(tokens));
@@ -112,7 +112,8 @@ void ExpectSelfJoinMatchesBruteForce(const Corpus& corpus,
     options.num_shards = 4;
     options.num_threads = 2;
     const auto sharded =
-        ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold, options)
+        ShardedMeasureSelfJoin(JaccardDocs(corpus.docs), corpus.dictionary,
+                               Jaccard(), threshold, options)
             .value();
     EXPECT_EQ(sharded, brute)
         << label << " sharded, threshold=" << threshold;
@@ -132,9 +133,11 @@ void ExpectBipartiteJoinMatchesBruteForce(const Corpus& corpus,
     ShardedJoinOptions options;
     options.num_shards = 3;
     options.num_threads = 2;
-    const auto sharded = ShardedBipartiteJoin(left, right, corpus.dictionary,
-                                              threshold, options)
-                             .value();
+    const auto sharded =
+        ShardedMeasureBipartiteJoin(JaccardDocs(left), JaccardDocs(right),
+                                    corpus.dictionary, Jaccard(), threshold,
+                                    options)
+            .value();
     EXPECT_EQ(sharded, brute)
         << label << " sharded, threshold=" << threshold;
   }

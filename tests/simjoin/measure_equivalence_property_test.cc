@@ -253,30 +253,5 @@ TEST(MeasureEquivalence, AllEmptyDocs) {
   ExpectBipartiteJoinsMatchBruteForce(texts, "all-empty");
 }
 
-// The two ingest paths of the sharded join agree under Jaccard: raw token
-// vectors joined measure-less and the same documents as MeasureDocs joined
-// under Jaccard() must be byte-identical.
-TEST(MeasureEquivalence, JaccardMeasurePathMatchesLegacyJoin) {
-  const auto texts = MakeMixedTexts(/*seed=*/9321, /*num_docs=*/80);
-  const MeasureCorpus corpus =
-      BuildCorpus(texts, SimilarityMeasure::Jaccard());
-  ShardedSelfJoiner measure_docs(/*num_shards=*/4);
-  ShardedSelfJoiner raw_docs(/*num_shards=*/4);
-  for (const MeasureDoc& doc : corpus.docs) {
-    measure_docs.Add(doc);
-    raw_docs.Add(doc.tokens);
-  }
-  for (const double threshold : kThresholds) {
-    const auto measure_path =
-        measure_docs
-            .Finish(corpus.dictionary, SimilarityMeasure::Jaccard(),
-                    threshold, nullptr)
-            .value();
-    const auto raw_path =
-        raw_docs.Finish(corpus.dictionary, threshold, nullptr).value();
-    EXPECT_EQ(measure_path, raw_path) << "threshold=" << threshold;
-  }
-}
-
 }  // namespace
 }  // namespace crowdjoin

@@ -11,30 +11,15 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "simjoin/similarity_join.h"
+#include "tests/simjoin/join_test_corpus.h"
 
 namespace crowdjoin {
 namespace {
 
-struct Corpus {
-  TokenDictionary dictionary;
-  std::vector<std::vector<int32_t>> docs;
-};
-
-Corpus MakeRandomCorpus(uint64_t seed, size_t num_docs, size_t vocabulary,
-                        size_t min_len, size_t max_len) {
-  Corpus corpus;
-  Rng rng(seed);
-  for (size_t d = 0; d < num_docs; ++d) {
-    const size_t len = min_len + rng.Index(max_len - min_len + 1);
-    std::vector<std::string> tokens;
-    for (size_t t = 0; t < len; ++t) {
-      tokens.push_back(StrFormat(
-          "w%llu", static_cast<unsigned long long>(rng.Index(vocabulary))));
-    }
-    corpus.docs.push_back(corpus.dictionary.AddDocument(tokens));
-  }
-  return corpus;
-}
+using join_testing::Corpus;
+using join_testing::Jaccard;
+using join_testing::JaccardDocs;
+using join_testing::MakeRandomCorpus;
 
 // The acceptance matrix: ScoredPair output (pairs, scores, order)
 // byte-identical to the sequential brute-force join at every tested
@@ -46,6 +31,7 @@ constexpr double kThresholds[] = {0.3, 0.5, 0.8, 1.0};
 TEST(ShardedSelfJoin, ByteIdenticalToSequentialAcrossMatrix) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/901, /*num_docs=*/160,
                                          /*vocabulary=*/70, 2, 12);
+  const std::vector<MeasureDoc> docs = JaccardDocs(corpus.docs);
   for (double threshold : kThresholds) {
     const auto expected = BruteForceSelfJoin(corpus.docs, threshold);
     for (int shards : kShardCounts) {
@@ -54,8 +40,8 @@ TEST(ShardedSelfJoin, ByteIdenticalToSequentialAcrossMatrix) {
         options.num_shards = shards;
         options.num_threads = threads;
         const auto sharded =
-            ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold,
-                            options)
+            ShardedMeasureSelfJoin(docs, corpus.dictionary, Jaccard(),
+                                   threshold, options)
                 .value();
         ASSERT_EQ(sharded, expected)
             << "threshold=" << threshold << " shards=" << shards
@@ -79,10 +65,11 @@ TEST(ShardedBipartiteJoin, ByteIdenticalToSequentialAcrossMatrix) {
         ShardedJoinOptions options;
         options.num_shards = shards;
         options.num_threads = threads;
-        const auto sharded = ShardedBipartiteJoin(left, right,
-                                                  corpus.dictionary,
-                                                  threshold, options)
-                                 .value();
+        const auto sharded =
+            ShardedMeasureBipartiteJoin(JaccardDocs(left), JaccardDocs(right),
+                                        corpus.dictionary, Jaccard(),
+                                        threshold, options)
+                .value();
         ASSERT_EQ(sharded, expected)
             << "threshold=" << threshold << " shards=" << shards
             << " threads=" << threads;
@@ -100,7 +87,8 @@ TEST(ShardedSelfJoin, MatchesBruteForceOnRandomSeeds) {
       options.num_shards = 5;
       options.num_threads = 2;
       const auto sharded =
-          ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold, options)
+          ShardedMeasureSelfJoin(JaccardDocs(corpus.docs), corpus.dictionary,
+                                 Jaccard(), threshold, options)
               .value();
       EXPECT_EQ(sharded, BruteForceSelfJoin(corpus.docs, threshold))
           << "seed=" << seed << " threshold=" << threshold;
@@ -114,7 +102,9 @@ TEST(ShardedSelfJoin, TinyHandCase) {
   docs.push_back(dict.AddDocument({"a", "b", "c"}));
   docs.push_back(dict.AddDocument({"a", "b", "d"}));
   docs.push_back(dict.AddDocument({"x", "y"}));
-  const auto result = ShardedSelfJoin(docs, dict, 0.5, {}).value();
+  const auto result =
+      ShardedMeasureSelfJoin(JaccardDocs(docs), dict, Jaccard(), 0.5, {})
+          .value();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].left, 0);
   EXPECT_EQ(result[0].right, 1);
@@ -127,7 +117,9 @@ TEST(ShardedSelfJoin, ThresholdOneFindsDuplicatesOnly) {
   docs.push_back(dict.AddDocument({"a", "b"}));
   docs.push_back(dict.AddDocument({"a", "b"}));
   docs.push_back(dict.AddDocument({"a", "c"}));
-  const auto result = ShardedSelfJoin(docs, dict, 1.0, {}).value();
+  const auto result =
+      ShardedMeasureSelfJoin(JaccardDocs(docs), dict, Jaccard(), 1.0, {})
+          .value();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].left, 0);
   EXPECT_EQ(result[0].right, 1);
@@ -139,10 +131,11 @@ TEST_P(SelfJoinPropertyTest, MatchesBruteForceAcrossThresholds) {
   const Corpus corpus = MakeRandomCorpus(GetParam(), /*num_docs=*/80,
                                          /*vocabulary=*/60, 3, 12);
   for (double threshold : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-    EXPECT_EQ(
-        ShardedSelfJoin(corpus.docs, corpus.dictionary, threshold, {})
-            .value(),
-        BruteForceSelfJoin(corpus.docs, threshold))
+    EXPECT_EQ(ShardedMeasureSelfJoin(JaccardDocs(corpus.docs),
+                                     corpus.dictionary, Jaccard(), threshold,
+                                     {})
+                  .value(),
+              BruteForceSelfJoin(corpus.docs, threshold))
         << "seed=" << GetParam() << " threshold=" << threshold;
   }
 }
@@ -161,8 +154,10 @@ TEST_P(BipartiteJoinPropertyTest, MatchesBruteForceAcrossThresholds) {
   const std::vector<std::vector<int32_t>> right(corpus.docs.begin() + 40,
                                                 corpus.docs.end());
   for (double threshold : {0.3, 0.5, 0.7, 1.0}) {
-    EXPECT_EQ(ShardedBipartiteJoin(left, right, corpus.dictionary, threshold,
-                                   {})
+    EXPECT_EQ(ShardedMeasureBipartiteJoin(JaccardDocs(left),
+                                          JaccardDocs(right),
+                                          corpus.dictionary, Jaccard(),
+                                          threshold, {})
                   .value(),
               BruteForceBipartiteJoin(left, right, threshold))
         << "seed=" << GetParam() << " threshold=" << threshold;
@@ -175,15 +170,18 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, BipartiteJoinPropertyTest,
 TEST(ShardedSelfJoiner, StreamingIngestMatchesBulkWrapper) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/903, /*num_docs=*/120,
                                          /*vocabulary=*/50, 2, 10);
+  const std::vector<MeasureDoc> docs = JaccardDocs(corpus.docs);
   ShardedSelfJoiner joiner(/*num_shards=*/4);
-  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (const MeasureDoc& doc : docs) joiner.Add(doc);
   EXPECT_EQ(joiner.num_docs(), 120);
   ThreadPool pool(3);
-  const auto streamed = joiner.Finish(corpus.dictionary, 0.5, &pool).value();
+  const auto streamed =
+      joiner.Finish(corpus.dictionary, Jaccard(), 0.5, &pool).value();
   ShardedJoinOptions options;
   options.num_shards = 4;
-  const auto bulk =
-      ShardedSelfJoin(corpus.docs, corpus.dictionary, 0.5, options).value();
+  const auto bulk = ShardedMeasureSelfJoin(docs, corpus.dictionary,
+                                           Jaccard(), 0.5, options)
+                        .value();
   EXPECT_EQ(streamed, bulk);
 }
 
@@ -191,16 +189,37 @@ TEST(ShardedSelfJoiner, FinishIsRepeatableAtMultipleThresholds) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/904, /*num_docs=*/80,
                                          /*vocabulary=*/40, 2, 8);
   ShardedSelfJoiner joiner(/*num_shards=*/3);
-  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (const MeasureDoc& doc : JaccardDocs(corpus.docs)) joiner.Add(doc);
   for (double threshold : {0.3, 0.6, 0.9}) {
     const auto first =
-        joiner.Finish(corpus.dictionary, threshold, nullptr).value();
+        joiner.Finish(corpus.dictionary, Jaccard(), threshold, nullptr)
+            .value();
     const auto second =
-        joiner.Finish(corpus.dictionary, threshold, nullptr).value();
+        joiner.Finish(corpus.dictionary, Jaccard(), threshold, nullptr)
+            .value();
     EXPECT_EQ(first, second) << "threshold=" << threshold;
     EXPECT_EQ(first, BruteForceSelfJoin(corpus.docs, threshold))
         << "threshold=" << threshold;
   }
+}
+
+TEST(ShardedSelfJoiner, BipartiteJoinWithItselfIsRejected) {
+  const Corpus corpus = MakeRandomCorpus(/*seed=*/905, /*num_docs=*/40,
+                                         /*vocabulary=*/30, 2, 8);
+  ShardedSelfJoiner joiner(/*num_shards=*/3);
+  for (const MeasureDoc& doc : JaccardDocs(corpus.docs)) joiner.Add(doc);
+  // Joined with itself as its own right side, every document would pair
+  // with itself and every other pair come out in both orders.
+  EXPECT_EQ(joiner.Finish(corpus.dictionary, Jaccard(), 0.5, nullptr,
+                          /*right=*/&joiner)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(joiner.MakeCursor(corpus.dictionary, Jaccard(), 0.5, nullptr,
+                              /*right=*/&joiner)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedSelfJoin, EmptyAndDegenerateInputs) {
@@ -208,24 +227,31 @@ TEST(ShardedSelfJoin, EmptyAndDegenerateInputs) {
   ShardedJoinOptions options;
   options.num_shards = 4;
   // Empty corpus.
-  EXPECT_TRUE(ShardedSelfJoin({}, dict, 0.5, options).value().empty());
+  EXPECT_TRUE(
+      ShardedMeasureSelfJoin({}, dict, Jaccard(), 0.5, options).value().empty());
   // All-empty docs produce nothing (the empty-doc contract).
   std::vector<std::vector<int32_t>> empties(5);
-  EXPECT_TRUE(
-      ShardedSelfJoin(empties, dict, 0.5, options).value().empty());
+  EXPECT_TRUE(ShardedMeasureSelfJoin(JaccardDocs(empties), dict, Jaccard(),
+                                     0.5, options)
+                  .value()
+                  .empty());
   // Bipartite with empty docs mixed in on both sides: the empty pair
   // (which brute force scores 1.0) is not joined.
   std::vector<std::vector<int32_t>> left = {{}, dict.AddDocument({"a", "b"})};
   std::vector<std::vector<int32_t>> right = {{},
                                              dict.AddDocument({"a", "b"})};
-  EXPECT_EQ(ShardedBipartiteJoin(left, right, dict, 0.5, options).value(),
+  EXPECT_EQ(ShardedMeasureBipartiteJoin(JaccardDocs(left), JaccardDocs(right),
+                                        dict, Jaccard(), 0.5, options)
+                .value(),
             (std::vector<ScoredPair>{{1, 1, 1.0}}));
   // Fewer docs than shards.
   std::vector<std::vector<int32_t>> docs;
   docs.push_back(dict.AddDocument({"a", "b"}));
   docs.push_back(dict.AddDocument({"a", "b"}));
   options.num_shards = 16;
-  const auto result = ShardedSelfJoin(docs, dict, 1.0, options).value();
+  const auto result =
+      ShardedMeasureSelfJoin(JaccardDocs(docs), dict, Jaccard(), 1.0, options)
+          .value();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].left, 0);
   EXPECT_EQ(result[0].right, 1);
@@ -234,11 +260,17 @@ TEST(ShardedSelfJoin, EmptyAndDegenerateInputs) {
 TEST(ShardedSelfJoin, InvalidThresholdsAreRejected) {
   const TokenDictionary dict;
   const ShardedJoinOptions options;
-  EXPECT_EQ(ShardedSelfJoin({}, dict, 0.0, options).status().code(),
+  EXPECT_EQ(ShardedMeasureSelfJoin({}, dict, Jaccard(), 0.0, options)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ShardedSelfJoin({}, dict, 1.5, options).status().code(),
+  EXPECT_EQ(ShardedMeasureSelfJoin({}, dict, Jaccard(), 1.5, options)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ShardedBipartiteJoin({}, {}, dict, -0.5, options).status().code(),
+  EXPECT_EQ(ShardedMeasureBipartiteJoin({}, {}, dict, Jaccard(), -0.5, options)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -469,15 +501,17 @@ TEST(ShardedJoinMerge, AllPairsFromOneTaskAtEveryPoolSize) {
   const auto expected = BruteForceSelfJoin(corpus.docs, 0.5);
   ASSERT_GT(expected.size(), 100u);
   ShardedSelfJoiner joiner(kShards);
-  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (const MeasureDoc& doc : JaccardDocs(corpus.docs)) joiner.Add(doc);
   for (int threads : kPoolSizes) {
     ThreadPool pool(threads);
     ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
-    EXPECT_EQ(joiner.Finish(corpus.dictionary, 0.5, pool_ptr).value(),
-              expected)
+    EXPECT_EQ(
+        joiner.Finish(corpus.dictionary, Jaccard(), 0.5, pool_ptr).value(),
+        expected)
         << "threads=" << threads;
     ShardedJoinCursor cursor =
-        joiner.MakeCursor(corpus.dictionary, 0.5, pool_ptr).value();
+        joiner.MakeCursor(corpus.dictionary, Jaccard(), 0.5, pool_ptr)
+            .value();
     const internal::SortedRuns runs =
         cursor.NextBatchRuns(cursor.num_tasks(), pool_ptr).value();
     size_t nonempty = 0;
@@ -501,13 +535,16 @@ TEST(ShardedJoinMerge, OneAndSixtyFourShardsAtEveryPoolSize) {
       ShardedJoinOptions options;
       options.num_shards = shards;
       options.num_threads = threads;
-      EXPECT_EQ(
-          ShardedSelfJoin(corpus.docs, corpus.dictionary, 0.4, options)
-              .value(),
-          self_expected)
+      EXPECT_EQ(ShardedMeasureSelfJoin(JaccardDocs(corpus.docs),
+                                       corpus.dictionary, Jaccard(), 0.4,
+                                       options)
+                    .value(),
+                self_expected)
           << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(ShardedBipartiteJoin(left, right, corpus.dictionary, 0.4,
-                                     options)
+      EXPECT_EQ(ShardedMeasureBipartiteJoin(JaccardDocs(left),
+                                            JaccardDocs(right),
+                                            corpus.dictionary, Jaccard(), 0.4,
+                                            options)
                     .value(),
                 bipartite_expected)
           << "shards=" << shards << " threads=" << threads;
@@ -520,14 +557,16 @@ TEST(ShardedJoinMerge, OneTaskPerBatchMatchesItsRuns) {
                                          /*vocabulary=*/80, 2, 10);
   const auto expected = BruteForceSelfJoin(corpus.docs, 0.4);
   ShardedSelfJoiner joiner(/*num_shards=*/6);
-  for (const auto& doc : corpus.docs) joiner.Add(doc);
+  for (const MeasureDoc& doc : JaccardDocs(corpus.docs)) joiner.Add(doc);
   for (int threads : kPoolSizes) {
     ThreadPool pool(threads);
     ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
     ShardedJoinCursor batches =
-        joiner.MakeCursor(corpus.dictionary, 0.4, pool_ptr).value();
+        joiner.MakeCursor(corpus.dictionary, Jaccard(), 0.4, pool_ptr)
+            .value();
     ShardedJoinCursor runs =
-        joiner.MakeCursor(corpus.dictionary, 0.4, pool_ptr).value();
+        joiner.MakeCursor(corpus.dictionary, Jaccard(), 0.4, pool_ptr)
+            .value();
     std::vector<ScoredPair> all;
     while (!batches.done()) {
       const std::vector<ScoredPair> batch =

@@ -13,52 +13,37 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/labeling_session.h"
 #include "datagen/streaming_generator.h"
 #include "simjoin/candidate_generator.h"
 #include "simjoin/sharded_join.h"
+#include "tests/simjoin/join_test_corpus.h"
 
 namespace crowdjoin {
 namespace {
 
-struct Corpus {
-  TokenDictionary dictionary;
-  std::vector<std::vector<int32_t>> docs;
-};
-
-Corpus MakeRandomCorpus(uint64_t seed, size_t num_docs, size_t vocabulary,
-                        size_t min_len, size_t max_len) {
-  Corpus corpus;
-  Rng rng(seed);
-  for (size_t d = 0; d < num_docs; ++d) {
-    const size_t len = min_len + rng.Index(max_len - min_len + 1);
-    std::vector<std::string> tokens;
-    for (size_t t = 0; t < len; ++t) {
-      tokens.push_back(StrFormat(
-          "w%llu", static_cast<unsigned long long>(rng.Index(vocabulary))));
-    }
-    corpus.docs.push_back(corpus.dictionary.AddDocument(tokens));
-  }
-  return corpus;
-}
+using join_testing::Corpus;
+using join_testing::Jaccard;
+using join_testing::JaccardDocs;
+using join_testing::MakeRandomCorpus;
 
 TEST(ShardedJoinCursor, BatchesPartitionTheFinishOutput) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/911, /*num_docs=*/150,
                                          /*vocabulary=*/60, 2, 12);
   for (int shards : {1, 3, 16}) {
     ShardedSelfJoiner joiner(shards);
-    for (const auto& doc : corpus.docs) joiner.Add(doc);
+    for (const MeasureDoc& doc : JaccardDocs(corpus.docs)) joiner.Add(doc);
     const auto finish =
-        joiner.Finish(corpus.dictionary, 0.4, /*pool=*/nullptr).value();
+        joiner.Finish(corpus.dictionary, Jaccard(), 0.4, /*pool=*/nullptr)
+            .value();
     for (int64_t batch_size : {int64_t{1}, int64_t{3}, int64_t{1000}}) {
       for (int threads : {0, 4}) {
         ThreadPool pool(threads);
         ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
         ShardedJoinCursor cursor =
-            joiner.MakeCursor(corpus.dictionary, 0.4, pool_ptr).value();
+            joiner.MakeCursor(corpus.dictionary, Jaccard(), 0.4, pool_ptr)
+                .value();
         EXPECT_EQ(cursor.num_tasks(),
                   static_cast<int64_t>(shards) * (shards + 1) / 2);
         std::vector<ScoredPair> drained;
@@ -79,26 +64,35 @@ TEST(ShardedJoinCursor, BatchesPartitionTheFinishOutput) {
 TEST(ShardedJoinCursor, BipartiteBatchesPartitionTheFinishOutput) {
   const Corpus corpus = MakeRandomCorpus(/*seed=*/912, /*num_docs=*/160,
                                          /*vocabulary=*/55, 2, 10);
-  ShardedBipartiteJoiner joiner(/*num_shards=*/5);
-  for (size_t d = 0; d < corpus.docs.size(); ++d) {
-    if (d % 2 == 0) {
-      joiner.AddLeft(corpus.docs[d]);
-    } else {
-      joiner.AddRight(corpus.docs[d]);
+  const std::vector<MeasureDoc> docs = JaccardDocs(corpus.docs);
+  ShardedSelfJoiner left(/*num_shards=*/5);
+  ShardedSelfJoiner right(/*num_shards=*/5);
+  for (size_t d = 0; d < docs.size(); ++d) {
+    (d % 2 == 0 ? left : right).Add(docs[d]);
+  }
+  const auto finish = left.Finish(corpus.dictionary, Jaccard(), 0.4,
+                                  /*pool=*/nullptr, &right)
+                          .value();
+  ASSERT_FALSE(finish.empty());
+  for (int64_t batch_size : {int64_t{1}, int64_t{3}, int64_t{1000}}) {
+    for (int threads : {0, 4}) {
+      ThreadPool pool(threads);
+      ThreadPool* pool_ptr = threads > 0 ? &pool : nullptr;
+      ShardedJoinCursor cursor =
+          left.MakeCursor(corpus.dictionary, Jaccard(), 0.4, pool_ptr, &right)
+              .value();
+      EXPECT_EQ(cursor.num_tasks(), 25);
+      std::vector<ScoredPair> drained;
+      while (!cursor.done()) {
+        const auto batch = cursor.NextBatch(batch_size, pool_ptr).value();
+        drained.insert(drained.end(), batch.begin(), batch.end());
+      }
+      EXPECT_TRUE(cursor.NextBatch(batch_size, pool_ptr).value().empty());
+      SortByPairOrder(drained);
+      ASSERT_EQ(drained, finish)
+          << "batch_size=" << batch_size << " threads=" << threads;
     }
   }
-  const auto finish =
-      joiner.Finish(corpus.dictionary, 0.4, /*pool=*/nullptr).value();
-  ShardedJoinCursor cursor =
-      joiner.MakeCursor(corpus.dictionary, 0.4, /*pool=*/nullptr).value();
-  EXPECT_EQ(cursor.num_tasks(), 25);
-  std::vector<ScoredPair> drained;
-  while (!cursor.done()) {
-    const auto batch = cursor.NextBatch(4, /*pool=*/nullptr).value();
-    drained.insert(drained.end(), batch.begin(), batch.end());
-  }
-  SortByPairOrder(drained);
-  ASSERT_EQ(drained, finish);
 }
 
 CandidateSet SortedByIds(CandidateSet candidates) {

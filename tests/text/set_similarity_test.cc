@@ -38,31 +38,11 @@ TEST(JaccardSimilarity, KnownValues) {
   EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {1}), 0.0);
 }
 
-TEST(DiceSimilarity, KnownValues) {
-  EXPECT_DOUBLE_EQ(DiceSimilarity({1, 2, 3}, {2, 3, 4}), 4.0 / 6.0);
-  EXPECT_DOUBLE_EQ(DiceSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(DiceSimilarity({1}, {2}), 0.0);
-}
-
-TEST(CosineSimilarity, KnownValues) {
-  EXPECT_NEAR(CosineSimilarity({1, 2, 3}, {2, 3, 4}), 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(CosineSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(CosineSimilarity({}, {1}), 0.0);
-}
-
-TEST(OverlapCoefficient, KnownValues) {
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({1, 2}, {1, 2, 3, 4}), 1.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({1, 5}, {1, 2, 3}), 0.5);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({}, {}), 1.0);
-}
-
 TEST(SimilarityOrderingsAgree, MoreOverlapNeverLowersScores) {
   const Ids base = {1, 2, 3, 4};
   const Ids close = {1, 2, 3, 9};
   const Ids far = {1, 8, 9, 10};
   EXPECT_GT(JaccardSimilarity(base, close), JaccardSimilarity(base, far));
-  EXPECT_GT(DiceSimilarity(base, close), DiceSimilarity(base, far));
-  EXPECT_GT(CosineSimilarity(base, close), CosineSimilarity(base, far));
 }
 
 TEST(JaccardOfTokenSets, DedupsBeforeScoring) {
