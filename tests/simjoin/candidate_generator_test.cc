@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
@@ -286,6 +288,151 @@ TEST(GenerateCandidatesStreaming, NullScorerUsesJoinScores) {
       GenerateCandidatesStreaming(source, nullptr, options, sharding)
           .value();
   EXPECT_EQ(again, candidates);
+}
+
+// Every candidate the feed emits, round after round, and how many rounds.
+struct Drained {
+  CandidateSet candidates;
+  int64_t rounds = 0;
+};
+
+Drained DrainFeed(StreamingCandidateFeed& feed) {
+  Drained drained;
+  for (;;) {
+    const CandidateSet round = feed.NextRound().value();
+    if (round.empty()) return drained;
+    ++drained.rounds;
+    drained.candidates.insert(drained.candidates.end(), round.begin(),
+                              round.end());
+  }
+}
+
+// The feed's noise contract, pinned: one Normal() per joined pair, in join
+// order within a round, the stream continuing across rounds. Each round
+// partition has its own likelihoods; every thread count gives the same.
+TEST(StreamingCandidateFeed, NoisedRoundsArePinned) {
+  struct Pin {
+    int64_t tasks_per_round;
+    int64_t rounds;
+    size_t candidates;
+    uint64_t checksum;
+  };
+  PaperDatasetConfig paper;
+  paper.clusters.total_records = 150;
+  paper.clusters.max_cluster_size = 25;
+  paper.seed = 41;
+  ProductDatasetConfig product;
+  product.clusters.total_records = 160;
+  product.seed = 34;
+  const int64_t kAll = std::numeric_limits<int64_t>::max();
+  const Pin paper_pins[] = {{1, 132, 1277, 11201486633945464780ull},
+                            {3, 45, 1285, 18281147460131127120ull},
+                            {8, 17, 1258, 12195225289428006938ull},
+                            {kAll, 1, 1279, 9951271324887230292ull}};
+  const Pin product_pins[] = {{1, 58, 70, 10535108006493343095ull},
+                              {3, 38, 69, 11854384706313463806ull},
+                              {8, 27, 70, 10696259440039617238ull},
+                              {kAll, 1, 67, 10114112859993205992ull}};
+  for (const bool bipartite : {false, true}) {
+    for (const Pin& pin : bipartite ? product_pins : paper_pins) {
+      for (const int threads : {0, 4}) {
+        StreamingPaperSource paper_source(paper, /*scale_factor=*/2);
+        StreamingProductSource product_source(product, /*scale_factor=*/2);
+        RecordSource& source =
+            bipartite ? static_cast<RecordSource&>(product_source)
+                      : paper_source;
+        StreamingCandidateFeed::Options options;
+        options.candidates.token_join_threshold = 0.4;
+        options.candidates.min_likelihood = 0.4;
+        options.candidates.likelihood_noise_stddev = 0.1;
+        options.candidates.noise_seed = 3;
+        options.sharding.num_shards = 16;
+        options.sharding.num_threads = threads;
+        options.tasks_per_round = pin.tasks_per_round;
+        const auto feed = StreamingCandidateFeed::Open(source, options).value();
+        const Drained drained = DrainFeed(*feed);
+        SCOPED_TRACE(testing::Message()
+                     << "bipartite=" << bipartite
+                     << " tasks_per_round=" << pin.tasks_per_round
+                     << " threads=" << threads);
+        EXPECT_EQ(drained.rounds, pin.rounds);
+        EXPECT_EQ(drained.candidates.size(), pin.candidates);
+        EXPECT_EQ(CandidateChecksum(drained.candidates), pin.checksum);
+      }
+    }
+  }
+}
+
+// `records` cut to its first `n`, each record's fields joined into one, so
+// a one-field word-Jaccard scorer scores a pair exactly as the join does.
+Dataset OneFieldPrefix(const Dataset& records, size_t n) {
+  Dataset out;
+  out.bipartite = records.bipartite;
+  for (size_t i = 0; i < n; ++i) {
+    std::string all;
+    for (const std::string& field : records.records[i].fields) {
+      all += field;
+      all += ' ';
+    }
+    Record record = MakeRecord(records.records[i].id, {all});
+    if (out.bipartite) {
+      out.AddRecord(std::move(record), records.entity_of[i],
+                    records.side_of[i]);
+    } else {
+      out.AddRecord(std::move(record), records.entity_of[i]);
+    }
+  }
+  return out;
+}
+
+// The feed's ingest reads its source in blocks of 4096 records: streams
+// ending on either side of a block boundary intern, join and emit exactly
+// as `GenerateCandidates` does over the same records as one set.
+TEST(StreamingCandidateFeed, IngestBlockBoundariesMatchGenerateCandidates) {
+  constexpr size_t kBlock = 4096;
+  PaperDatasetConfig paper_config;
+  paper_config.clusters.total_records = 2 * kBlock + 1;
+  paper_config.seed = 44;
+  ProductDatasetConfig product_config;
+  product_config.clusters.total_records = 2 * kBlock + 1;
+  product_config.seed = 45;
+  const Dataset paper = GeneratePaperDataset(paper_config).value();
+  const Dataset product = GenerateProductDataset(product_config).value();
+  ASSERT_GE(paper.records.size(), 2 * kBlock + 1);
+  ASSERT_GE(product.records.size(), 2 * kBlock + 1);
+
+  CandidateGeneratorOptions options;
+  options.token_join_threshold = 0.5;
+  options.min_likelihood = 0.5;
+  options.likelihood_noise_stddev = 0.1;
+  options.noise_seed = 6;
+  for (const Dataset* full : {&paper, &product}) {
+    for (const size_t n : {size_t{0}, size_t{1}, kBlock - 1, kBlock,
+                           kBlock + 1, 2 * kBlock + 1}) {
+      SCOPED_TRACE(testing::Message() << "bipartite=" << full->bipartite
+                                      << " records=" << n);
+      const Dataset dataset = OneFieldPrefix(*full, n);
+      const CandidateSet expected =
+          GenerateCandidates(dataset.records,
+                             dataset.bipartite ? &dataset.side_of : nullptr,
+                             NameScorer(), options)
+              .value();
+      if (n > kBlock) {
+        EXPECT_FALSE(expected.empty());
+      }
+      DatasetRecordSource source(&dataset);
+      StreamingCandidateFeed::Options feed_options;
+      feed_options.candidates = options;
+      feed_options.sharding.num_threads = 4;
+      feed_options.tasks_per_round = std::numeric_limits<int64_t>::max();
+      const auto feed =
+          StreamingCandidateFeed::Open(source, feed_options).value();
+      EXPECT_EQ(feed->entity_of(), dataset.entity_of);
+      const Drained drained = DrainFeed(*feed);
+      EXPECT_LE(drained.rounds, 1);
+      ASSERT_EQ(drained.candidates, expected);
+    }
+  }
 }
 
 }  // namespace
