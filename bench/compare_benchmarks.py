@@ -6,7 +6,9 @@ Usage:
                         [--strict]
 
 Benchmarks are matched by name; a contender whose real_time exceeds the
-baseline's by more than --threshold (default 15%) is flagged. Output is a
+baseline's by more than --threshold (default 15%) is flagged. A benchmark
+run with repetitions is represented by its `_median` aggregate (its `_mean`
+when no median was written). Output is a
 report table plus GitHub `::warning::` annotations so flagged rows surface
 inline at PR time. Exit status is non-zero only with --strict (CI runs
 non-strict so noisy shared runners warn instead of blocking merges).
@@ -14,6 +16,7 @@ non-strict so noisy shared runners warn instead of blocking merges).
 
 import argparse
 import json
+import re
 import sys
 
 
@@ -21,14 +24,23 @@ def load_benchmarks(path):
     with open(path) as f:
         data = json.load(f)
     out = {}
+    means = {}
     for bench in data.get("benchmarks", []):
+        # "/repeats:N" marks the repetition count, not the benchmark, so a
+        # row still matches across a change of its repetitions.
+        name = re.sub(r"/repeats:\d+(?=_|$)", "", bench["name"])
         if bench.get("run_type") == "aggregate":
-            # Prefer the aggregate mean when repetitions were requested.
-            if not bench["name"].endswith("_mean"):
-                continue
-            out[bench["name"][: -len("_mean")]] = bench["real_time"]
+            # With repetitions, compare the median: one slow repetition on
+            # a noisy runner moves the mean, not the median. The mean only
+            # stands in for a file written without a median.
+            if name.endswith("_median"):
+                out[name[: -len("_median")]] = bench["real_time"]
+            elif name.endswith("_mean"):
+                means[name[: -len("_mean")]] = bench["real_time"]
         else:
-            out.setdefault(bench["name"], bench["real_time"])
+            out.setdefault(name, bench["real_time"])
+    for name, real_time in means.items():
+        out.setdefault(name, real_time)
     return out
 
 

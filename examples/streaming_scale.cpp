@@ -41,9 +41,11 @@ int main(int argc, char** argv) {
   StreamingPaperSource source(dataset_config, /*scale_factor=*/8);
 
   StreamingCampaignConfig campaign;
-  // No record scorer: likelihoods are the join's similarity scores under
-  // the chosen measure and no record text is retained beyond what the
-  // measure's verifier needs — the memory-lean million-record setup.
+  // No record scorer: the machine step is a `StreamingCandidateFeed`. It
+  // reads the stream 512 records at a time, keeps only each record's
+  // measure document (what the verifier needs), and emits the join's
+  // similarity scores under the chosen measure as likelihoods — the
+  // memory-lean million-record setup.
   campaign.candidates.measure = measure;
   campaign.candidates.token_join_threshold = 0.4;
   campaign.candidates.min_likelihood = 0.4;
@@ -51,8 +53,10 @@ int main(int argc, char** argv) {
   campaign.sharding.num_threads = 4;  // join worker pool
   campaign.crowd.num_threads = 4;     // labeling worker pool
   // Round-by-round labeling: every 16 probe tasks' candidates become one
-  // labeling round, so the candidate set is never materialized — later
-  // rounds deduce from earlier rounds' clusters for free.
+  // feed round and one labeling round, so the candidate set is never
+  // materialized — later rounds deduce from earlier rounds' clusters for
+  // free. (Without this, the campaign takes the feed's one round of all
+  // 136 tasks as its candidate set.)
   campaign.label_tasks_per_round = 16;
 
   const StreamingCampaignStats stats =

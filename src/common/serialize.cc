@@ -1,8 +1,12 @@
 #include "common/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -18,26 +22,37 @@ uint64_t Fingerprint64(std::string_view data) {
 }
 
 Status AtomicWriteFile(const std::string& path, std::string_view data) {
+  // The failure of `what` on `file`, with the errno it left.
+  const auto io_error = [](const std::string& what, const std::string& file) {
+    return Status::Internal(what + " " + file + ": " + std::strerror(errno));
+  };
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open " + tmp + " for writing");
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::Internal("short write to " + tmp);
-    }
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
+  if (file == nullptr) return io_error("open", tmp);
+  // The bytes are on disk before the rename can put them at `path`.
+  Status status;
+  if (std::fwrite(data.data(), 1, data.size(), file) != data.size() ||
+      std::fflush(file) != 0) {
+    status = io_error("write", tmp);
+  } else if (::fsync(fileno(file)) != 0) {
+    status = io_error("fsync", tmp);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
+  if (std::fclose(file) != 0 && status.ok()) status = io_error("close", tmp);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = io_error("rename " + tmp + " ->", path);
+  }
+  if (!status.ok()) {
     std::remove(tmp.c_str());
-    return Status::Internal("rename " + tmp + " -> " + path + ": " +
-                            std::strerror(err));
+    return status;
   }
-  return Status::OK();
+  // The rename is durable once the directory is.
+  const auto parent = std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return io_error("open", dir);
+  if (::fsync(dir_fd) != 0) status = io_error("fsync", dir);
+  ::close(dir_fd);
+  return status;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -119,9 +119,10 @@ class BinaryReader {
 /// checkpoint payload, and the config fingerprint guarding resume.
 uint64_t Fingerprint64(std::string_view data);
 
-/// \brief Writes `data` to `path` atomically: the bytes land in
-/// `<path>.tmp` first and are renamed over `path` only after a successful
-/// flush, so a crash mid-write never leaves a torn file at `path`.
+/// \brief Writes `data` to `path` atomically and durably: the bytes land in
+/// `<path>.tmp`, are fsynced and renamed over `path`, and the directory is
+/// fsynced. A failure is an Internal status naming the step and the file,
+/// and removes `<path>.tmp`.
 Status AtomicWriteFile(const std::string& path, std::string_view data);
 
 /// \brief Reads the whole file at `path`. `NotFound` when it is absent.

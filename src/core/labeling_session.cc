@@ -355,7 +355,11 @@ Status RunRoundsImpl(const CandidateSet& pairs,
       // makes the result independent of how the source resolved them.
       CJ_ASSIGN_OR_RETURN(const std::vector<Label> batch_labels,
                           label_batch(publish));
-      CJ_CHECK(batch_labels.size() == publish.size());
+      if (batch_labels.size() != publish.size()) {
+        return Status::InvalidArgument(StrFormat(
+            "label source returned %zu labels for a batch of %zu pairs",
+            batch_labels.size(), publish.size()));
+      }
       for (size_t i = 0; i < publish.size(); ++i) {
         const int32_t pos = publish[i];
         labels[static_cast<size_t>(pos)] = batch_labels[i];

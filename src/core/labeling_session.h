@@ -129,7 +129,8 @@ struct LabelingSessionOptions {
 };
 
 /// \brief Resolves the labels of one published batch of candidate
-/// positions. Must return one label per input position, positionally.
+/// positions. Must return one label per input position, positionally; a
+/// batch answered with any other count fails the run with InvalidArgument.
 ///
 /// This is the seam between the round engine and whatever answers the
 /// questions: `LabelingSession::Run` supplies an oracle-backed source that

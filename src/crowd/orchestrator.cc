@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "crowd/platform.h"
 #include "obs/metrics.h"
 
@@ -395,28 +397,48 @@ Result<LabelingReport> RunLocalParallelLabeling(
 Result<StreamingCampaignStats> RunStreamingCampaign(
     RecordSource& source, const RecordScorer* scorer,
     const StreamingCampaignConfig& config) {
+  const bool round_by_round = config.label_tasks_per_round > 0;
+  if (round_by_round && scorer != nullptr) {
+    return Status::InvalidArgument(
+        "round-by-round labeling requires the scorer-free path");
+  }
   StreamingCampaignStats stats;
+  std::unique_ptr<StreamingCandidateFeed> feed;
+  if (scorer != nullptr) {
+    // The scorer reads record text: the stream is materialized.
+    CJ_ASSIGN_OR_RETURN(Dataset dataset, MaterializeDataset(source));
+    ThreadPool pool(config.sharding.num_threads);
+    CJ_ASSIGN_OR_RETURN(
+        stats.candidates,
+        internal::GenerateCandidatesOn(
+            dataset.records, dataset.bipartite ? &dataset.side_of : nullptr,
+            *scorer, config.candidates, config.sharding.num_shards, &pool));
+    stats.entity_of = std::move(dataset.entity_of);
+  } else {
+    CJ_ASSIGN_OR_RETURN(
+        feed, StreamingCandidateFeed::Open(
+                  source, {config.candidates, config.sharding,
+                           round_by_round
+                               ? config.label_tasks_per_round
+                               : std::numeric_limits<int64_t>::max()}));
+    // Moved, not copied: a copy made beside the feed's structures raised
+    // `campaign_sf100`'s peak RSS by about 5%.
+    stats.entity_of = feed->TakeEntityOf();
+    if (!round_by_round) {
+      // The candidate set is the feed's one round; the feed is gone before
+      // labeling.
+      CJ_ASSIGN_OR_RETURN(stats.candidates, feed->NextRound());
+      feed.reset();
+    }
+  }
+  stats.num_records = static_cast<int64_t>(stats.entity_of.size());
 
-  if (config.label_tasks_per_round > 0) {
+  const GroundTruthOracle truth(stats.entity_of);
+  Rng order_rng(config.crowd.seed);
+  if (feed != nullptr) {
     // Round-by-round mode: candidates flow from the sharded join's probe
     // tasks straight into the labeling session; the candidate set is never
     // materialized (peak candidate memory = one round).
-    if (scorer != nullptr) {
-      return Status::InvalidArgument(
-          "round-by-round labeling requires the scorer-free path");
-    }
-    StreamingCandidateFeed::Options feed_options;
-    feed_options.candidates = config.candidates;
-    feed_options.sharding = config.sharding;
-    feed_options.tasks_per_round = config.label_tasks_per_round;
-    CJ_ASSIGN_OR_RETURN(
-        const std::unique_ptr<StreamingCandidateFeed> feed,
-        StreamingCandidateFeed::Open(source, feed_options));
-    stats.entity_of = feed->entity_of();
-    stats.num_records = feed->num_records();
-
-    const GroundTruthOracle truth(stats.entity_of);
-    Rng order_rng(config.crowd.seed);
     const SessionCheckpointOptions* checkpoint =
         config.checkpoint.path.empty() ? nullptr : &config.checkpoint;
     LabelingSession session(RoundParallelOptions(config.crowd));
@@ -429,15 +451,7 @@ Result<StreamingCampaignStats> RunStreamingCampaign(
     return stats;
   }
 
-  CJ_ASSIGN_OR_RETURN(
-      stats.candidates,
-      GenerateCandidatesStreaming(source, scorer, config.candidates,
-                                  config.sharding, &stats.entity_of));
-  stats.num_records = static_cast<int64_t>(stats.entity_of.size());
   stats.num_candidates = static_cast<int64_t>(stats.candidates.size());
-
-  const GroundTruthOracle truth(stats.entity_of);
-  Rng order_rng(config.crowd.seed);
   CJ_ASSIGN_OR_RETURN(
       const std::vector<int32_t> order,
       MakeLabelingOrder(stats.candidates, config.order, &truth, &order_rng));

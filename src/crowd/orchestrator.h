@@ -141,12 +141,13 @@ struct StreamingCampaignStats {
 /// parallel similarity join -> transitive labeling — the scale path that
 /// runs 100k-1M-record workloads without ever materializing a `Dataset`.
 ///
-/// `scorer` may be null (see `GenerateCandidatesStreaming`); that is the
-/// memory-lean configuration used at the largest scale factors. Ground
-/// truth is captured from the stream, so the oracle (exact, or noisy per
-/// `config.crowd` error rates) needs no materialized dataset either. With
-/// `config.label_tasks_per_round > 0` the campaign streams candidates into
-/// the session round by round (scorer must be null).
+/// A null `scorer` is the memory-lean configuration of the largest scale
+/// factors: the candidate set is the one round of every probe task of a
+/// `StreamingCandidateFeed`, or with `config.label_tasks_per_round > 0` the
+/// feed streams into the session round by round. A scorer materializes the
+/// stream for `GenerateCandidates`. Ground truth is captured from the
+/// stream, so the oracle (exact, or noisy per `config.crowd` error rates)
+/// needs no materialized dataset.
 Result<StreamingCampaignStats> RunStreamingCampaign(
     RecordSource& source, const RecordScorer* scorer,
     const StreamingCampaignConfig& config);

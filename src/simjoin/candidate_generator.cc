@@ -1,8 +1,9 @@
 #include "simjoin/candidate_generator.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/macros.h"
@@ -15,28 +16,62 @@
 
 namespace crowdjoin {
 
+namespace internal {
+
+// Records routed into the sharded joiners, self or bipartite, with each
+// side-local join index mapped back to its record.
+struct JoinIngest {
+  JoinIngest(bool bipartite, int num_shards, size_t expected_records,
+             bool keep_positions)
+      : left(num_shards), keep_positions(keep_positions) {
+    if (bipartite) right.emplace(num_shards);
+    dictionary.Reserve(expected_records);
+  }
+
+  bool bipartite() const { return right.has_value(); }
+
+  // Adds the document of the record at position `pos` to its side.
+  void Add(const MeasureDoc& doc, uint8_t side, ObjectId id, size_t pos) {
+    if (!bipartite() || side == 0) {
+      left.Add(doc);
+      left_ids.push_back(id);
+      if (keep_positions) left_pos.push_back(pos);
+    } else {
+      right->Add(doc);
+      right_ids.push_back(id);
+      if (keep_positions) right_pos.push_back(pos);
+    }
+  }
+
+  // The join of everything added, self or bipartite.
+  Result<ShardedJoinCursor> MakeCursor(const SimilarityMeasure& measure,
+                                       double threshold,
+                                       ThreadPool* pool) const {
+    return left.MakeCursor(dictionary, measure, threshold, pool,
+                           right.has_value() ? &*right : nullptr);
+  }
+
+  TokenDictionary dictionary;
+  ShardedSelfJoiner left;                  // the self-join's or left side's
+  std::optional<ShardedSelfJoiner> right;  // the right side's (bipartite)
+  bool keep_positions;              // fill left_pos/right_pos (scorer path)
+  std::vector<ObjectId> left_ids;   // record id by left/self local position
+  std::vector<ObjectId> right_ids;  // record id by right local position
+  std::vector<size_t> left_pos;     // record position per side-local index,
+  std::vector<size_t> right_pos;    // for scoring prepared records
+  std::vector<int32_t> entity_of;   // ground truth per stream position
+};
+
+}  // namespace internal
+
 namespace {
 
-double NoisyLikelihood(double similarity, double stddev, Rng& rng) {
-  if (stddev <= 0.0) return similarity;
-  return std::clamp(similarity + rng.Normal(0.0, stddev), 0.01, 0.99);
-}
+using internal::JoinIngest;
 
-// The text a record joins under: all fields concatenated. The measure
-// turns it into signature tokens (word tokens or q-grams) via `MakeDoc`.
-std::string RecordText(const Record& record) {
-  std::string all;
-  for (const auto& field : record.fields) {
-    all += field;
-    all += ' ';
-  }
-  return all;
-}
-
-// Writes `NormalizeText(RecordText(record))` to `out`, which must have room
-// for `RecordText(record).size()` chars; returns its length. Normalizing
-// the fields one by one and joining the non-empty results with single
-// spaces is the same text.
+// Writes the text a record joins under, `NormalizeText` of its fields each
+// followed by a space, to `out`, which must have room for those; returns
+// its length. Normalizing the fields one by one and joining the non-empty
+// results with single spaces is the same text.
 size_t NormalizeRecordInto(const Record& record, char* out) {
   size_t len = 0;
   for (const auto& field : record.fields) {
@@ -49,7 +84,7 @@ size_t NormalizeRecordInto(const Record& record, char* out) {
   return len;
 }
 
-// Every record's normalized text, in one buffer.
+// One block's normalized record texts, in one buffer reused across blocks.
 struct NormalizedTexts {
   std::string buffer;
   std::vector<size_t> begin;  // record i's text starts at begin[i]
@@ -60,12 +95,26 @@ struct NormalizedTexts {
   }
 };
 
-// Normalizes `records` on `pool`, one task per record range. The buffer is
-// sized on the caller (normalizing never lengthens text), so the workers
-// allocate nothing: memory they grew would stay in their malloc arenas.
-NormalizedTexts NormalizeRecords(const RecordSet& records, ThreadPool* pool) {
+// The machine step's one ingest, a block at a time: `records` sit at stream
+// positions `first_pos` on, record i on side `sides[i]` (all on the left,
+// or self, side when `sides` is null). Sides are checked, texts normalized
+// on `pool` into `texts`, and documents interned in record order, so token
+// ids are those of a serial pass whatever the blocks.
+Status IngestBlock(const RecordSet& records, const uint8_t* sides,
+                   size_t first_pos, const SimilarityMeasure& measure,
+                   ThreadPool* pool, NormalizedTexts& texts,
+                   JoinIngest& ingest) {
   const size_t n = records.size();
-  NormalizedTexts texts;
+  for (size_t i = 0; sides != nullptr && i < n; ++i) {
+    if (sides[i] > 1) {
+      return Status::InvalidArgument(
+          StrFormat("record %zu has side %d; a side is 0 or 1", first_pos + i,
+                    static_cast<int>(sides[i])));
+    }
+  }
+  // The text buffers are sized here (normalizing never lengthens text) and
+  // keep their capacity from block to block, so the workers allocate
+  // nothing: memory they grew would stay in their malloc arenas.
   texts.begin.assign(n + 1, 0);
   texts.len.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -86,91 +135,15 @@ NormalizedTexts NormalizeRecords(const RecordSet& records, ThreadPool* pool) {
     }
     return 0;
   });
-  return texts;
+  for (size_t i = 0; i < n; ++i) {
+    ingest.Add(measure.MakeNormalizedDoc(texts.Get(i), ingest.dictionary),
+               sides == nullptr ? 0 : sides[i], records[i].id, first_pos + i);
+  }
+  return Status::OK();
 }
 
-// Records routed into the sharded joiners, self or bipartite, with each
-// side-local join index mapped back to its record — the ingest half shared
-// by the materializing machine step, its streaming form and the
-// round-by-round feed, so side routing, id/entity bookkeeping and the
-// join's shape exist exactly once.
-struct JoinIngest {
-  explicit JoinIngest(bool bipartite, int num_shards = 0)
-      : bipartite(bipartite), left(num_shards), right(num_shards) {}
-
-  bool bipartite;
-  ShardedSelfJoiner left;           // the self-join's or left side's docs
-  ShardedSelfJoiner right;          // the right side's docs (bipartite)
-  bool keep_positions = false;      // fill left_pos/right_pos (scorer path)
-  std::vector<ObjectId> left_ids;   // record id by left/self local position
-  std::vector<ObjectId> right_ids;  // record id by right local position
-  std::vector<size_t> left_pos;     // record position per side-local index,
-  std::vector<size_t> right_pos;    // for scoring prepared records
-  std::vector<int32_t> entity_of;   // ground truth per stream position
-
-  // Adds the document of the record at position `pos` to its side.
-  void Add(const MeasureDoc& doc, uint8_t side, ObjectId id, size_t pos) {
-    if (!bipartite || side == 0) {
-      left.Add(doc);
-      left_ids.push_back(id);
-      if (keep_positions) left_pos.push_back(pos);
-    } else {
-      right.Add(doc);
-      right_ids.push_back(id);
-      if (keep_positions) right_pos.push_back(pos);
-    }
-  }
-
-  // The join of everything added, self or bipartite.
-  Result<ShardedJoinCursor> MakeCursor(const TokenDictionary& dictionary,
-                                       const SimilarityMeasure& measure,
-                                       double threshold,
-                                       ThreadPool* pool) const {
-    return left.MakeCursor(dictionary, measure, threshold, pool,
-                           bipartite ? &right : nullptr);
-  }
-};
-
-// A catalog side is 0 (left) or 1 (right); anything else is a caller error,
-// never silently the right side.
-Status ValidateSide(size_t pos, uint8_t side) {
-  if (side <= 1) return Status::OK();
-  return Status::InvalidArgument(StrFormat(
-      "record %zu has side %d; a side is 0 or 1", pos, static_cast<int>(side)));
-}
-
-// Tokenizes `source` into `out`. `retained`, when non-null, receives the
-// records in stream order (the scorer path); `collect_entities` gates the
-// ground-truth vector (skipped when the caller has no use for it — the
-// memory-lean path).
-Status IngestStreamIntoJoiner(RecordSource& source,
-                              const SimilarityMeasure& measure,
-                              bool collect_entities,
-                              TokenDictionary& dictionary, RecordSet* retained,
-                              JoinIngest& out) {
-  source.Reset();
-  dictionary.Reserve(static_cast<size_t>(source.meta().total_records));
-  if (collect_entities) {
-    out.entity_of.reserve(static_cast<size_t>(source.meta().total_records));
-  }
-  StreamedRecord streamed;
-  size_t stream_pos = 0;
-  while (source.Next(&streamed)) {
-    if (out.bipartite) {
-      CJ_RETURN_IF_ERROR(ValidateSide(stream_pos, streamed.side));
-    }
-    out.Add(measure.MakeDoc(RecordText(streamed.record), dictionary),
-            streamed.side, streamed.record.id, stream_pos);
-    if (collect_entities) out.entity_of.push_back(streamed.entity);
-    if (retained != nullptr) retained->push_back(std::move(streamed.record));
-    ++stream_pos;
-  }
-  return source.status();
-}
-
-// What `left` / `right` hold for a join pair's two documents, indexed by
-// side-local join index: record ids or record positions. A self-join
-// indexes both documents through `left`.
+// A join pair's two side-local indexes mapped through `left` / `right`
+// (record ids or positions); a self-join maps both through `left`.
 template <typename T>
 std::pair<T, T> MapPair(const ScoredPair& pair, bool bipartite,
                         const std::vector<T>& left,
@@ -180,72 +153,43 @@ std::pair<T, T> MapPair(const ScoredPair& pair, bool bipartite,
   return {left[a], bipartite ? right[b] : left[b]};
 }
 
-// The streaming feed's emission: maps one join pair back to record ids,
-// noises its join score into a likelihood, applies the cut.
-void EmitCandidate(const ScoredPair& pair, bool bipartite,
-                   const std::vector<ObjectId>& left_ids,
-                   const std::vector<ObjectId>& right_ids,
-                   const CandidateGeneratorOptions& options, Rng& noise_rng,
-                   CandidateSet& out) {
-  const double likelihood = NoisyLikelihood(
-      pair.score, options.likelihood_noise_stddev, noise_rng);
-  if (likelihood >= options.min_likelihood) {
-    const auto [id_a, id_b] = MapPair(pair, bipartite, left_ids, right_ids);
-    out.push_back({id_a, id_b, likelihood});
-  }
-}
-
-// Joins everything ingested on `pool` into sorted runs; the join
-// cursor (and its prefix indexes) is gone when this returns.
-Result<internal::SortedRuns> JoinIngested(const JoinIngest& ingest,
-                                          const TokenDictionary& dictionary,
-                                          const SimilarityMeasure& measure,
-                                          double threshold, ThreadPool* pool) {
-  CJ_ASSIGN_OR_RETURN(
-      ShardedJoinCursor cursor,
-      ingest.MakeCursor(dictionary, measure, threshold, pool));
-  return cursor.NextBatchRuns(std::max<int64_t>(cursor.num_tasks(), 1), pool);
-}
-
-// Join -> score -> noise -> cut, shared by both materializing paths, as
-// one pass over the joined runs in place. The runs are cut into left-id
-// ranges of about equal pair counts (one range without a pool). Each range
-// starts the noise stream where a walk in join order would stand at its
-// first pair, then, on `pool`, reads its pairs in join order through a
-// k-way merge: scores each (when `prepared` is set; the join scores stand
-// otherwise) with a row cursor, draws its noise, writes the likelihood back
-// into the run and counts the pairs that pass the cut, stopping at its
-// first failing pair. Ranges are in join order, so the lowest range's error
-// is the first in join order. A second pass writes each range's kept pairs
-// at its offset in the exactly sized result. Neither pass builds a merged
-// copy beside the runs: one, whose memory the pool's threads then kept,
-// raised peak RSS by about 15%.
-Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
-                                   const TokenDictionary& dictionary,
-                                   const SimilarityMeasure& measure,
+// Score -> noise -> cut -> emit, the machine step's one emission pass, over
+// one batch of the join's sorted runs in place. `noise_rng` stands at the
+// batch's first pair and is left past its last: one Normal() per joined
+// pair, kept or not, in join order.
+//
+// The runs are cut into left-id ranges of about equal pair counts. Each
+// range starts the noise stream where a walk in join order would stand at
+// its first pair, then, on `pool`, reads its pairs in join order through a
+// k-way merge: scores each with a row cursor (when `prepared` is set; the
+// join scores stand otherwise), draws its noise, writes the likelihood back
+// and counts the pairs that pass the cut, stopping at its first failing
+// pair, so the lowest failing range's error is the first in join order. A
+// second pass writes each range's kept pairs at its offset in the result.
+// Neither pass builds a merged copy beside the runs: one, whose memory the
+// pool's threads then kept, raised peak RSS by about 15%.
+Result<CandidateSet> JoinScoreEmit(internal::SortedRuns runs,
+                                   const JoinIngest& ingest,
                                    const PreparedRecords* prepared,
                                    const CandidateGeneratorOptions& options,
-                                   ThreadPool* pool) {
-  CJ_ASSIGN_OR_RETURN(internal::SortedRuns runs,
-                      JoinIngested(ingest, dictionary, measure,
-                                   options.token_join_threshold, pool));
+                                   Rng& noise_rng, ThreadPool* pool) {
   const std::vector<std::vector<size_t>> cuts =
       internal::CutRunsByLeftId(runs, pool);
   const size_t num_ranges = cuts.size() - 1;
 
-  // One Normal() per joined pair, kept or not, in join order.
+  // The last cut holds every run's size: its skip ends past the batch.
   const double stddev = options.likelihood_noise_stddev;
   std::vector<Rng::State> noise(num_ranges);
-  Rng noise_rng(options.noise_seed);
   size_t drawn = 0;
-  for (size_t r = 0; r < num_ranges; ++r) {
+  for (size_t r = 0; r <= num_ranges; ++r) {
     size_t rank = 0;
     for (const size_t start : cuts[r]) rank += start;
     if (stddev > 0.0) noise_rng.SkipNormals(rank - drawn);
     drawn = rank;
-    noise[r] = noise_rng.SaveState();
+    if (r < num_ranges) noise[r] = noise_rng.SaveState();
   }
 
+  const bool bipartite = ingest.bipartite();
   struct RangePass {
     Status status;
     size_t kept = 0;
@@ -261,8 +205,8 @@ Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
         internal::ForEachInPairOrder(
             runs, cuts[range], cuts[range + 1], [&](ScoredPair& pair) {
               if (cursor.has_value()) {
-                const auto [i, j] = MapPair(pair, ingest.bipartite,
-                                            ingest.left_pos, ingest.right_pos);
+                const auto [i, j] = MapPair(pair, bipartite, ingest.left_pos,
+                                            ingest.right_pos);
                 const Result<double> similarity = cursor->Score(i, j);
                 if (!similarity.ok()) {
                   pass.status = similarity.status();
@@ -270,7 +214,10 @@ Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
                 }
                 pair.score = similarity.value();
               }
-              pair.score = NoisyLikelihood(pair.score, stddev, range_rng);
+              if (stddev > 0.0) {
+                pair.score = std::clamp(
+                    pair.score + range_rng.Normal(0.0, stddev), 0.01, 0.99);
+              }
               if (pair.score >= options.min_likelihood) ++pass.kept;
               return true;
             });
@@ -289,8 +236,8 @@ Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
     internal::ForEachInPairOrder(
         runs, cuts[range], cuts[range + 1], [&](const ScoredPair& pair) {
           if (pair.score >= options.min_likelihood) {
-            const auto [id_a, id_b] = MapPair(
-                pair, ingest.bipartite, ingest.left_ids, ingest.right_ids);
+            const auto [id_a, id_b] =
+                MapPair(pair, bipartite, ingest.left_ids, ingest.right_ids);
             *next++ = {id_a, id_b, pair.score};
           }
           return true;
@@ -302,139 +249,128 @@ Result<CandidateSet> JoinScoreEmit(const JoinIngest& ingest,
 
 }  // namespace
 
+Result<CandidateSet> internal::GenerateCandidatesOn(
+    const RecordSet& records, const std::vector<uint8_t>* side_of,
+    const RecordScorer& scorer, const CandidateGeneratorOptions& options,
+    int num_shards, ThreadPool* pool) {
+  if (side_of != nullptr && side_of->size() != records.size()) {
+    return Status::InvalidArgument("side_of size does not match records");
+  }
+  const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
+  JoinIngest ingest(/*bipartite=*/side_of != nullptr, num_shards,
+                    records.size(), /*keep_positions=*/true);
+  {
+    // The records are one block; their texts are freed before the join.
+    NormalizedTexts texts;
+    CJ_RETURN_IF_ERROR(IngestBlock(
+        records, side_of == nullptr ? nullptr : side_of->data(),
+        /*first_pos=*/0, measure, pool, texts, ingest));
+  }
+  CJ_ASSIGN_OR_RETURN(const PreparedRecords prepared,
+                      scorer.Prepare(records, pool));
+  internal::SortedRuns runs;
+  {
+    // The cursor and its prefix indexes are gone before the emission pass.
+    CJ_ASSIGN_OR_RETURN(
+        ShardedJoinCursor cursor,
+        ingest.MakeCursor(measure, options.token_join_threshold, pool));
+    CJ_ASSIGN_OR_RETURN(
+        runs, cursor.NextBatchRuns(std::numeric_limits<int64_t>::max(), pool));
+  }
+  Rng noise_rng(options.noise_seed);
+  return JoinScoreEmit(std::move(runs), ingest, &prepared, options, noise_rng,
+                       pool);
+}
+
 Result<CandidateSet> GenerateCandidates(
     const RecordSet& records, const std::vector<uint8_t>* side_of,
     const RecordScorer& scorer, const CandidateGeneratorOptions& options) {
-  if (side_of != nullptr) {
-    if (side_of->size() != records.size()) {
-      return Status::InvalidArgument("side_of size does not match records");
-    }
-    for (size_t i = 0; i < side_of->size(); ++i) {
-      CJ_RETURN_IF_ERROR(ValidateSide(i, (*side_of)[i]));
-    }
-  }
-  ThreadPool* pool =
-      ThreadPool::HardwareThreads() > 1 ? &SharedPool() : nullptr;
-  CJ_ASSIGN_OR_RETURN(const PreparedRecords prepared,
-                      scorer.Prepare(records, pool));
-
-  const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
-  TokenDictionary dictionary;
-  dictionary.Reserve(records.size());
   // The default shard count: 8, 16 and 32 shards timed alike here.
-  JoinIngest ingest(/*bipartite=*/side_of != nullptr);
-  ingest.keep_positions = true;
-  {
-    // Record text is normalized on the pool, then tokenized and interned in
-    // record order, so token ids and frequencies are those of a serial
-    // pass. The texts are freed before the join.
-    const NormalizedTexts texts = NormalizeRecords(records, pool);
-    for (size_t i = 0; i < records.size(); ++i) {
-      ingest.Add(measure.MakeNormalizedDoc(texts.Get(i), dictionary),
-                 side_of == nullptr ? 0 : (*side_of)[i], records[i].id, i);
-    }
-  }
-  return JoinScoreEmit(ingest, dictionary, measure, &prepared, options, pool);
-}
-
-Result<CandidateSet> GenerateCandidatesStreaming(
-    RecordSource& source, const RecordScorer* scorer,
-    const CandidateGeneratorOptions& options,
-    const ShardedJoinOptions& sharding,
-    std::vector<int32_t>* entity_of_out) {
-  TokenDictionary dictionary;
-  const SimilarityMeasure& measure = SimilarityMeasure::Get(options.measure);
-
-  // Records are retained only when a scorer needs the text back for the
-  // likelihood blend.
-  JoinIngest ingest(source.meta().bipartite, sharding.num_shards);
-  ingest.keep_positions = scorer != nullptr;
-  RecordSet retained;
-  CJ_RETURN_IF_ERROR(IngestStreamIntoJoiner(
-      source, measure, /*collect_entities=*/entity_of_out != nullptr,
-      dictionary, scorer != nullptr ? &retained : nullptr, ingest));
-  if (entity_of_out != nullptr) *entity_of_out = std::move(ingest.entity_of);
-
-  // Score features are computed once per retained record; the record text
-  // itself is not needed past this point.
-  ThreadPool pool(sharding.num_threads);
-  ThreadPool* pool_ptr = pool.num_threads() > 0 ? &pool : nullptr;
-  std::optional<PreparedRecords> prepared;
-  if (scorer != nullptr) {
-    CJ_ASSIGN_OR_RETURN(prepared, scorer->Prepare(retained, pool_ptr));
-    retained = RecordSet();
-  }
-  return JoinScoreEmit(ingest, dictionary, measure,
-                       prepared.has_value() ? &*prepared : nullptr, options,
-                       pool_ptr);
+  return internal::GenerateCandidatesOn(
+      records, side_of, scorer, options, /*num_shards=*/0,
+      ThreadPool::HardwareThreads() > 1 ? &SharedPool() : nullptr);
 }
 
 // ---------------------------------------------------------------------------
 // StreamingCandidateFeed
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr int64_t kDefaultTasksPerRound = 8;
-}  // namespace
-
 StreamingCandidateFeed::StreamingCandidateFeed(const Options& options,
-                                               bool bipartite)
+                                               const StreamMeta& meta)
     : options_(options),
-      bipartite_(bipartite),
-      tasks_per_round_(options.tasks_per_round > 0 ? options.tasks_per_round
-                                                   : kDefaultTasksPerRound),
-      pool_(options.sharding.num_threads > 0 ? options.sharding.num_threads
-                                             : 0),
+      ingest_(std::make_unique<JoinIngest>(
+          meta.bipartite, options.sharding.num_shards,
+          static_cast<size_t>(meta.total_records), /*keep_positions=*/false)),
+      pool_(options.sharding.num_threads),
       noise_rng_(options.candidates.noise_seed) {}
 
 StreamingCandidateFeed::~StreamingCandidateFeed() = default;
 
+const std::vector<int32_t>& StreamingCandidateFeed::entity_of() const {
+  return ingest_->entity_of;
+}
+
+std::vector<int32_t> StreamingCandidateFeed::TakeEntityOf() {
+  return std::exchange(ingest_->entity_of, {});
+}
+
 Result<std::unique_ptr<StreamingCandidateFeed>> StreamingCandidateFeed::Open(
     RecordSource& source, const Options& options) {
-  const bool bipartite = source.meta().bipartite;
   // make_unique cannot reach the private constructor.
   std::unique_ptr<StreamingCandidateFeed> feed(
-      new StreamingCandidateFeed(options, bipartite));
+      new StreamingCandidateFeed(options, source.meta()));
+  ThreadPool* pool = &feed->pool_;
+  JoinIngest& ingest = *feed->ingest_;
+  ingest.entity_of.reserve(static_cast<size_t>(source.meta().total_records));
 
-  // Shared ingest, scorer-free: nothing but token docs and ids is
-  // retained.
+  // The source is read a block at a time into one reused block: swapping
+  // each streamed record in hands the source the block's previous record,
+  // whose field buffers it refills. A short block ends the stream.
   const SimilarityMeasure& measure =
       SimilarityMeasure::Get(options.candidates.measure);
-  JoinIngest ingest(bipartite, options.sharding.num_shards);
-  CJ_RETURN_IF_ERROR(IngestStreamIntoJoiner(
-      source, measure, /*collect_entities=*/true, feed->dictionary_,
-      /*retained=*/nullptr, ingest));
-  feed->left_joiner_ = std::move(ingest.left);
-  feed->right_joiner_ = std::move(ingest.right);
-  feed->left_ids_ = std::move(ingest.left_ids);
-  feed->right_ids_ = std::move(ingest.right_ids);
-  feed->entity_of_ = std::move(ingest.entity_of);
+  constexpr size_t kBlock = internal::kIngestBlockRecords;
+  RecordSet block(kBlock);
+  std::vector<uint8_t> sides(kBlock);
+  NormalizedTexts texts;
+  StreamedRecord streamed;
+  source.Reset();
+  size_t first_pos = 0;
+  for (size_t n = kBlock; n == kBlock; first_pos += n) {
+    for (n = 0; n < kBlock && source.Next(&streamed); ++n) {
+      std::swap(block[n], streamed.record);
+      sides[n] = streamed.side;
+      ingest.entity_of.push_back(streamed.entity);
+    }
+    block.resize(n);
+    CJ_RETURN_IF_ERROR(
+        IngestBlock(block, ingest.bipartite() ? sides.data() : nullptr,
+                    first_pos, measure, pool, texts, ingest));
+  }
+  CJ_RETURN_IF_ERROR(source.status());
 
-  // Prepare the join (phase 1) and park the task cursor. The measure
-  // singleton outlives the cursor by construction.
-  ThreadPool* pool = feed->pool_.num_threads() > 0 ? &feed->pool_ : nullptr;
+  // Prepare the join (phase 1) and park the task cursor.
   CJ_ASSIGN_OR_RETURN(
       ShardedJoinCursor cursor,
-      feed->left_joiner_.MakeCursor(
-          feed->dictionary_, measure, options.candidates.token_join_threshold,
-          pool, bipartite ? &feed->right_joiner_ : nullptr));
+      ingest.MakeCursor(measure, options.candidates.token_join_threshold,
+                        pool));
   feed->cursor_.emplace(std::move(cursor));
   return feed;
 }
 
 Result<CandidateSet> StreamingCandidateFeed::NextRound() {
-  ThreadPool* pool = pool_.num_threads() > 0 ? &pool_ : nullptr;
   CandidateSet round;
   // A task batch can come back empty (or die entirely at the likelihood
   // cut); keep draining so an empty return always means end-of-stream.
-  while (round.empty() && !cursor_->done()) {
-    CJ_ASSIGN_OR_RETURN(const std::vector<ScoredPair> joined,
-                        cursor_->NextBatch(tasks_per_round_, pool));
-    round.reserve(joined.size());
-    for (const ScoredPair& pair : joined) {
-      EmitCandidate(pair, bipartite_, left_ids_, right_ids_,
-                    options_.candidates, noise_rng_, round);
-    }
+  while (round.empty() && cursor_.has_value()) {
+    const int64_t tasks = options_.tasks_per_round;
+    CJ_ASSIGN_OR_RETURN(internal::SortedRuns runs,
+                        cursor_->NextBatchRuns(tasks > 0 ? tasks : 8, &pool_));
+    // The cursor and its prefix indexes go before the last emission pass.
+    if (cursor_->done()) cursor_.reset();
+    CJ_ASSIGN_OR_RETURN(round,
+                        JoinScoreEmit(std::move(runs), *ingest_,
+                                      /*prepared=*/nullptr,
+                                      options_.candidates, noise_rng_, &pool_));
   }
   if (!round.empty()) {
     ++num_rounds_;

@@ -13,7 +13,6 @@
 #include "datagen/record_source.h"
 #include "simjoin/sharded_join.h"
 #include "simjoin/similarity_measure.h"
-#include "simjoin/token_dictionary.h"
 #include "text/record.h"
 #include "text/record_similarity.h"
 
@@ -46,12 +45,15 @@ struct CandidateGeneratorOptions {
 /// \brief The machine step of the hybrid workflow: generates the candidate
 /// set of matching pairs with likelihoods.
 ///
-/// Every record's fields are concatenated and turned into a measure
-/// document (`options.measure`: word tokens for Jaccard/cosine, q-grams of
-/// the normalized text for edit distance); a prefix-filter similarity join
-/// prunes the cross product; survivors are scored by `scorer` over records
-/// prepared once up front (call `scorer.FitTfIdf` first if it uses TF-IDF;
-/// a malformed spec fails here, before the join).
+/// The step has two entry points, this one (materialized, scored) and
+/// `StreamingCandidateFeed` (streamed, scorer-free), on one ingest and one
+/// emission pass. The ingest takes records in blocks (here the whole set is
+/// one): it checks their sides, normalizes their text (all fields) on the
+/// pool and interns their measure documents (`options.measure`) in record
+/// order into a sharded prefix-filter join. The emission pass scores the
+/// join's survivors with `scorer` over records prepared once (call
+/// `scorer.FitTfIdf` first if it uses TF-IDF), noises them and cuts them at
+/// `min_likelihood`.
 ///
 /// `side_of` selects the join shape: nullptr runs a self-join over
 /// `records`; otherwise `side_of[i]` in {0, 1} assigns each record to one
@@ -59,79 +61,53 @@ struct CandidateGeneratorOptions {
 /// 1081 x 1092 setting); any other side value is an InvalidArgument.
 /// Candidate pairs reference `Record::id`.
 ///
-/// Pool: the scorer's `Prepare`, the join (`ShardedSelfJoiner`, bipartite
-/// with a second joiner) and one pass over its survivors run on the
-/// process-wide `SharedPool()` (inline on a 1-core host); there is no
-/// thread option. Per that pool's rule, do not call this from a task
-/// running on the shared pool.
-///
-/// The pass: the joined pairs are cut into left-id ranges of about equal
-/// pair counts (`internal::CutRunsByLeftId`), and each range, as one pool
-/// task, reads its pairs in (left, right) order, scores them row by row
-/// (`PreparedRecords::RowCursor`), draws their likelihood noise and counts
-/// the pairs that pass the `min_likelihood` cut; then each range writes its
-/// kept pairs at its offset in the result.
+/// Pool: every step runs on the process-wide `SharedPool()` (inline on a
+/// 1-core host); there is no thread option. Per that pool's rule, do not
+/// call this from a task running on the shared pool.
 ///
 /// Determinism: the result is bit-identical to the sequential machine step
 /// (`BruteForceMeasureSelfJoin` / `BruteForceMeasureBipartiteJoin`, then
-/// each pair scored, noised and cut in join order) for every pool size: the
-/// join's pairs and their (left, right) order do not depend on the pool,
-/// each pair's score is a function of the pair alone, and each range's
-/// noise stream starts where one stream walked in join order stands at the
-/// range's first pair (`Rng::SkipNormals`), one `Normal()` per joined pair,
-/// kept or not.
+/// each pair scored, noised and cut in join order) for every pool size,
+/// with one `Normal()` drawn per joined pair, kept or not.
 ///
 /// Errors: argument errors (`side_of`) come first, then the scorer's
-/// `Prepare`, then the join's threshold check; a pair that fails to score
-/// (e.g. a record missing a scored field) fails the call with the error of
-/// the first failing pair in join order, whichever failure the pool meets
-/// first: a range stops at its first failing pair, and the lowest failing
-/// range's error is returned.
+/// `Prepare` (a malformed spec), then the join's threshold check; a pair
+/// that fails to score (e.g. a record missing a scored field) fails the
+/// call with the error of the first failing pair in join order, whichever
+/// failure the pool meets first.
 Result<CandidateSet> GenerateCandidates(
     const RecordSet& records, const std::vector<uint8_t>* side_of,
     const RecordScorer& scorer, const CandidateGeneratorOptions& options);
 
-/// \brief Streaming machine step: candidate generation over a
-/// `RecordSource`, with the cross-product pruned by the sharded parallel
-/// join — the entry point for 100k-1M-record workloads.
-///
-/// Records are pulled from `source` one at a time (after a `Reset`),
-/// tokenized, interned, and fed straight into a `ShardedSelfJoiner` (one
-/// per side when `source.meta().bipartite`); the join then fans across
-/// `sharding.num_threads` pool workers.
-///
-/// `scorer` may be null: likelihoods are then the join's similarity
-/// scores (under `options.measure`) and **no record text is retained** —
-/// memory stays at the measure docs plus the candidate set, which is what
-/// makes million-record campaigns fit. With a scorer (fit it over the same
-/// corpus first) the streamed records are prepared for scoring once
-/// (`RecordScorer::Prepare`) and scored on the same workers as the join, in
-/// the same pass as `GenerateCandidates`, and the result — candidates and
-/// errors alike — is byte-identical to `GenerateCandidates` over the
-/// materialized dataset. A bipartite stream
-/// record whose side is not 0 or 1 is an InvalidArgument.
-///
-/// `entity_of_out`, when non-null, receives each streamed record's ground
-/// truth entity (indexed by record position) for building oracles without
-/// a second pass.
-Result<CandidateSet> GenerateCandidatesStreaming(
-    RecordSource& source, const RecordScorer* scorer,
-    const CandidateGeneratorOptions& options,
-    const ShardedJoinOptions& sharding,
-    std::vector<int32_t>* entity_of_out = nullptr);
+namespace internal {
 
-/// \brief `CandidateStream` over a `RecordSource`: the machine step's
-/// sharded join drained probe-task batch by probe-task batch, so candidate
-/// pairs flow into a `LabelingSession::RunStream` round by round and the
-/// full candidate set is **never materialized** — peak candidate memory is
-/// one round (the output of `tasks_per_round` probe tasks).
+/// Records the feed's ingest reads from its source per block.
+inline constexpr size_t kIngestBlockRecords = 512;
+
+/// The records in the sharded join, with ids and positions per side.
+struct JoinIngest;
+
+/// `GenerateCandidates` on `num_shards` shards (<= 0 picks the default)
+/// and `pool` (nullptr runs inline); the result is the same for all.
+Result<CandidateSet> GenerateCandidatesOn(
+    const RecordSet& records, const std::vector<uint8_t>* side_of,
+    const RecordScorer& scorer, const CandidateGeneratorOptions& options,
+    int num_shards, ThreadPool* pool);
+
+}  // namespace internal
+
+/// \brief The streaming machine step, for 100k-1M-record workloads: a
+/// `CandidateStream` over a `RecordSource` that drains the sharded join's
+/// probe tasks `tasks_per_round` at a time into `LabelingSession::RunStream`,
+/// so the candidate set is **never materialized** (peak candidate memory is
+/// one round).
 ///
-/// This is the scorer-free memory-lean path: likelihoods are the join's
-/// similarity scores under `candidates.measure`, optionally noised in
-/// emission order (which, unlike
-/// the batch path's global order, depends on the round partition — only the
-/// zero-noise configuration is partition-independent). No record text is
-/// retained; ground truth is captured from the stream during `Open`.
+/// `Open` runs the ingest of `GenerateCandidates` on the source,
+/// `internal::kIngestBlockRecords` records at a time; no record text
+/// outlives its block. Each round runs the emission pass without a scorer:
+/// likelihoods are the join's scores. Noise is drawn in join order within a
+/// round, continuing across rounds; one round of all tasks is the
+/// materialized set.
 class StreamingCandidateFeed : public CandidateStream {
  public:
   struct Options {
@@ -146,8 +122,8 @@ class StreamingCandidateFeed : public CandidateStream {
     int64_t tasks_per_round = 0;
   };
 
-  /// Ingests `source` (tokenize + shard, no record retention) and prepares
-  /// the sharded join. The feed is ready to stream rounds afterwards.
+  /// Ingests `source`, capturing its ground truth, and prepares the join. A
+  /// bipartite stream record whose side is not 0 or 1 is an InvalidArgument.
   static Result<std::unique_ptr<StreamingCandidateFeed>> Open(
       RecordSource& source, const Options& options);
 
@@ -158,10 +134,9 @@ class StreamingCandidateFeed : public CandidateStream {
   Result<CandidateSet> NextRound() override;
 
   /// Ground-truth entity per streamed record position (for oracles).
-  const std::vector<int32_t>& entity_of() const { return entity_of_; }
-  int64_t num_records() const {
-    return static_cast<int64_t>(entity_of_.size());
-  }
+  const std::vector<int32_t>& entity_of() const;
+  /// Moves `entity_of()` out of the feed, leaving it empty.
+  std::vector<int32_t> TakeEntityOf();
   /// Candidates emitted so far.
   int64_t num_candidates() const { return num_candidates_; }
   /// Rounds emitted so far.
@@ -170,21 +145,14 @@ class StreamingCandidateFeed : public CandidateStream {
   int64_t max_round_size() const { return max_round_size_; }
 
  private:
-  StreamingCandidateFeed(const Options& options, bool bipartite);
+  StreamingCandidateFeed(const Options& options, const StreamMeta& meta);
 
   Options options_;
-  bool bipartite_;
-  int64_t tasks_per_round_;
-  TokenDictionary dictionary_;
-  // The cursor points into the joiners; the feed is never moved (`Open`
-  // returns it on the heap).
-  ShardedSelfJoiner left_joiner_;   // the self-join's or left side's docs
-  ShardedSelfJoiner right_joiner_;  // the right side's docs (bipartite)
-  ThreadPool pool_;
+  // The cursor points into the ingest's joiners and dictionary, so it is
+  // declared after (and destroyed before) them.
+  std::unique_ptr<internal::JoinIngest> ingest_;
+  ThreadPool pool_;  // inline (no workers) unless `sharding.num_threads` > 0
   std::optional<ShardedJoinCursor> cursor_;
-  std::vector<ObjectId> left_ids_;   // record id by left/self local position
-  std::vector<ObjectId> right_ids_;  // record id by right local position
-  std::vector<int32_t> entity_of_;
   Rng noise_rng_;
   int64_t num_candidates_ = 0;
   int64_t num_rounds_ = 0;

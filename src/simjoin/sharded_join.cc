@@ -427,7 +427,7 @@ Result<internal::SortedRuns> ShardedJoinCursor::NextBatchRuns(
   }
   Impl& impl = *impl_;
   const int64_t begin = impl.next_task;
-  const int64_t end = std::min(num_tasks(), begin + max_tasks);
+  const int64_t end = begin + std::min(max_tasks, num_tasks() - begin);
   impl.next_task = end;
   // The tasks of one pool chunk append to one output, sorted once, so a
   // batch yields a few long runs rather than one short run per task.

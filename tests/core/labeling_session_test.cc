@@ -98,6 +98,29 @@ TEST(LabelingSession, BatchSourceRequiresRoundParallel) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A batch source answering with the wrong number of labels is the
+// caller's mistake: an error naming both counts, not an abort.
+TEST(LabelingSession, BatchSourceWithWrongLabelCountIsError) {
+  const CandidateSet pairs = Figure3Pairs();
+  for (const int skew : {-1, 1}) {
+    LabelingSession session = MakeSession(SchedulePolicy::kRoundParallel);
+    size_t published = 0;
+    const auto result = session.RunWithBatchSource(
+        pairs, IdentityOrder(pairs.size()),
+        [&](const std::vector<int32_t>& batch) -> Result<std::vector<Label>> {
+          published = batch.size();
+          return std::vector<Label>(batch.size() + skew, Label::kMatching);
+        });
+    ASSERT_GT(published, 0u);
+    EXPECT_EQ(result.status(),
+              Status::InvalidArgument(
+                  "label source returned " +
+                  std::to_string(published + skew) + " labels for a batch of " +
+                  std::to_string(published) + " pairs"))
+        << "skew " << skew;
+  }
+}
+
 TEST(LabelingSession, StartRequiresInstantSchedule) {
   const CandidateSet pairs = Figure3Pairs();
   LabelingSession session = MakeSession(SchedulePolicy::kSequential);

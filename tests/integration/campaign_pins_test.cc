@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -139,9 +141,14 @@ TEST(CampaignPins, Sf10JoinEmitsPinnedCandidates) {
   for (const int threads : {1, kThreads}) {
     config.sharding.num_threads = threads;
     StreamingPaperSource source(PaperConfig(), kCampaignScale);
+    StreamingCandidateFeed::Options feed_options;
+    feed_options.candidates = config.candidates;
+    feed_options.sharding = config.sharding;
+    feed_options.tasks_per_round = std::numeric_limits<int64_t>::max();
     MetricsDelta delta;
-    const auto candidates = GenerateCandidatesStreaming(
-        source, /*scorer=*/nullptr, config.candidates, config.sharding);
+    const auto feed = StreamingCandidateFeed::Open(source, feed_options);
+    ASSERT_TRUE(feed.ok()) << feed.status().ToString();
+    const auto candidates = (*feed)->NextRound();
     delta.Stop();
     ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
     EXPECT_EQ(static_cast<int64_t>(candidates->size()), kCandidates);

@@ -14,9 +14,9 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
-#include "datagen/record_source.h"
 #include "eval/workbench.h"
 #include "simjoin/candidate_generator.h"
 #include "simjoin/similarity_join.h"
@@ -108,10 +108,22 @@ void ExpectBitIdentical(const CandidateSet& actual,
   }
 }
 
-// Streaming layouts the scorer path must reproduce at: {threads, shards}.
-// Each gives the join a different set of sorted runs.
-constexpr std::pair<int, int> kStreamingGrid[] = {
+// Layouts the machine step must reproduce at: {threads, shards}. Each
+// gives the join a different set of sorted runs.
+constexpr std::pair<int, int> kLayoutGrid[] = {
     {0, 1}, {1, 3}, {2, 2}, {2, 16}, {4, 3}, {4, 16}};
+
+// `GenerateCandidates`'s body over a self-join of `records` on `shards`
+// shards and a pool of `threads` workers (none: inline).
+Result<CandidateSet> GenerateOn(const RecordSet& records,
+                                const RecordScorer& scorer,
+                                const CandidateGeneratorOptions& options,
+                                int threads, int shards) {
+  ThreadPool pool(threads);
+  return internal::GenerateCandidatesOn(records, nullptr, scorer, options,
+                                        shards,
+                                        threads > 0 ? &pool : nullptr);
+}
 
 class WorkbenchEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
@@ -208,16 +220,12 @@ TEST(CandidateEquivalence, EveryMeasureOnASmallCorpus) {
                            .value(),
                        bipartite_expected);
 
-    // The streaming scorer path shares join -> score -> emit.
-    DatasetRecordSource source(&paper);
-    for (const auto& [threads, shards] : kStreamingGrid) {
-      ShardedJoinOptions sharding;
-      sharding.num_threads = threads;
-      sharding.num_shards = shards;
-      ExpectBitIdentical(GenerateCandidatesStreaming(source, &paper_scorer,
-                                                     options, sharding)
-                             .value(),
-                         self_expected);
+    // Every shard and pool layout gives the same candidates.
+    for (const auto& [threads, shards] : kLayoutGrid) {
+      ExpectBitIdentical(
+          GenerateOn(paper.records, paper_scorer, options, threads, shards)
+              .value(),
+          self_expected);
     }
   }
 }
@@ -257,14 +265,10 @@ TEST(CandidateEquivalence, FirstFailingPairInJoinOrderDecidesTheError) {
   EXPECT_EQ(
       GenerateCandidates(dataset.records, nullptr, scorer, options).status(),
       expected);
-  DatasetRecordSource source(&dataset);
   for (int threads : {0, 2, 4}) {
     for (int shards : {1, 2, 16}) {
-      ShardedJoinOptions sharding;
-      sharding.num_threads = threads;
-      sharding.num_shards = shards;
       EXPECT_EQ(
-          GenerateCandidatesStreaming(source, &scorer, options, sharding)
+          GenerateOn(dataset.records, scorer, options, threads, shards)
               .status(),
           expected)
           << "threads=" << threads << " shards=" << shards;
@@ -296,13 +300,9 @@ TEST(CandidateEquivalence, MissingFieldErrorMatchesReference) {
         GenerateCandidates(dataset.records, nullptr, scorer, options).status(),
         expected)
         << early << "," << late;
-    DatasetRecordSource source(&dataset);
-    for (const auto& [threads, shards] : kStreamingGrid) {
-      ShardedJoinOptions sharding;
-      sharding.num_threads = threads;
-      sharding.num_shards = shards;
+    for (const auto& [threads, shards] : kLayoutGrid) {
       EXPECT_EQ(
-          GenerateCandidatesStreaming(source, &scorer, options, sharding)
+          GenerateOn(dataset.records, scorer, options, threads, shards)
               .status(),
           expected)
           << early << "," << late << " threads=" << threads
@@ -339,14 +339,10 @@ Status WorkbenchErrorWithFailingTwins(
   EXPECT_EQ(
       GenerateCandidates(dataset.records, nullptr, scorer, options).status(),
       expected);
-  DatasetRecordSource source(&dataset);
-  for (const auto& [threads, shards] : kStreamingGrid) {
-    ShardedJoinOptions sharding;
-    sharding.num_threads = threads;
-    sharding.num_shards = shards;
-    EXPECT_EQ(GenerateCandidatesStreaming(source, &scorer, options, sharding)
-                  .status(),
-              expected)
+  for (const auto& [threads, shards] : kLayoutGrid) {
+    EXPECT_EQ(
+        GenerateOn(dataset.records, scorer, options, threads, shards).status(),
+        expected)
         << "threads=" << threads << " shards=" << shards;
   }
   return expected;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "datagen/paper_dataset.h"
 #include "datagen/product_dataset.h"
 #include "datagen/streaming_generator.h"
@@ -98,14 +99,11 @@ TEST(GenerateCandidatesStreaming, SideOutsideZeroOrOneIsError) {
   dataset.AddRecord(MakeRecord(1, {"sony bravia lcd tv set"}), 0);
   dataset.side_of = {0, 3};
   DatasetRecordSource source(&dataset);
-  const RecordScorer scorer = NameScorer();
-  CandidateGeneratorOptions options;
-  options.token_join_threshold = 0.2;
-  EXPECT_EQ(GenerateCandidatesStreaming(source, &scorer, options,
-                                        ShardedJoinOptions())
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  StreamingCandidateFeed::Options options;
+  options.candidates.token_join_threshold = 0.2;
+  const Status status = StreamingCandidateFeed::Open(source, options).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("record 1"), std::string::npos) << status;
 }
 
 TEST(GenerateCandidates, MinLikelihoodFilters) {
@@ -158,6 +156,9 @@ TEST(GenerateCandidates, EmptyRecordSet) {
       GenerateCandidates({}, nullptr, NameScorer(), options).value().empty());
 }
 
+// A scored streaming campaign materializes its stream and runs the body of
+// `GenerateCandidates` on its own shards and pool: every layout gives the
+// batch path's candidates.
 TEST(GenerateCandidatesStreaming, SelfJoinMatchesBatchPath) {
   PaperDatasetConfig config;
   config.clusters.total_records = 120;
@@ -177,19 +178,16 @@ TEST(GenerateCandidatesStreaming, SelfJoinMatchesBatchPath) {
   ASSERT_FALSE(batch.empty());
 
   DatasetRecordSource source(&dataset);
+  const Dataset streamed = MaterializeDataset(source).value();
+  EXPECT_EQ(streamed.entity_of, dataset.entity_of);
   for (int threads : {0, 2, 4}) {
     for (int shards : {1, 3, 16}) {
-      ShardedJoinOptions sharding;
-      sharding.num_threads = threads;
-      sharding.num_shards = shards;
-      std::vector<int32_t> entity_of;
-      const CandidateSet streaming =
-          GenerateCandidatesStreaming(source, &scorer, options, sharding,
-                                      &entity_of)
-              .value();
-      ASSERT_EQ(streaming, batch) << "threads=" << threads
-                                  << " shards=" << shards;
-      EXPECT_EQ(entity_of, dataset.entity_of);
+      ThreadPool pool(threads);
+      const CandidateSet on = internal::GenerateCandidatesOn(
+                                  streamed.records, nullptr, scorer, options,
+                                  shards, threads > 0 ? &pool : nullptr)
+                                  .value();
+      ASSERT_EQ(on, batch) << "threads=" << threads << " shards=" << shards;
     }
   }
 }
@@ -211,13 +209,15 @@ TEST(GenerateCandidatesStreaming, BipartiteMatchesBatchPath) {
   ASSERT_FALSE(batch.empty());
 
   DatasetRecordSource source(&dataset);
+  const Dataset streamed = MaterializeDataset(source).value();
   for (int threads : {0, 3}) {
-    ShardedJoinOptions sharding;
-    sharding.num_threads = threads;
-    const CandidateSet streaming =
-        GenerateCandidatesStreaming(source, &scorer, options, sharding)
+    ThreadPool pool(threads);
+    const CandidateSet on =
+        internal::GenerateCandidatesOn(streamed.records, &streamed.side_of,
+                                       scorer, options, /*num_shards=*/0,
+                                       threads > 0 ? &pool : nullptr)
             .value();
-    ASSERT_EQ(streaming, batch) << "threads=" << threads;
+    ASSERT_EQ(on, batch) << "threads=" << threads;
   }
 }
 
@@ -259,8 +259,27 @@ TEST(GenerateCandidates, ProductWorkbenchIsPinned) {
   EXPECT_EQ(CandidateChecksum(product.candidates), 5382487352068210625ull);
 }
 
+// One feed round of every probe task: the whole candidate set of the
+// memory-lean configuration, no scorer, likelihood = token Jaccard.
+CandidateSet OneRound(RecordSource& source,
+                      const CandidateGeneratorOptions& options,
+                      const ShardedJoinOptions& sharding,
+                      std::vector<int32_t>* entity_of = nullptr) {
+  StreamingCandidateFeed::Options feed_options;
+  feed_options.candidates = options;
+  feed_options.sharding = sharding;
+  feed_options.tasks_per_round = std::numeric_limits<int64_t>::max();
+  const auto feed = StreamingCandidateFeed::Open(source, feed_options).value();
+  if (entity_of != nullptr) {
+    *entity_of = feed->TakeEntityOf();
+    EXPECT_TRUE(feed->entity_of().empty());
+  }
+  CandidateSet round = feed->NextRound().value();
+  EXPECT_TRUE(feed->NextRound().value().empty());
+  return round;
+}
+
 TEST(GenerateCandidatesStreaming, NullScorerUsesJoinScores) {
-  // The memory-lean configuration: no scorer, likelihood = token Jaccard.
   PaperDatasetConfig config;
   config.clusters.total_records = 100;
   config.clusters.max_cluster_size = 15;
@@ -274,9 +293,7 @@ TEST(GenerateCandidatesStreaming, NullScorerUsesJoinScores) {
   sharding.num_threads = 2;
   std::vector<int32_t> entity_of;
   const CandidateSet candidates =
-      GenerateCandidatesStreaming(source, nullptr, options, sharding,
-                                  &entity_of)
-          .value();
+      OneRound(source, options, sharding, &entity_of);
   EXPECT_EQ(entity_of.size(), 200u);
   ASSERT_FALSE(candidates.empty());
   for (const auto& pair : candidates) {
@@ -284,10 +301,7 @@ TEST(GenerateCandidatesStreaming, NullScorerUsesJoinScores) {
     EXPECT_LT(pair.a, pair.b);
   }
   // Deterministic: a fresh pass over the same stream yields the same set.
-  const CandidateSet again =
-      GenerateCandidatesStreaming(source, nullptr, options, sharding)
-          .value();
-  EXPECT_EQ(again, candidates);
+  EXPECT_EQ(OneRound(source, options, sharding), candidates);
 }
 
 // Every candidate the feed emits, round after round, and how many rounds.
@@ -385,11 +399,11 @@ Dataset OneFieldPrefix(const Dataset& records, size_t n) {
   return out;
 }
 
-// The feed's ingest reads its source in blocks of 4096 records: streams
-// ending on either side of a block boundary intern, join and emit exactly
-// as `GenerateCandidates` does over the same records as one set.
+// The feed's ingest reads its source in blocks: streams ending on either
+// side of a block boundary intern, join and emit exactly as
+// `GenerateCandidates` does over the same records as one set.
 TEST(StreamingCandidateFeed, IngestBlockBoundariesMatchGenerateCandidates) {
-  constexpr size_t kBlock = 4096;
+  constexpr size_t kBlock = internal::kIngestBlockRecords;
   PaperDatasetConfig paper_config;
   paper_config.clusters.total_records = 2 * kBlock + 1;
   paper_config.seed = 44;

@@ -1,14 +1,15 @@
 // Streaming-ingestion tests for the round-by-round candidate path:
 //  * ShardedJoinCursor batches partition exactly the one-shot Finish output
 //    at every batch size / shard count / thread count;
-//  * StreamingCandidateFeed emits the same candidate multiset as the
-//    materializing GenerateCandidatesStreaming, in bounded rounds — proving
-//    the full candidate set is never buffered;
+//  * StreamingCandidateFeed emits the same candidate multiset in bounded
+//    rounds as in one round of every task — proving the full candidate set
+//    is never buffered;
 //  * a LabelingSession driven by the feed labels everything correctly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,12 +119,16 @@ TEST(StreamingCandidateFeed, EmitsTheMaterializedCandidateSetInBoundedRounds) {
   sharding.num_shards = 16;
 
   StreamingPaperSource materialized_source(config, /*scale_factor=*/2);
-  std::vector<int32_t> entity_of;
-  const CandidateSet materialized =
-      GenerateCandidatesStreaming(materialized_source, /*scorer=*/nullptr,
-                                  options, sharding, &entity_of)
-          .value();
+  StreamingCandidateFeed::Options one_round;
+  one_round.candidates = options;
+  one_round.sharding = sharding;
+  one_round.tasks_per_round = std::numeric_limits<int64_t>::max();
+  const auto materialized_feed =
+      StreamingCandidateFeed::Open(materialized_source, one_round).value();
+  const std::vector<int32_t> entity_of = materialized_feed->entity_of();
+  const CandidateSet materialized = materialized_feed->NextRound().value();
   ASSERT_GT(materialized.size(), 0u);
+  EXPECT_TRUE(materialized_feed->NextRound().value().empty());
 
   StreamingPaperSource source(config, /*scale_factor=*/2);
   StreamingCandidateFeed::Options feed_options;
